@@ -51,9 +51,9 @@ def double_fold():
     return K
 
 
-def main():
-    OUT.mkdir(exist_ok=True)
-    files = {
+def recipes():
+    """Fixture file name -> facets, for every file under fixtures/."""
+    complexes = {
         "boundary4simplex.txt": gen.boundary_simplex(),
         "stacked_sphere_8.txt": gen.staircase_sphere(4),
         "cross_polytope.txt": gen.cross_polytope(),
@@ -64,11 +64,16 @@ def main():
         "folded_g2_4.txt": folded_four(),
         "double_fold_g2_6.txt": double_fold(),
     }
-    for name, K in files.items():
-        pio.save_facets(OUT / name, K.facets)
-        print(name, K.f_vector())
-    pio.save_facets(OUT / "rp2_6.txt", RP2_SIX)
-    print("rp2_6.txt (surface)")
+    out = {name: K.facets for name, K in complexes.items()}
+    out["rp2_6.txt"] = RP2_SIX
+    return out
+
+
+def main():
+    OUT.mkdir(exist_ok=True)
+    for name, facets in recipes().items():
+        pio.save_facets(OUT / name, facets)
+        print(name)
 
 
 if __name__ == "__main__":

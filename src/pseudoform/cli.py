@@ -19,12 +19,7 @@ import sys
 from typing import Optional
 
 from . import generators, io, moves, reducer, rigidity
-from .complexes import (
-    SimplicialComplex,
-    find_isomorphism,
-    total_g2,
-    validate_normal,
-)
+from .complexes import find_isomorphism, total_g2, validate_normal
 from .defaults import DEFAULT_SEED
 from .errors import (
     IsomorphismInconclusive,
@@ -151,81 +146,43 @@ def _psi(text: str) -> dict:
     return out
 
 
-def _need(args, name: str):
-    val = getattr(args, name.replace("-", "_"))
-    if val is None:
-        raise ValueError(f"move {args.kind} requires --{name}")
-    return val
+# Record keys read from a `move` flag of another name.
+_FLAG_OF = {"vertices": "pair", "apex_u": "apexes", "apex_v": "apexes"}
 
 
-def _run_move(args, K: SimplicialComplex):
-    kind = args.kind
-    fresh = _ints(args.fresh) if args.fresh else None
-    one_fresh = fresh[0] if fresh else None
-    if kind == moves.BISTELLAR1:
-        return moves.bistellar_one(K, _ints(_need(args, "triangle")))
-    if kind == moves.BISTELLAR2:
-        return moves.bistellar_two(K, _ints(_need(args, "edge")))
-    if kind == moves.EDGE_CONTRACT:
-        return moves.contract_edge(
-            K, _ints(_need(args, "edge")), fresh=one_fresh
-        )
-    if kind == moves.EDGE_EXPAND:
-        apexes = _ints(args.apexes) if args.apexes else None
-        return moves.expand_edge(
-            K,
-            int(_need(args, "vertex")),
-            _ints(_need(args, "cycle")),
-            u_side=args.u_side,
-            apexes=apexes,
-        )
-    if kind == moves.TWO_FACETS_INSERT:
-        apexes = _ints(args.apexes) if args.apexes else None
-        return moves.insert_two_facets(
-            K,
-            int(_need(args, "vertex")),
-            _ints(_need(args, "triangle")),
-            apexes=apexes,
-        )
-    if kind == moves.TWO_FACETS_CONTRACT:
-        u, v = _ints(_need(args, "pair"))
-        return moves.contract_two_facets(K, u, v, fresh=one_fresh)
-    if kind == moves.CONNECTED_SUM:
-        return moves.connected_sum_in(
-            K,
-            _ints(_need(args, "sigma1")),
-            _ints(_need(args, "sigma2")),
-            _psi(_need(args, "psi")),
-        )
-    if kind == moves.HANDLE_ADD:
-        return moves.handle_addition(
-            K,
-            _ints(_need(args, "sigma1")),
-            _ints(_need(args, "sigma2")),
-            _psi(_need(args, "psi")),
-        )
-    if kind == moves.EDGE_FOLD:
-        return moves.edge_fold(
-            K,
-            _ints(_need(args, "sigma1")),
-            _ints(_need(args, "sigma2")),
-            _psi(_need(args, "psi")),
-        )
-    if kind == moves.EDGE_UNFOLD:
-        return moves.edge_unfold(K, _ints(_need(args, "tetra")), fresh=fresh)
-    if kind == moves.FACET_SUBDIVIDE:
-        return moves.facet_subdivide(
-            K, _ints(_need(args, "facet")), fresh=one_fresh
-        )
-    if kind == moves.FACET_UNSUBDIVIDE:
-        return moves.facet_unsubdivide(K, int(_need(args, "vertex")))
-    raise ValueError(f"unknown move kind {kind!r}")
+def _move_values(args, move: moves.Move) -> dict:
+    """The inputs and fresh labels of ``move`` given by the flags."""
+    values = {}
+    for p in move.params:
+        if p.role == moves.DERIVED or p.key in values:
+            continue
+        flag = _FLAG_OF.get(p.key, p.key)
+        text = getattr(args, flag)
+        if text is None:
+            if p.role == moves.INPUT:
+                raise ValueError(f"move {args.kind} requires --{flag}")
+        elif flag == "apexes":
+            values["apex_u"], values["apex_v"] = _ints(text)
+        elif flag == "pair":
+            u, v = _ints(text)
+            values[p.key] = (u, v)
+        elif p.shape == moves.PSI:
+            values[p.key] = _psi(text)
+        elif p.shape is not int:
+            values[p.key] = _ints(text)
+        elif p.role == moves.INPUT:
+            values[p.key] = int(text)
+        else:  # one fresh label; --fresh may list more
+            values[p.key] = _ints(text)[0]
+    return values
 
 
 def _cmd_move(args) -> int:
     K = io.load_complex(args.file)
+    move = moves.MOVES[args.kind]
+    values = _move_values(args, move)
     try:
-        K2, rec = _run_move(args, K)
+        K2, rec = move.construct(K, values)
     except MoveError as e:
         return _fail(f"rejected: {e}", FALSE)
     print(f"applied {rec}", file=sys.stderr)

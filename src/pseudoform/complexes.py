@@ -28,6 +28,7 @@ from .errors import (
     IsomorphismInconclusive,
     MalformedFacetError,
     MissingFaceError,
+    PseudoformError,
 )
 from . import surfaces
 
@@ -403,7 +404,6 @@ class NormalityReport:
     """
 
     verdict: str
-    is_pure: bool
     is_connected: bool
     ridge_failures: tuple
     disconnected_links: tuple
@@ -437,10 +437,10 @@ class NormalityReport:
 def validate_normal(K: SimplicialComplex) -> NormalityReport:
     """Check the closed normal pseudomanifold conditions in dimension 3.
 
-    Conditions checked, in order: purity (guaranteed by construction,
-    reported for completeness), every triangle in exactly two facets,
-    global connectivity, connected links for all faces of codimension
-    at least two, and every vertex link a closed connected surface.
+    Purity holds by construction.  Conditions checked, in order: every
+    triangle in exactly two facets, global connectivity, connected
+    links for all faces of codimension at least two, and every vertex
+    link a closed connected surface.
     Vertex links are classified; non-sphere links populate
     ``singular_vertices``.
     """
@@ -471,7 +471,7 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
         lk = K.link((v,))
         try:
             surf = surfaces.Surface(lk.facets)
-        except Exception as exc:  # noqa: BLE001 - report, do not raise
+        except PseudoformError as exc:  # report, do not raise
             bad_links.append((v, str(exc)))
             continue
         cls = surf.classify()
@@ -486,7 +486,6 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
     )
     return NormalityReport(
         verdict="NormalClosed" if ok else "NotNormal",
-        is_pure=True,
         is_connected=is_connected,
         ridge_failures=tuple(ridge_failures),
         disconnected_links=tuple(disconnected_links),
@@ -525,7 +524,7 @@ def _vertex_keys(K: SimplicialComplex) -> dict:
         if lk.dimension == 2:
             try:
                 kind = surfaces.Surface(lk.facets).classify().kind
-            except Exception:  # noqa: BLE001
+            except PseudoformError:
                 kind = "?"
         base[v] = (len(K.neighbors(v)), counts, kind)
     # one refinement round: append the multiset of neighbour base keys

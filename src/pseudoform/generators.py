@@ -71,49 +71,13 @@ def cross_polytope() -> SimplicialComplex:
 
 
 def admissible_folds(K: SimplicialComplex) -> list:
-    """All admissible folds as (sigma1, sigma2, psi-pairs), sorted.
-
-    Facet pairs must share exactly one edge; the map fixes that edge,
-    leaving two candidate matchings of the remaining corners.
-    """
-    out = []
-    facets = sorted((tuple(sorted(F)) for F in K.facets))
-    for s1, s2 in itertools.combinations(facets, 2):
-        shared = set(s1) & set(s2)
-        if len(shared) != 2:
-            continue
-        rest1 = [x for x in s1 if x not in shared]
-        rest2 = [x for x in s2 if x not in shared]
-        for r2 in (rest2, rest2[::-1]):
-            psi = {x: x for x in shared}
-            psi.update(zip(rest1, r2))
-            try:
-                moves.edge_fold(K, s1, s2, psi)
-            except PseudoformError:
-                continue
-            out.append((s1, s2, tuple(sorted(psi.items()))))
-    return out
+    """All admissible folds as (sigma1, sigma2, psi-pairs), sorted."""
+    return list(moves.fold_sites(K))
 
 
 def find_admissible_fold(K: SimplicialComplex) -> Optional[tuple]:
     """Lexicographically first admissible fold, or None."""
-    for s1, s2 in itertools.combinations(
-        sorted(tuple(sorted(F)) for F in K.facets), 2
-    ):
-        shared = set(s1) & set(s2)
-        if len(shared) != 2:
-            continue
-        rest1 = [x for x in s1 if x not in shared]
-        rest2 = [x for x in s2 if x not in shared]
-        for r2 in (rest2, rest2[::-1]):
-            psi = {x: x for x in shared}
-            psi.update(zip(rest1, r2))
-            try:
-                moves.edge_fold(K, s1, s2, psi)
-            except PseudoformError:
-                continue
-            return (s1, s2, tuple(sorted(psi.items())))
-    return None
+    return next(moves.fold_sites(K), None)
 
 
 def admissible_handles(K: SimplicialComplex) -> list:
@@ -266,47 +230,26 @@ def _gen_stacked(blocks: int, seed: int) -> GeneratedComplex:
     return GeneratedComplex(spec, K, _trace_for(K, seeds, forward))
 
 
-_RANDOM_KINDS = (
-    moves.BISTELLAR1,
-    moves.BISTELLAR2,
-    moves.EDGE_EXPAND,
-    moves.EDGE_CONTRACT,
-    moves.TWO_FACETS_INSERT,
-    moves.TWO_FACETS_CONTRACT,
-    moves.FACET_SUBDIVIDE,
-    moves.FACET_UNSUBDIVIDE,
-    moves.EDGE_FOLD,
-)
+# The kinds a walk draws from: those with a site enumerator.
+_WALK_KINDS = tuple(kind for kind, m in moves.MOVES.items() if m.sites)
 
 
-def _link_three_cycles(K: SimplicialComplex, v: int) -> list:
-    """3-cycles in lk(v): its triangles and its missing triangles."""
-    L = K.link((v,))
-    edges = L.faces(1)
-    out = list(L.faces(2))
-    for t in itertools.combinations(sorted(L.vertices), 3):
-        ft = frozenset(t)
-        if ft not in out and all(
-            frozenset(e) in edges for e in itertools.combinations(t, 2)
-        ):
-            out.append(ft)
-    return sorted((tuple(sorted(t)) for t in out))
-
-
-def _in_scope(K: SimplicialComplex, g2_cap: int) -> bool:
+def _singular_in_scope(K: SimplicialComplex, g2_cap: int) -> Optional[bool]:
+    """Whether K has singular vertices; None when K leaves the walk's
+    scope (a component not normal, not a sphere and not a two-RP2
+    complex with g2 3 or 4, or total g2 above the cap)."""
+    singular = False
     for comp in K.connected_components():
         rep = validate_normal(comp)
         if not rep.is_normal_closed:
-            return False
+            return None
         sing = rep.singular_vertices
         if sing:
-            if len(sing) != 2:
-                return False
-            if any(cls.kind != RP2 for _, cls in sing):
-                return False
-            if comp.f_vector().g2 not in (3, 4):
-                return False
-    return total_g2(K) <= g2_cap
+            if (len(sing) != 2 or any(cls.kind != RP2 for _, cls in sing)
+                    or comp.f_vector().g2 not in (3, 4)):
+                return None
+            singular = True
+    return singular if total_g2(K) <= g2_cap else None
 
 
 def _gen_random(
@@ -314,6 +257,7 @@ def _gen_random(
 ) -> GeneratedComplex:
     rng = random.Random(seed)
     K = boundary_simplex()
+    singular = False
     seeds = [K]
     forward = []
     note = ""
@@ -321,46 +265,26 @@ def _gen_random(
     steps = 0
     while steps < budget:
         candidates = {}
-        singular = bool(validate_normal(K).singular_vertices)
-        for kind in _RANDOM_KINDS:
-            if kind == moves.BISTELLAR1:
-                sites = moves.bistellar_one_sites(K)
-            elif kind == moves.BISTELLAR2:
-                sites = moves.bistellar_two_sites(K)
-            elif kind == moves.EDGE_EXPAND:
-                sites = [
-                    (v, cyc)
-                    for v in sorted(K.vertices)
-                    for cyc in _link_three_cycles(K, v)
-                ]
-            elif kind == moves.EDGE_CONTRACT:
-                sites = moves.contractible_edges(K)
-            elif kind == moves.TWO_FACETS_INSERT:
-                sites = moves.insertion_sites(K)
-            elif kind == moves.TWO_FACETS_CONTRACT:
-                sites = moves.contraction_pair_sites(K)
-            elif kind == moves.FACET_SUBDIVIDE:
-                sites = sorted(tuple(sorted(F)) for F in K.facets)
-            elif kind == moves.FACET_UNSUBDIVIDE:
-                sites = moves.unsubdividable_vertices(K)
-            else:  # EdgeFold
-                if not allow_fold or singular:
-                    sites = []
-                else:
-                    sites = admissible_folds(K)
+        for kind in _WALK_KINDS:
+            if kind == moves.EDGE_FOLD and (not allow_fold or singular):
+                continue  # folds are asked for, and start from spheres
+            sites = moves.MOVES[kind].sites(K)
             if sites:
                 candidates[kind] = sites
         progressed = False
         for kind in rng.sample(sorted(candidates), k=len(candidates)):
-            sites = candidates[kind]
-            site = rng.choice(sites)
+            move = moves.MOVES[kind]
+            values = dict(zip(move.inputs, rng.choice(candidates[kind])))
+            if kind == moves.EDGE_EXPAND:
+                values["u_side"] = rng.randrange(2)
             try:
-                K2, rec = _apply_site(K, kind, site, rng)
+                K2, rec = move.construct(K, values)
             except PseudoformError:
                 continue
-            if not _in_scope(K2, g2_cap):
+            in_scope = _singular_in_scope(K2, g2_cap)
+            if in_scope is None:
                 continue
-            K = K2
+            K, singular = K2, in_scope
             forward.append((0, rec))
             progressed = True
             break
@@ -381,39 +305,6 @@ def _gen_random(
     return GeneratedComplex(
         spec, K, _trace_for(K, seeds, forward), stalled=stalled, note=note
     )
-
-
-def _apply_site(K, kind, site, rng):
-    fresh = K.fresh_label()
-    if kind == moves.BISTELLAR1:
-        tri, _apexes = site
-        return moves.bistellar_one(K, tri)
-    if kind == moves.BISTELLAR2:
-        edge, _tri = site
-        return moves.bistellar_two(K, edge)
-    if kind == moves.EDGE_EXPAND:
-        v, cyc = site
-        return moves.expand_edge(
-            K, v, cyc, u_side=rng.randrange(2), apexes=(fresh, fresh + 1)
-        )
-    if kind == moves.EDGE_CONTRACT:
-        edge, _deg = site
-        return moves.contract_edge(K, edge, fresh=fresh)
-    if kind == moves.TWO_FACETS_INSERT:
-        v, tri = site
-        return moves.insert_two_facets(K, v, tri, apexes=(fresh, fresh + 1))
-    if kind == moves.TWO_FACETS_CONTRACT:
-        u, v, _tri = site
-        return moves.contract_two_facets(K, u, v, fresh=fresh)
-    if kind == moves.FACET_SUBDIVIDE:
-        return moves.facet_subdivide(K, site, fresh=fresh)
-    if kind == moves.FACET_UNSUBDIVIDE:
-        w, _tet = site
-        return moves.facet_unsubdivide(K, w)
-    if kind == moves.EDGE_FOLD:
-        s1, s2, psi_pairs = site
-        return moves.edge_fold(K, s1, s2, dict(psi_pairs))
-    raise MoveError(f"no site handler for {kind}")
 
 
 def generate(spec: GeneratorSpec) -> GeneratedComplex:

@@ -26,16 +26,22 @@ facet unsubdivision          0
 Vertices created by a move default to ``max label + 1`` (and ``+2``)
 so identical inputs give identical outputs; replay passes the recorded
 labels back in explicitly.
+
+Each kind is defined once, in :data:`MOVES`: its record schema, its
+constructor and its site enumerator.  Replay, the command line and the
+random walk all dispatch through that table.  Where a kind has a site
+enumerator that filters candidates, the enumerator and the constructor
+call the same precondition function.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import SimplicialComplex, total_g2
-from .errors import MissingFaceError, MoveError
+from .errors import MissingFaceError, MoveError, PseudoformError
 from . import surfaces
 from .surfaces import MOEBIUS, Surface, cycle_cut, missing_triangle_neighborhood
 
@@ -51,21 +57,6 @@ EDGE_FOLD = "EdgeFold"
 EDGE_UNFOLD = "EdgeUnfold"
 FACET_SUBDIVIDE = "FacetSubdivide"
 FACET_UNSUBDIVIDE = "FacetUnsubdivide"
-
-ALL_KINDS = (
-    BISTELLAR1,
-    BISTELLAR2,
-    EDGE_CONTRACT,
-    EDGE_EXPAND,
-    TWO_FACETS_INSERT,
-    TWO_FACETS_CONTRACT,
-    CONNECTED_SUM,
-    HANDLE_ADD,
-    EDGE_FOLD,
-    EDGE_UNFOLD,
-    FACET_SUBDIVIDE,
-    FACET_UNSUBDIVIDE,
-)
 
 
 @dataclass(frozen=True)
@@ -113,9 +104,53 @@ def _require_absent_labels(K: SimplicialComplex, labels: Sequence[int]) -> None:
         raise MoveError(f"fresh labels must be distinct, got {labels}")
 
 
+def _fresh_pair(K: SimplicialComplex, given) -> tuple:
+    """Two new labels: ``given``, or the next two unused ones."""
+    m = K.fresh_label()
+    a, b = (m, m + 1) if given is None else given
+    _require_absent_labels(K, (a, b))
+    return a, b
+
+
+def _passing(check: Callable, K: SimplicialComplex, candidates) -> Iterable:
+    """Each candidate ``check`` accepts, with what the check returned.
+
+    A candidate is the tuple of the check's arguments after ``K``; the
+    check raises :class:`PseudoformError` where the move does not apply.
+    """
+    for args in candidates:
+        try:
+            got = check(K, *args)
+        except PseudoformError:
+            continue
+        yield args, got
+
+
 # ---------------------------------------------------------------------
 # bistellar moves
 # ---------------------------------------------------------------------
+
+
+def _bistellar_two_check(K: SimplicialComplex, e: frozenset) -> tuple:
+    """The three facets around ``e`` and their missing apex triangle."""
+    cof = K._cofacets(e)
+    if not cof:
+        raise MissingFaceError(f"edge {sorted(e)} is not in the complex")
+    if len(cof) != 3:
+        raise MoveError(
+            f"edge {sorted(e)} has degree {len(cof)}, need 3", details=len(cof)
+        )
+    # three distinct facets through e: their apexes span a triangle
+    # exactly when there are three of them
+    apex = frozenset(v for F in cof for v in F) - e
+    if len(apex) != 3:
+        raise MoveError(f"link of {sorted(e)} is not a triangle boundary")
+    if K.contains_face(apex):
+        raise MoveError(
+            f"target triangle {sorted(apex)} is already a face",
+            details=tuple(sorted(apex)),
+        )
+    return cof, apex
 
 
 def bistellar_two(
@@ -129,23 +164,7 @@ def bistellar_two(
     facets ``uabc`` and ``vabc``.  g2 drops by one.
     """
     e = _edge(edge)
-    cof = K._cofacets(e)
-    if not cof:
-        raise MissingFaceError(f"edge {sorted(e)} is not in the complex")
-    if len(cof) != 3:
-        raise MoveError(
-            f"edge {sorted(e)} has degree {len(cof)}, need 3", details=len(cof)
-        )
-    apex = frozenset(v for F in cof for v in F) - e
-    if len(apex) != 3 or {F - e for F in cof} != {
-        frozenset(p) for p in itertools.combinations(sorted(apex), 2)
-    }:
-        raise MoveError(f"link of {sorted(e)} is not a triangle boundary")
-    if K.contains_face(apex):
-        raise MoveError(
-            f"target triangle {sorted(apex)} is already a face",
-            details=tuple(sorted(apex)),
-        )
+    cof, apex = _bistellar_two_check(K, e)
     u, v = sorted(e)
     K2 = SimplicialComplex(
         (K.facets - frozenset(cof)) | {apex | {u}, apex | {v}}
@@ -154,6 +173,23 @@ def bistellar_two(
         BISTELLAR2, -1, edge=(u, v), triangle=tuple(sorted(apex))
     )
     return K2, rec
+
+
+def _bistellar_one_check(K: SimplicialComplex, t: frozenset) -> tuple:
+    """The two facets at ``t`` and their non-adjacent apexes ``(u, v)``."""
+    if len(t) != 3:
+        raise MoveError(f"expected a triangle, got {sorted(t)}")
+    cof = K._cofacets(t)
+    if not cof:
+        raise MissingFaceError(f"triangle {sorted(t)} is not in the complex")
+    if len(cof) != 2:
+        raise MoveError(f"triangle {sorted(t)} lies in {len(cof)} facets, need 2")
+    u, v = sorted(x for F in cof for x in F - t)
+    if K.contains_face((u, v)):
+        raise MoveError(
+            f"apex edge {(u, v)} is already present", details=(u, v)
+        )
+    return cof, (u, v)
 
 
 def bistellar_one(
@@ -166,23 +202,29 @@ def bistellar_one(
     the three facets around the new edge ``uv``.  g2 grows by one.
     """
     t = frozenset(triangle)
-    if len(t) != 3:
-        raise MoveError(f"expected a triangle, got {sorted(t)}")
-    cof = K._cofacets(t)
-    if not cof:
-        raise MissingFaceError(f"triangle {sorted(t)} is not in the complex")
-    if len(cof) != 2:
-        raise MoveError(f"triangle {sorted(t)} lies in {len(cof)} facets, need 2")
-    apexes = sorted(v for F in cof for v in F - t)
-    u, v = apexes
-    if K.contains_face((u, v)):
-        raise MoveError(
-            f"apex edge {(u, v)} is already present", details=(u, v)
-        )
+    cof, (u, v) = _bistellar_one_check(K, t)
     ring = {frozenset((u, v)) | frozenset(p) for p in itertools.combinations(sorted(t), 2)}
     K2 = SimplicialComplex((K.facets - set(cof)) | ring)
     rec = _record(BISTELLAR1, +1, triangle=tuple(sorted(t)), edge=(u, v))
     return K2, rec
+
+
+def bistellar_two_sites(K: SimplicialComplex) -> list:
+    """Degree-3 edges whose apex triangle is missing, sorted."""
+    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
+    return [
+        (tuple(sorted(e)), tuple(sorted(apex)))
+        for (e,), (_cof, apex) in _passing(_bistellar_two_check, K, edges)
+    ]
+
+
+def bistellar_one_sites(K: SimplicialComplex) -> list:
+    """Triangles in two facets whose apexes are not adjacent, sorted."""
+    triangles = ((t,) for t in sorted(K.faces(2), key=sorted))
+    return [
+        (tuple(sorted(t)), apexes)
+        for (t,), (_cof, apexes) in _passing(_bistellar_one_check, K, triangles)
+    ]
 
 
 # ---------------------------------------------------------------------
@@ -195,6 +237,19 @@ def _all_faces(L: SimplicialComplex) -> frozenset:
     for d in range(L.dimension + 1):
         out |= L.faces(d)
     return frozenset(out)
+
+
+def _contract_edge_check(K: SimplicialComplex, e: frozenset) -> None:
+    """The link condition: the endpoint links meet exactly in lk(e)."""
+    u, v = sorted(e)
+    common = _all_faces(K.link((u,))) & _all_faces(K.link((v,)))
+    extra = sorted(common - _all_faces(K.link(e)), key=sorted)
+    if extra:
+        raise MoveError(
+            f"link condition fails at edge ({u}, {v}): "
+            f"extra common faces {[tuple(sorted(f)) for f in extra]}",
+            details=tuple(tuple(sorted(f)) for f in extra),
+        )
 
 
 def contract_edge(
@@ -215,22 +270,14 @@ def contract_edge(
     e = _edge(edge)
     u, v = sorted(e)
     n = K.edge_degree(e)
-    common = _all_faces(K.link((u,))) & _all_faces(K.link((v,)))
-    allowed = _all_faces(K.link(e))
-    extra = sorted((f for f in common if f not in allowed), key=sorted)
-    if extra:
-        raise MoveError(
-            f"link condition fails at edge ({u}, {v}): "
-            f"extra common faces {[tuple(sorted(f)) for f in extra]}",
-            details=tuple(tuple(sorted(f)) for f in extra),
-        )
+    _contract_edge_check(K, e)
     w = K.fresh_label() if fresh is None else fresh
     _require_absent_labels(K, (w,))
 
     def sphere_link(x: int) -> bool:
         try:
             return Surface(K.link((x,)).facets).classify().kind == surfaces.SPHERE
-        except Exception:  # noqa: BLE001
+        except PseudoformError:
             return False
 
     homeo = sphere_link(u) or sphere_link(v)
@@ -252,6 +299,15 @@ def contract_edge(
         homeomorphic=homeo,
     )
     return K2, rec
+
+
+def contractible_edges(K: SimplicialComplex) -> list:
+    """Edges satisfying the link condition, as (edge, degree), sorted."""
+    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
+    return [
+        (tuple(sorted(e)), len(K._cofacets(e)))
+        for (e,), _ in _passing(_contract_edge_check, K, edges)
+    ]
 
 
 def expand_edge(
@@ -287,12 +343,7 @@ def expand_edge(
             f"({report.neighborhood})",
             details=report,
         )
-    if apexes is None:
-        m = K.fresh_label()
-        apex_u, apex_v = m, m + 1
-    else:
-        apex_u, apex_v = apexes
-    _require_absent_labels(K, (apex_u, apex_v))
+    apex_u, apex_v = _fresh_pair(K, apexes)
 
     cyc = tuple(cycle)
     n = len(cyc)
@@ -316,27 +367,27 @@ def expand_edge(
     return K2, rec
 
 
+def _link_cycle_sites(K: SimplicialComplex) -> list:
+    """(vertex, 3-cycle) for the triangles and missing triangles of every
+    vertex link, sorted.  These are candidates, not sites: a missing
+    triangle need not separate its link, and ``expand_edge`` decides.
+    """
+    out = []
+    for v in sorted(K.vertices):
+        L = K.link((v,))
+        cycles = (*L.faces(2), *L.missing_faces(2))
+        out += [(v, c) for c in sorted(tuple(sorted(t)) for t in cycles)]
+    return out
+
+
 # ---------------------------------------------------------------------
 # two-facets insertion / contraction
 # ---------------------------------------------------------------------
 
 
-def insert_two_facets(
-    K: SimplicialComplex,
-    vertex: int,
-    triangle: Iterable[int],
-    apexes: Optional[Sequence[int]] = None,
-) -> "tuple[SimplicialComplex, MoveRecord]":
-    """Retriangulate a vertex star through a missing triangle.
-
-    ``triangle`` must have its boundary in the link of ``vertex``
-    without being a face of the complex.  The vertex is removed, the
-    triangle inserted, and the two spheres formed by the halves of the
-    old link plus the triangle are coned over two fresh apexes (apex
-    ordering follows the canonical side order of the cut).  g2 drops
-    by one.
-    """
-    t = frozenset(triangle)
+def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
+    """The star of ``vertex`` and the cut of its link along ``t``'s
+    boundary into two discs."""
     if len(t) != 3:
         raise MoveError(f"expected a triangle, got {sorted(t)}")
     if vertex in t:
@@ -361,12 +412,27 @@ def insert_two_facets(
             f"{report.side_descriptions}",
             details=report,
         )
-    if apexes is None:
-        m = K.fresh_label()
-        apex_u, apex_v = m, m + 1
-    else:
-        apex_u, apex_v = apexes
-    _require_absent_labels(K, (apex_u, apex_v))
+    return star_facets, report
+
+
+def insert_two_facets(
+    K: SimplicialComplex,
+    vertex: int,
+    triangle: Iterable[int],
+    apexes: Optional[Sequence[int]] = None,
+) -> "tuple[SimplicialComplex, MoveRecord]":
+    """Retriangulate a vertex star through a missing triangle.
+
+    ``triangle`` must have its boundary in the link of ``vertex``
+    without being a face of the complex.  The vertex is removed, the
+    triangle inserted, and the two spheres formed by the halves of the
+    old link plus the triangle are coned over two fresh apexes (apex
+    ordering follows the canonical side order of the cut).  g2 drops
+    by one.
+    """
+    t = frozenset(triangle)
+    star_facets, report = _insert_check(K, vertex, t)
+    apex_u, apex_v = _fresh_pair(K, apexes)
 
     new = [s | {apex_u} for s in report.sides[0]]
     new += [s | {apex_v} for s in report.sides[1]]
@@ -383,18 +449,22 @@ def insert_two_facets(
     return K2, rec
 
 
-def contract_two_facets(
-    K: SimplicialComplex, u: int, v: int, fresh: Optional[int] = None
-) -> "tuple[SimplicialComplex, MoveRecord]":
-    """Merge two vertex stars that meet in a single triangle.
+def insertion_sites(K: SimplicialComplex) -> list:
+    """Pairs (vertex, missing triangle) admitting two-facets insertion.
 
-    ``u`` and ``v`` must be non-adjacent with ``star(u) * star(v)``
-    exactly one triangle and its faces.  Both stars are removed
-    (dropping the shared triangle) and the boundary sphere of the
-    union is coned over one fresh vertex.  Equivalent to a bistellar
-    1-move at the shared triangle followed by contracting the new
-    edge.  g2 grows by one.
+    The candidates at a vertex are the missing triangles of its link.
     """
+    candidates = (
+        (w, t) for w in sorted(K.vertices) for t in K.link((w,)).missing_faces(2)
+    )
+    return [
+        (w, tuple(sorted(t)))
+        for (w, t), _ in _passing(_insert_check, K, candidates)
+    ]
+
+
+def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> frozenset:
+    """The one triangle in which the stars of ``u`` and ``v`` meet."""
     for x in (u, v):
         if x not in K.vertices:
             raise MissingFaceError(f"vertex {x} is not in the complex")
@@ -418,6 +488,22 @@ def contract_two_facets(
             f"{[tuple(sorted(f)) for f in stray]}",
             details=tuple(tuple(sorted(f)) for f in stray),
         )
+    return t
+
+
+def contract_two_facets(
+    K: SimplicialComplex, u: int, v: int, fresh: Optional[int] = None
+) -> "tuple[SimplicialComplex, MoveRecord]":
+    """Merge two vertex stars that meet in a single triangle.
+
+    ``u`` and ``v`` must be non-adjacent with ``star(u) * star(v)``
+    exactly one triangle and its faces.  Both stars are removed
+    (dropping the shared triangle) and the boundary sphere of the
+    union is coned over one fresh vertex.  Equivalent to a bistellar
+    1-move at the shared triangle followed by contracting the new
+    edge.  g2 grows by one.
+    """
+    t = _contract_two_facets_check(K, u, v)
     w = K.fresh_label() if fresh is None else fresh
     _require_absent_labels(K, (w,))
 
@@ -441,6 +527,25 @@ def contract_two_facets(
     return K2, rec
 
 
+def contraction_pair_sites(K: SimplicialComplex) -> list:
+    """Vertex pairs admitting a two-facets contraction, sorted.
+
+    Two stars can share a triangle only when their centres are the
+    apexes of the two facets at it, so those pairs are the candidates.
+    """
+    pairs = {
+        (min(u, v), max(u, v))
+        for F in K.facets
+        for u in F
+        for G in K._cofacets(F - {u})
+        for v in G - F
+    }
+    return [
+        (u, v, tuple(sorted(t)))
+        for (u, v), t in _passing(_contract_two_facets_check, K, sorted(pairs))
+    ]
+
+
 # ---------------------------------------------------------------------
 # gluings: connected sum, handle addition, edge folding
 # ---------------------------------------------------------------------
@@ -458,6 +563,15 @@ def _check_psi(sigma1: frozenset, sigma2: frozenset, psi: dict) -> dict:
     return p
 
 
+def _two_facets(K: SimplicialComplex, sigma1, sigma2) -> tuple:
+    s1 = frozenset(sigma1)
+    s2 = frozenset(sigma2)
+    for s in (s1, s2):
+        if s not in K.facets:
+            raise MissingFaceError(f"{sorted(s)} is not a facet")
+    return s1, s2
+
+
 def _identify_facets(
     K: SimplicialComplex, sigma1: frozenset, psi: dict
 ) -> SimplicialComplex:
@@ -472,8 +586,11 @@ def _identify_facets(
     return SimplicialComplex(K2.facets - {sigma1})
 
 
-def _psi_param(psi: dict) -> tuple:
-    return tuple(sorted(psi.items()))
+def _gluing_record(kind, delta, s1, s2, p, **derived) -> MoveRecord:
+    return _record(
+        kind, delta, sigma1=tuple(sorted(s1)), sigma2=tuple(sorted(s2)),
+        psi=tuple(sorted(p.items())), **derived,
+    )
 
 
 def connected_sum(
@@ -502,11 +619,7 @@ def connected_sum_in(
     K: SimplicialComplex, sigma1: Iterable[int], sigma2: Iterable[int], psi: dict
 ) -> "tuple[SimplicialComplex, MoveRecord]":
     """Connected sum of two components of one (disconnected) complex."""
-    s1 = frozenset(sigma1)
-    s2 = frozenset(sigma2)
-    for s in (s1, s2):
-        if s not in K.facets:
-            raise MissingFaceError(f"{sorted(s)} is not a facet")
+    s1, s2 = _two_facets(K, sigma1, sigma2)
     p = _check_psi(s1, s2, psi)
     reach = K.graph_distances(min(s1))
     if any(x in reach for x in s2):
@@ -514,15 +627,7 @@ def connected_sum_in(
             "connected sum needs the two facets in different components; "
             "use handle addition within one component"
         )
-    K2 = _identify_facets(K, s1, p)
-    rec = _record(
-        CONNECTED_SUM,
-        0,
-        sigma1=tuple(sorted(s1)),
-        sigma2=tuple(sorted(s2)),
-        psi=_psi_param(p),
-    )
-    return K2, rec
+    return _identify_facets(K, s1, p), _gluing_record(CONNECTED_SUM, 0, s1, s2, p)
 
 
 def handle_addition(
@@ -534,11 +639,7 @@ def handle_addition(
     error reports a violating short path.  The identified facet is
     removed.  g2 grows by 10.
     """
-    s1 = frozenset(sigma1)
-    s2 = frozenset(sigma2)
-    for s in (s1, s2):
-        if s not in K.facets:
-            raise MissingFaceError(f"{sorted(s)} is not a facet")
+    s1, s2 = _two_facets(K, sigma1, sigma2)
     if s1 == s2:
         raise MoveError("cannot glue a facet to itself")
     p = _check_psi(s1, s2, psi)
@@ -556,15 +657,7 @@ def handle_addition(
                 f"(path {path})",
                 details=tuple(path),
             )
-    K2 = _identify_facets(K, s1, p)
-    rec = _record(
-        HANDLE_ADD,
-        +10,
-        sigma1=tuple(sorted(s1)),
-        sigma2=tuple(sorted(s2)),
-        psi=_psi_param(p),
-    )
-    return K2, rec
+    return _identify_facets(K, s1, p), _gluing_record(HANDLE_ADD, +10, s1, s2, p)
 
 
 def edge_fold(
@@ -578,11 +671,7 @@ def edge_fold(
     ``v``.  Folding a sphere along an edge makes exactly the two edge
     endpoints singular, with projective-plane links.  g2 grows by 3.
     """
-    s1 = frozenset(sigma1)
-    s2 = frozenset(sigma2)
-    for s in (s1, s2):
-        if s not in K.facets:
-            raise MissingFaceError(f"{sorted(s)} is not a facet")
+    s1, s2 = _two_facets(K, sigma1, sigma2)
     shared = s1 & s2
     if len(shared) != 2:
         raise MoveError(
@@ -612,35 +701,10 @@ def edge_fold(
     # other.  Of the two corner matchings only one keeps that circle
     # in one piece; the other splits it into two components and
     # pinches the complex along uv.
-    ring: dict = {}
-    for F in K.facets:
-        if shared <= F:
-            a, b = sorted(F - shared)
-            ring.setdefault(a, set()).add(b)
-            ring.setdefault(b, set()).add(a)
-    x1, x2 = sorted(s1 - shared)
-    y1, y2 = sorted(s2 - shared)
-    ring[x1].discard(x2)
-    ring[x2].discard(x1)
-    ring[y1].discard(y2)
-    ring[y2].discard(y1)
-    merge = {p[x1]: x1, p[x2]: x2}
-    quotient: dict = {}
-    for a, bs in ring.items():
-        qa = merge.get(a, a)
-        for b in bs:
-            qb = merge.get(b, b)
-            quotient.setdefault(qa, set()).add(qb)
-            quotient.setdefault(qb, set()).add(qa)
-    seen: set = set()
-    stack = [min(quotient)]
-    while stack:
-        a = stack.pop()
-        if a in seen:
-            continue
-        seen.add(a)
-        stack.extend(quotient[a])
-    if len(seen) != len(quotient):
+    merge = {p[x]: x for x in s1 - shared}
+    glued = [[merge.get(x, x) for x in F - shared]
+             for F in K._cofacets(shared) if F not in (s1, s2)]
+    if surfaces._count_boundary_circles(glued) != 1:
         raise MoveError(
             f"this matching splits the link circle of ({u}, {v}) in two; "
             "use the reversed pairing of the free corners",
@@ -648,15 +712,31 @@ def edge_fold(
         )
     fold_map = {y: w for y, w in p.items() if y not in shared}
     K2 = _identify_facets(K, s1, fold_map)
-    rec = _record(
-        EDGE_FOLD,
-        +3,
-        sigma1=tuple(sorted(s1)),
-        sigma2=tuple(sorted(s2)),
-        psi=_psi_param(p),
-        edge=(u, v),
-    )
-    return K2, rec
+    return K2, _gluing_record(EDGE_FOLD, +3, s1, s2, p, edge=tuple(sorted(shared)))
+
+
+def fold_sites(K: SimplicialComplex) -> Iterable:
+    """Admissible folds as (sigma1, sigma2, psi-pairs), lazily, sorted.
+
+    Facet pairs must share exactly one edge; the map fixes that edge,
+    leaving two candidate matchings of the remaining corners.  Each
+    candidate is tried by ``edge_fold`` itself: whether the
+    identification collapses further facets shows only in the result.
+    """
+    for s1, s2 in itertools.combinations(K.canonical_facets(), 2):
+        shared = set(s1) & set(s2)
+        if len(shared) != 2:
+            continue
+        rest1 = [x for x in s1 if x not in shared]
+        rest2 = [x for x in s2 if x not in shared]
+        for r2 in (rest2, rest2[::-1]):
+            psi = {x: x for x in shared}
+            psi.update(zip(rest1, r2))
+            try:
+                edge_fold(K, s1, s2, psi)
+            except PseudoformError:
+                continue
+            yield (s1, s2, tuple(sorted(psi.items())))
 
 
 def _short_path(K: SimplicialComplex, a: int, b: int, limit: int):
@@ -696,25 +776,39 @@ class UnfoldSite:
 
 
 def _corner_reports(K: SimplicialComplex, quad: frozenset) -> dict:
+    """Each corner of a missing tetrahedron with the cut of its link
+    along the opposite triangle."""
     return {
         x: missing_triangle_neighborhood(K, x, quad - {x}) for x in sorted(quad)
     }
+
+
+def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
+    """The corner reports of a missing tetrahedron with two Moebius and
+    two separating corners, and those corner pairs."""
+    if len(quad) != 4:
+        raise MoveError(f"expected four labels, got {sorted(quad)}")
+    if quad in K.facets or not all(K.contains_face(quad - {x}) for x in quad):
+        raise MoveError(f"{sorted(quad)} is not a missing tetrahedron")
+    reports = _corner_reports(K, quad)
+    moeb = tuple(x for x in sorted(quad) if reports[x].neighborhood == MOEBIUS)
+    seps = tuple(x for x in sorted(quad) if reports[x].separates)
+    if len(moeb) != 2 or len(seps) != 2:
+        raise MoveError(
+            f"corner pattern of {sorted(quad)} does not witness a fold: "
+            f"moebius at {list(moeb)}, separating at {list(seps)}",
+            details=(moeb, seps),
+        )
+    return reports, moeb, seps
 
 
 def detect_unfold(K: SimplicialComplex) -> Optional[UnfoldSite]:
     """Find a missing tetrahedron with two Moebius and two separating
     corners, scanning in sorted order.  Returns None when there is
     none."""
-    for quad in K.missing_faces(3):
-        reports = _corner_reports(K, quad)
-        moeb = tuple(
-            x for x in sorted(quad) if reports[x].neighborhood == MOEBIUS
-        )
-        seps = tuple(x for x in sorted(quad) if reports[x].separates)
-        if len(moeb) == 2 and len(seps) == 2:
-            return UnfoldSite(
-                tetra=tuple(sorted(quad)), moebius_edge=moeb, split_pair=seps
-            )
+    quads = ((q,) for q in K.missing_faces(3))
+    for (quad,), (_reports, moeb, seps) in _passing(_unfold_check, K, quads):
+        return UnfoldSite(tuple(sorted(quad)), moeb, seps)
     return None
 
 
@@ -733,21 +827,7 @@ def edge_unfold(
     drops by 3.
     """
     quad = frozenset(tetra)
-    if len(quad) != 4:
-        raise MoveError(f"expected four labels, got {sorted(quad)}")
-    if quad in K.facets or quad not in set(K.missing_faces(3)):
-        raise MoveError(f"{sorted(quad)} is not a missing tetrahedron")
-    reports = _corner_reports(K, quad)
-    moeb = [x for x in sorted(quad) if reports[x].neighborhood == MOEBIUS]
-    seps = [x for x in sorted(quad) if reports[x].separates]
-    if len(moeb) != 2 or len(seps) != 2:
-        raise MoveError(
-            f"corner pattern of {sorted(quad)} does not witness a fold: "
-            f"moebius at {moeb}, separating at {seps}",
-            details=(tuple(moeb), tuple(seps)),
-        )
-    u, v = moeb
-    a, b = seps
+    reports, (u, v), (a, b) = _unfold_check(K, quad)
 
     side_a = {F: _side_of(reports[a], F - {a}) for F in K._cofacets(frozenset((a,)))}
     side_b = {F: _side_of(reports[b], F - {b}) for F in K._cofacets(frozenset((b,)))}
@@ -766,12 +846,7 @@ def edge_unfold(
         (sa, sb) = next(iter(pairing.items()))
         pairing[1 - sa] = 1 - sb
 
-    if fresh is None:
-        m = K.fresh_label()
-        a2, b2 = m, m + 1
-    else:
-        a2, b2 = fresh
-    _require_absent_labels(K, (a2, b2))
+    a2, b2 = _fresh_pair(K, fresh)
 
     out = []
     for F in K.facets:
@@ -828,16 +903,9 @@ def facet_subdivide(
     return K2, rec
 
 
-def facet_unsubdivide(
-    K: SimplicialComplex, vertex: int
-) -> "tuple[SimplicialComplex, MoveRecord]":
-    """Remove a degree-4 vertex, reinstating its surrounding facet.
-
-    The link of ``vertex`` must be the boundary of a tetrahedron that
-    is not currently a facet (if it were, the complex would be the
-    boundary of the 4-simplex and removing the vertex would not leave
-    a closed complex).  g2 is unchanged.
-    """
+def _unsubdivide_check(K: SimplicialComplex, vertex: int) -> tuple:
+    """The four facets around ``vertex`` and the missing tetrahedron
+    they surround."""
     cof = K._cofacets(frozenset((vertex,)))
     if not cof:
         raise MissingFaceError(f"vertex {vertex} is not in the complex")
@@ -854,6 +922,20 @@ def facet_unsubdivide(
             f"surrounding tetrahedron {sorted(tetra)} is already a facet; "
             "unsubdividing would collapse the simplex boundary"
         )
+    return cof, tetra
+
+
+def facet_unsubdivide(
+    K: SimplicialComplex, vertex: int
+) -> "tuple[SimplicialComplex, MoveRecord]":
+    """Remove a degree-4 vertex, reinstating its surrounding facet.
+
+    The link of ``vertex`` must be the boundary of a tetrahedron that
+    is not currently a facet (if it were, the complex would be the
+    boundary of the 4-simplex and removing the vertex would not leave
+    a closed complex).  g2 is unchanged.
+    """
+    cof, tetra = _unsubdivide_check(K, vertex)
     K2 = SimplicialComplex((K.facets - frozenset(cof)) | {tetra})
     rec = _record(
         FACET_UNSUBDIVIDE, 0, vertex=vertex, facet=tuple(sorted(tetra))
@@ -861,9 +943,132 @@ def facet_unsubdivide(
     return K2, rec
 
 
+def unsubdividable_vertices(K: SimplicialComplex) -> list:
+    """Degree-4 vertices whose surrounding tetrahedron is missing."""
+    vertices = ((w,) for w in sorted(K.vertices))
+    return [
+        (w, tuple(sorted(tetra)))
+        for (w,), (_cof, tetra) in _passing(_unsubdivide_check, K, vertices)
+    ]
+
+
 # ---------------------------------------------------------------------
-# record replay
+# the move table
 # ---------------------------------------------------------------------
+
+# Roles of a record key: chosen by the caller, a new vertex label
+# (defaulting to the next unused ones), or worked out by the move.
+INPUT, FRESH, DERIVED = "input", "fresh", "derived"
+
+# Shapes of a record value: a label (or count), a flag, a fixed-length
+# label tuple, a link cycle (three labels or more), and a gluing map as
+# four sorted (vertex, image) pairs.
+LABEL, FLAG, CYCLE = int, bool, (int, ...)
+EDGE, TRIANGLE, TETRA = (int,) * 2, (int,) * 3, (int,) * 4
+PSI = ((int, int),) * 4
+
+
+@dataclass(frozen=True)
+class Param:
+    """One key of a move's record: its role and the shape of its value."""
+
+    key: str
+    role: str
+    shape: object
+
+
+@dataclass(frozen=True)
+class Move:
+    """One kind of move.
+
+    ``params`` is its record schema, in record order.
+    ``construct(K, values)`` runs the public constructor on the inputs
+    and fresh labels in ``values``, a dict keyed like the record
+    (derived keys are ignored; absent fresh labels take the default).
+    ``sites(K)`` lists where the move can land, each site starting
+    with the inputs in schema order.  It is None for the gluings, which
+    pair two facets (see ``generators.admissible_handles``), and for
+    the unfold, which ``detect_unfold`` finds one site at a time; the
+    random walk draws from the kinds that have it.  Both callables look
+    the public functions up when called, so wrappers put on this module
+    (a profiler, a tracer) see every call made through the table.
+    """
+
+    params: tuple
+    construct: Callable
+    sites: Optional[Callable] = None
+
+    @property
+    def inputs(self) -> tuple:
+        return tuple(p.key for p in self.params if p.role == INPUT)
+
+
+def _apexes(p: dict) -> Optional[tuple]:
+    return (p["apex_u"], p["apex_v"]) if "apex_u" in p else None
+
+
+_GLUING = (Param("sigma1", INPUT, TETRA), Param("sigma2", INPUT, TETRA),
+           Param("psi", INPUT, PSI))
+
+MOVES = {
+    BISTELLAR1: Move(
+        (Param("triangle", INPUT, TRIANGLE), Param("edge", DERIVED, EDGE)),
+        lambda K, p: bistellar_one(K, p["triangle"]),
+        lambda K: bistellar_one_sites(K)),
+    BISTELLAR2: Move(
+        (Param("edge", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE)),
+        lambda K, p: bistellar_two(K, p["edge"]),
+        lambda K: bistellar_two_sites(K)),
+    EDGE_CONTRACT: Move(
+        (Param("edge", INPUT, EDGE), Param("fresh", FRESH, LABEL),
+         Param("degree", DERIVED, LABEL), Param("homeomorphic", DERIVED, FLAG)),
+        lambda K, p: contract_edge(K, p["edge"], fresh=p.get("fresh")),
+        lambda K: contractible_edges(K)),
+    EDGE_EXPAND: Move(
+        (Param("vertex", INPUT, LABEL), Param("cycle", INPUT, CYCLE),
+         Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL),
+         Param("u_side", INPUT, LABEL)),
+        lambda K, p: expand_edge(
+            K, p["vertex"], p["cycle"], p["u_side"], _apexes(p)),
+        _link_cycle_sites),
+    TWO_FACETS_INSERT: Move(
+        (Param("vertex", INPUT, LABEL), Param("triangle", INPUT, TRIANGLE),
+         Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL)),
+        lambda K, p: insert_two_facets(K, p["vertex"], p["triangle"], _apexes(p)),
+        lambda K: insertion_sites(K)),
+    TWO_FACETS_CONTRACT: Move(
+        (Param("vertices", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE),
+         Param("fresh", FRESH, LABEL)),
+        lambda K, p: contract_two_facets(
+            K, *p["vertices"], fresh=p.get("fresh")),
+        lambda K: [((u, v), t) for u, v, t in contraction_pair_sites(K)]),
+    CONNECTED_SUM: Move(
+        _GLUING,
+        lambda K, p: connected_sum_in(
+            K, p["sigma1"], p["sigma2"], dict(p["psi"]))),
+    HANDLE_ADD: Move(
+        _GLUING,
+        lambda K, p: handle_addition(
+            K, p["sigma1"], p["sigma2"], dict(p["psi"]))),
+    EDGE_FOLD: Move(
+        _GLUING + (Param("edge", DERIVED, EDGE),),
+        lambda K, p: edge_fold(K, p["sigma1"], p["sigma2"], dict(p["psi"])),
+        lambda K: list(fold_sites(K))),
+    EDGE_UNFOLD: Move(
+        (Param("tetra", INPUT, TETRA), Param("moebius_edge", DERIVED, EDGE),
+         Param("split_pair", DERIVED, EDGE), Param("fresh", FRESH, EDGE)),
+        lambda K, p: edge_unfold(K, p["tetra"], fresh=p.get("fresh"))),
+    FACET_SUBDIVIDE: Move(
+        (Param("facet", INPUT, TETRA), Param("fresh", FRESH, LABEL)),
+        lambda K, p: facet_subdivide(K, p["facet"], fresh=p.get("fresh")),
+        lambda K: [(F,) for F in K.canonical_facets()]),
+    FACET_UNSUBDIVIDE: Move(
+        (Param("vertex", INPUT, LABEL), Param("facet", DERIVED, TETRA)),
+        lambda K, p: facet_unsubdivide(K, p["vertex"]),
+        lambda K: unsubdividable_vertices(K)),
+}
+
+ALL_KINDS = tuple(MOVES)
 
 
 def apply_record(
@@ -873,52 +1078,18 @@ def apply_record(
     holding several components, for the gluing kinds).
 
     All preconditions are re-checked, recorded fresh labels are forced,
-    and the re-derived record must agree with the given one; any
-    mismatch (a tampered g2 delta, for example) raises
-    :class:`MoveError`.
+    and the re-derived record must equal the given one, derived values
+    and g2 delta included; any mismatch raises :class:`MoveError`.
     """
-    p = record.param_dict()
-    kind = record.kind
-    if kind == BISTELLAR1:
-        K2, rec = bistellar_one(K, p["triangle"])
-    elif kind == BISTELLAR2:
-        K2, rec = bistellar_two(K, p["edge"])
-    elif kind == EDGE_CONTRACT:
-        K2, rec = contract_edge(K, p["edge"], fresh=p["fresh"])
-    elif kind == EDGE_EXPAND:
-        K2, rec = expand_edge(
-            K,
-            p["vertex"],
-            p["cycle"],
-            u_side=p["u_side"],
-            apexes=(p["apex_u"], p["apex_v"]),
-        )
-    elif kind == TWO_FACETS_INSERT:
-        K2, rec = insert_two_facets(
-            K, p["vertex"], p["triangle"], apexes=(p["apex_u"], p["apex_v"])
-        )
-    elif kind == TWO_FACETS_CONTRACT:
-        u, v = p["vertices"]
-        K2, rec = contract_two_facets(K, u, v, fresh=p["fresh"])
-    elif kind == CONNECTED_SUM:
-        K2, rec = connected_sum_in(K, p["sigma1"], p["sigma2"], dict(p["psi"]))
-    elif kind == HANDLE_ADD:
-        K2, rec = handle_addition(K, p["sigma1"], p["sigma2"], dict(p["psi"]))
-    elif kind == EDGE_FOLD:
-        K2, rec = edge_fold(K, p["sigma1"], p["sigma2"], dict(p["psi"]))
-    elif kind == EDGE_UNFOLD:
-        K2, rec = edge_unfold(K, p["tetra"], fresh=p["fresh"])
-    elif kind == FACET_SUBDIVIDE:
-        K2, rec = facet_subdivide(K, p["facet"], fresh=p["fresh"])
-    elif kind == FACET_UNSUBDIVIDE:
-        K2, rec = facet_unsubdivide(K, p["vertex"])
-    else:
-        raise MoveError(f"unknown move kind {kind!r}")
-    if rec.g2_delta != record.g2_delta:
+    move = MOVES.get(record.kind)
+    keys = tuple(k for k, _ in record.params)
+    if move is None or keys != tuple(p.key for p in move.params):
+        raise MoveError(f"not a {record.kind!r} record: {record}")
+    K2, rec = move.construct(K, record.param_dict())
+    if rec != record:
         raise MoveError(
-            f"recorded g2 delta {record.g2_delta} disagrees with the move's "
-            f"actual delta {rec.g2_delta}",
-            details=(record.g2_delta, rec.g2_delta),
+            f"record {record} disagrees with the replayed move {rec}",
+            details=(record, rec),
         )
     realized = total_g2(K2) - total_g2(K)
     if realized != rec.g2_delta:
@@ -926,100 +1097,3 @@ def apply_record(
             f"move changed total g2 by {realized}, expected {rec.g2_delta}"
         )
     return K2
-
-
-# ---------------------------------------------------------------------
-# site enumeration (used by the reducer and the generators)
-# ---------------------------------------------------------------------
-
-
-def bistellar_two_sites(K: SimplicialComplex) -> list:
-    """Degree-3 edges whose apex triangle is missing, sorted."""
-    out = []
-    for e in sorted(K.faces(1), key=sorted):
-        cof = K._cofacets(e)
-        if len(cof) != 3:
-            continue
-        apex = frozenset(v for F in cof for v in F) - e
-        if len(apex) == 3 and not K.contains_face(apex):
-            out.append((tuple(sorted(e)), tuple(sorted(apex))))
-    return out
-
-
-def bistellar_one_sites(K: SimplicialComplex) -> list:
-    """Triangles in two facets whose apexes are not adjacent, sorted."""
-    out = []
-    for t in sorted(K.faces(2), key=sorted):
-        cof = K._cofacets(t)
-        if len(cof) != 2:
-            continue
-        apexes = sorted(x for F in cof for x in F - t)
-        if not K.contains_face(apexes):
-            out.append((tuple(sorted(t)), tuple(apexes)))
-    return out
-
-
-def contractible_edges(K: SimplicialComplex) -> list:
-    """Edges satisfying the link condition, as (edge, degree), sorted."""
-    out = []
-    for e in sorted(K.faces(1), key=sorted):
-        u, v = sorted(e)
-        common = _all_faces(K.link((u,))) & _all_faces(K.link((v,)))
-        if common <= _all_faces(K.link(e)):
-            out.append((tuple(sorted(e)), len(K._cofacets(e))))
-    return out
-
-
-def insertion_sites(K: SimplicialComplex) -> list:
-    """Pairs (vertex, missing triangle) admitting two-facets insertion."""
-    out = []
-    for t in K.missing_faces(2):
-        tt = tuple(sorted(t))
-        for w in sorted(K.vertices):
-            if w in t:
-                continue
-            if all(K.contains_face(frozenset(e) | {w})
-                   for e in itertools.combinations(tt, 2)):
-                try:
-                    report = missing_triangle_neighborhood(K, w, t)
-                except Exception:  # noqa: BLE001
-                    continue
-                if report.separates and set(report.side_descriptions) == {"disc"}:
-                    out.append((w, tt))
-    return sorted(out)
-
-
-def contraction_pair_sites(K: SimplicialComplex) -> list:
-    """Vertex pairs admitting a two-facets contraction, sorted."""
-    out = []
-    vs = sorted(K.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if K.contains_face((u, v)):
-                continue
-            common = _all_faces(K.star((u,))) & _all_faces(K.star((v,)))
-            tri = [f for f in common if len(f) == 3]
-            if len(tri) != 1:
-                continue
-            t = tri[0]
-            expected = (
-                {t}
-                | {frozenset(pp) for pp in itertools.combinations(sorted(t), 2)}
-                | {frozenset((x,)) for x in t}
-            )
-            if common == expected:
-                out.append((u, v, tuple(sorted(t))))
-    return out
-
-
-def unsubdividable_vertices(K: SimplicialComplex) -> list:
-    """Degree-4 vertices whose surrounding tetrahedron is missing."""
-    out = []
-    for w in sorted(K.vertices):
-        cof = K._cofacets(frozenset((w,)))
-        if len(cof) != 4:
-            continue
-        tetra = frozenset(x for F in cof for x in F) - {w}
-        if len(tetra) == 4 and tetra not in K.facets:
-            out.append((w, tuple(sorted(tetra))))
-    return out

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -97,21 +98,29 @@ def _encode_value(v) -> str:
     raise TraceFormatError(f"cannot encode parameter value {v!r}")
 
 
-def _decode_value(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith("("):
+_INT = "(?:0|-?[1-9][0-9]*)"
+
+
+def _pattern(shape) -> str:
+    """The canonical text of a value of a schema shape, as a regex."""
+    if shape is bool:
+        return "true|false"
+    if shape is int:
+        return _INT
+    if shape == moves.CYCLE:
+        return rf"\({_INT}(?:,{_INT}){{2,}}\)"
+    return r"\(" + ",".join(_pattern(s) for s in shape) + r"\)"
+
+
+def _decode_value(line: int, key: str, text: str, shape):
+    """Decode the value of ``key`` on trace line ``line``: it must be
+    written canonically and have the schema's shape."""
+    if re.fullmatch(_pattern(shape), text):
         try:
-            val = ast.literal_eval(text)
-        except (ValueError, SyntaxError):
-            raise TraceFormatError(f"bad tuple value {text!r}") from None
-        return val
-    try:
-        return int(text)
-    except ValueError:
-        raise TraceFormatError(f"bad integer value {text!r}") from None
+            return text == "true" if shape is bool else ast.literal_eval(text)
+        except SyntaxError:  # an integer too long to convert
+            pass
+    raise TraceFormatError(f"line {line}: bad {key} value {text!r}")
 
 
 def format_trace(trace: ConstructionTrace) -> str:
@@ -200,12 +209,21 @@ def parse_trace(text: str) -> ConstructionTrace:
                 raise TraceFormatError(
                     f"line {i + 1}: move wants component, kind, ..., g2_delta"
                 )
-            tag = _decode_value(pairs[0][1])
             kind = pairs[1][1]
-            if kind not in moves.ALL_KINDS:
+            if kind not in moves.MOVES:
                 raise TraceFormatError(f"line {i + 1}: unknown kind {kind!r}")
-            delta = _decode_value(pairs[-1][1])
-            params = tuple((k, _decode_value(v)) for k, v in pairs[2:-1])
+            schema = moves.MOVES[kind].params
+            if keys[2:-1] != [p.key for p in schema]:
+                raise TraceFormatError(
+                    f"line {i + 1}: {kind} wants the keys "
+                    f"{', '.join(p.key for p in schema)}, in that order"
+                )
+            tag = _decode_value(i + 1, "component", pairs[0][1], int)
+            delta = _decode_value(i + 1, "g2_delta", pairs[-1][1], int)
+            params = tuple(
+                (p.key, _decode_value(i + 1, p.key, v, p.shape))
+                for p, (_k, v) in zip(schema, pairs[2:-1])
+            )
             forward.append((tag, moves.MoveRecord(kind, params, delta)))
             i += 1
         else:
@@ -306,8 +324,7 @@ def split_at_missing_tetrahedron(
     quad = frozenset(tetra)
     if quad in K.facets or quad not in set(K.missing_faces(3)):
         raise MoveError(f"{sorted(quad)} is not a missing tetrahedron")
-    reports = {x: surfaces.missing_triangle_neighborhood(K, x, quad - {x})
-               for x in sorted(quad)}
+    reports = moves._corner_reports(K, quad)
     moebius = [x for x in sorted(quad) if not reports[x].separates]
     if moebius:
         raise MoveError(
@@ -316,30 +333,13 @@ def split_at_missing_tetrahedron(
             details=tuple(moebius),
         )
 
-    cut = {frozenset(t) for t in itertools.combinations(sorted(quad), 3)}
-    facets = sorted(K.facets, key=sorted)
-    index = {F: i for i, F in enumerate(facets)}
-    by_triangle: dict = {}
-    for F in facets:
-        for t in itertools.combinations(sorted(F), 3):
-            ft = frozenset(t)
-            if ft not in cut:
-                by_triangle.setdefault(ft, []).append(F)
-    comp = {F: None for F in facets}
-    n_comp = 0
-    for F0 in facets:
-        if comp[F0] is not None:
-            continue
-        stack = [F0]
-        comp[F0] = n_comp
-        while stack:
-            F = stack.pop()
-            for t in itertools.combinations(sorted(F), 3):
-                for G in by_triangle.get(frozenset(t), ()):
-                    if comp[G] is None:
-                        comp[G] = n_comp
-                        stack.append(G)
-        n_comp += 1
+    cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
+
+    def uncut_triangles(F):
+        return [t for t in map(frozenset, itertools.combinations(F, 3)) if t not in cut]
+
+    comp = surfaces._component_ids(sorted(K.facets, key=sorted), uncut_triangles)
+    n_comp = max(comp.values()) + 1
     if n_comp == 1:
         raise MoveError(
             f"cutting along {sorted(quad)} does not disconnect: the gluing "
@@ -350,8 +350,8 @@ def split_at_missing_tetrahedron(
             f"cutting along {sorted(quad)} leaves {n_comp} pieces; "
             "the complex is not a normal pseudomanifold there"
         )
-    side_a = frozenset(F for F in facets if comp[F] == 0)
-    side_b = frozenset(F for F in facets if comp[F] == 1)
+    side_a = frozenset(F for F, c in comp.items() if c == 0)
+    side_b = frozenset(F for F, c in comp.items() if c == 1)
     shared = (
         frozenset(v for F in side_a for v in F)
         & frozenset(v for F in side_b for v in F)
@@ -504,26 +504,16 @@ class _Reducer:
     ) -> moves.MoveRecord:
         u, v = sorted(edge)
         cyc = _cycle_tuple(before.link(frozenset(edge)))
-        u_tris = {
-            t for t in before.link((u,)).faces(2) if v not in t
-        }
-        report = surfaces.cycle_cut(
-            surfaces.Surface(after.link((w,)).facets), cyc
-        )
-        if report.sides[0] == frozenset(u_tris):
-            u_side = 0
-        elif report.sides[1] == frozenset(u_tris):
-            u_side = 1
-        else:
-            raise _Rejection(
-                "internal check failed: contracted star does not match "
-                "either expansion side"
+        for u_side in (0, 1):
+            rebuilt, rec = moves.expand_edge(
+                after, w, cyc, u_side=u_side, apexes=(u, v)
             )
-        rebuilt, rec = moves.expand_edge(
-            after, w, cyc, u_side=u_side, apexes=(u, v)
+            if rebuilt == before:
+                return rec
+        raise _Rejection(
+            "internal check failed: contracted star does not match "
+            "either expansion side"
         )
-        _verify_inverse(before, rebuilt, "edge expansion")
-        return rec
 
     def step_sphere(
         self, K: SimplicialComplex, tag: int
@@ -613,10 +603,7 @@ class _Reducer:
 
             # (a) connected-sum split wherever every corner separates
             for quad in K.missing_faces(3):
-                reports = {
-                    x: surfaces.missing_triangle_neighborhood(K, x, quad - {x})
-                    for x in sorted(quad)
-                }
+                reports = moves._corner_reports(K, quad)
                 if not all(r.separates for r in reports.values()):
                     continue
                 base = self.take_labels(4)[0]
@@ -746,20 +733,6 @@ class AuditReport:
         return "\n".join(parts)
 
 
-def _surface_missing_triangles(L: SimplicialComplex) -> list:
-    edges = L.faces(1)
-    tris = L.faces(2)
-    verts = sorted(L.vertices)
-    out = []
-    for t in itertools.combinations(verts, 3):
-        ft = frozenset(t)
-        if ft in tris:
-            continue
-        if all(frozenset(e) in edges for e in itertools.combinations(t, 2)):
-            out.append(t)
-    return out
-
-
 def _note(facts: list, fact: str) -> None:
     if fact not in facts:
         facts.append(fact)
@@ -774,10 +747,7 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
             continue
         progressed = False
         for quad in K.missing_faces(3):
-            reports = {
-                x: surfaces.missing_triangle_neighborhood(K, x, quad - {x})
-                for x in sorted(quad)
-            }
+            reports = moves._corner_reports(K, quad)
             if not any(r.separates for r in reports.values()):
                 continue
             if not all(r.separates for r in reports.values()):
@@ -839,10 +809,9 @@ def audit_multi_singular(
     violations: list = []
 
     for v in nonsing:
-        missing = _surface_missing_triangles(K.link((v,)))
-        for t in missing:
+        for t in K.link((v,)).missing_faces(2):
             violations.append(
-                ("missing-triangle-in-nonsingular-link", (v, t))
+                ("missing-triangle-in-nonsingular-link", (v, tuple(sorted(t))))
             )
     for e in sorted(K.faces(1), key=sorted):
         d = K.edge_degree(e)

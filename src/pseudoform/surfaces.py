@@ -328,22 +328,24 @@ def _fan(S: Surface, c: int):
     return fan, gaps
 
 
-def _component_ids(triangles) -> dict:
-    """Map each triangle to a dual-graph component id (0-based)."""
+def _component_ids(cells, faces_of=_edges_of) -> dict:
+    """Map each cell to a dual-graph component id (0-based, in order of
+    first appearance): cells are joined across the faces ``faces_of``
+    gives, by default the edges of triangles."""
     by_edge: dict = {}
-    for t in triangles:
-        for e in _edges_of(t):
+    for t in cells:
+        for e in faces_of(t):
             by_edge.setdefault(e, []).append(t)
     ids: dict = {}
     next_id = 0
-    for t in triangles:
+    for t in cells:
         if t in ids:
             continue
         stack = [t]
         ids[t] = next_id
         while stack:
             cur = stack.pop()
-            for e in _edges_of(cur):
+            for e in faces_of(cur):
                 for other in by_edge[e]:
                     if other not in ids:
                         ids[other] = next_id

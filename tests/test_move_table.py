@@ -1,0 +1,208 @@
+"""The move table: schemas, shared preconditions, full-record replay."""
+
+import pytest
+
+from pseudoform import cli, complexes, moves, reducer, surfaces
+from pseudoform import generators as gen
+from pseudoform.errors import ReplayError, TraceFormatError
+
+from conftest import COMPLEX_FIXTURES
+
+WALKS = [(seed, fold) for seed in range(4) for fold in (False, True)]
+
+
+def _walk(seed, fold):
+    spec = gen.GeneratorSpec(gen.RANDOM_MOVES, (
+        ("seed", seed), ("budget", 12), ("allow_fold", fold),
+        ("g2_cap", 4 if fold else 9),
+    ))
+    return gen.generate(spec)
+
+
+def _unfold_trace(fx):
+    """The folded fixture's reduction trace plus an unfold at its end."""
+    K = fx("folded_g2_3")
+    tr = reducer.reduce_complex(K).trace
+    K2, rec = moves.edge_unfold(K, moves.detect_unfold(K).tetra)
+    return reducer.ConstructionTrace(
+        tr.seeds, tr.forward_moves + ((0, rec),),
+        tuple(len(K2.faces(d)) for d in range(4)), complexes.total_g2(K2),
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus(fx):
+    traces = [reducer.reduce_complex(fx(name)).trace for name in COMPLEX_FIXTURES]
+    traces = [t for t in traces if t is not None]
+    traces += [_walk(seed, fold).trace for seed, fold in WALKS]
+    return traces + [_unfold_trace(fx)]
+
+
+def test_corpus_records_fit_their_schemas(corpus):
+    kinds = set()
+    for tr in corpus:
+        for _tag, rec in tr.forward_moves:
+            schema = moves.MOVES[rec.kind].params
+            assert [k for k, _ in rec.params] == [p.key for p in schema]
+            for p, (_k, v) in zip(schema, rec.params):
+                text = reducer._encode_value(v)
+                assert reducer._decode_value(0, p.key, text, p.shape) == v
+            kinds.add(rec.kind)
+    assert moves.EDGE_UNFOLD in kinds and moves.EDGE_FOLD in kinds
+
+
+@pytest.mark.parametrize("name", ["cross_polytope", "folded_g2_4", "chain5"])
+def test_every_listed_site_constructs_and_replays(name, fx):
+    K = fx(name)
+    for kind, move in moves.MOVES.items():
+        if move.sites is None or kind == moves.EDGE_EXPAND:
+            continue  # EdgeExpand lists candidate cycles, not sites
+        for site in move.sites(K):
+            values = dict(zip(move.inputs, site))
+            K2, rec = move.construct(K, values)
+            assert moves.apply_record(K, rec) == K2
+
+
+# ------------------------------------------------- replay checks the record
+
+
+# Each derived record key with the kinds that derive it.
+DERIVED = [
+    ("edge", ("Bistellar1", "EdgeFold")),
+    ("triangle", ("Bistellar2", "TwoFacetsContract")),
+    ("degree", ("EdgeContract",)),
+    ("homeomorphic", ("EdgeContract",)),
+    ("facet", ("FacetUnsubdivide",)),
+    ("moebius_edge", ("EdgeUnfold",)),
+    ("split_pair", ("EdgeUnfold",)),
+]
+
+
+def test_derived_keys_are_the_schemas_derived_keys():
+    listed = {(kind, key) for key, kinds in DERIVED for kind in kinds}
+    assert listed == {(kind, p.key) for kind, m in moves.MOVES.items()
+                      for p in m.params if p.role == moves.DERIVED}
+
+
+def _tampered(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value[:-1] + (value[-1] + 100,)
+
+
+@pytest.mark.parametrize("key, kinds", DERIVED)
+def test_tampered_derived_value_fails_replay_at_its_move(key, kinds, corpus):
+    hits = 0
+    for tr in corpus:
+        for i, (tag, rec) in enumerate(tr.forward_moves):
+            if rec.kind not in kinds:
+                continue
+            params = tuple((k, _tampered(v) if k == key else v)
+                           for k, v in rec.params)
+            bad = moves.MoveRecord(rec.kind, params, rec.g2_delta)
+            fwd = tr.forward_moves[:i] + ((tag, bad),) + tr.forward_moves[i + 1:]
+            text = reducer.format_trace(
+                reducer.ConstructionTrace(tr.seeds, fwd, tr.claimed_fcounts,
+                                          tr.claimed_g2))
+            with pytest.raises(ReplayError) as ei:
+                reducer.replay(reducer.parse_trace(text))
+            assert ei.value.index == i
+            hits += 1
+    assert hits > 0
+
+
+def test_replay_rejects_a_fold_edge_the_fold_does_not_have(fx):
+    text = reducer.format_trace(reducer.reduce_complex(fx("folded_g2_3")).trace)
+    assert "edge=(0,1) g2_delta=3" in text
+    with pytest.raises(ReplayError) as ei:
+        reducer.replay(reducer.parse_trace(text.replace("edge=(0,1)", "edge=(98,99)")))
+    assert ei.value.index == 5
+    for shapeless in ("(0,1,2)", "true", "false", "77"):
+        with pytest.raises(TraceFormatError):
+            reducer.parse_trace(text.replace("edge=(0,1)", f"edge={shapeless}"))
+
+
+def test_apply_record_wants_the_schema_keys(fx):
+    K = fx("boundary4simplex")
+    _K2, rec = moves.facet_subdivide(K, (0, 1, 2, 3))
+    for params in (rec.params[:1], rec.params + (("extra", 1),), rec.params[::-1]):
+        with pytest.raises(moves.MoveError):
+            moves.apply_record(K, moves.MoveRecord(rec.kind, params, 0))
+
+
+# ----------------------------------------------- params decoded by schema
+
+
+MALFORMED = [
+    ("sigma2=(23,24,25,26)", "sigma2=5"),
+    ("sigma2=(23,24,25,26)", "sigma2=(23,24,25,(1,))"),
+    ("psi=((8,23),", "psi=((8,23,1),"),
+    ("psi=((8,23),(20,24),(21,25),(22,26)) g2_delta=0",
+     "psi=((8,23),(20,24),(21,25),(22,26)) extra=1 g2_delta=0"),
+]
+
+
+@pytest.mark.parametrize("old, new", MALFORMED)
+def test_malformed_param_is_a_format_error(old, new, fx, tmp_path, capsys):
+    text = reducer.format_trace(reducer.reduce_complex(fx("folded_g2_3")).trace)
+    assert old in text
+    bad = text.replace(old, new, 1)
+    with pytest.raises(TraceFormatError):
+        reducer.parse_trace(bad)
+    tracefile = tmp_path / "bad.trace"
+    tracefile.write_text(bad)
+    assert cli.main(["replay", str(tracefile)]) == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [
+    "7", "+7", "07", "(7)", "((7))", "(" * 500, "1e3", "'7'", "true",
+    "(1,2,3,4,)", "(1, 2,3,4)", "(-0,1,2,3)", "(01,1,2,3)", f"({'9' * 5000},1,2,3)",
+])
+def test_non_canonical_values_are_format_errors(value):
+    text = (
+        "trace seeds=1 result=6,14,16,8 g2=0\n"
+        "seed 0\n0 1 2 3\n0 1 2 4\n0 1 3 4\n0 2 3 4\n1 2 3 4\nend\n"
+        f"move component=0 kind=FacetSubdivide facet={value} fresh=5 g2_delta=0\n"
+    )
+    with pytest.raises(TraceFormatError):
+        reducer.parse_trace(text)
+    good = text.replace(f"facet={value}", "facet=(0,1,2,3)")
+    assert reducer.format_trace(reducer.parse_trace(good)) == good
+
+
+# ----------------------------------------------------- the walk's fast path
+
+
+@pytest.mark.parametrize("seed, fold", WALKS)
+def test_walk_singular_flag_matches_full_validation(seed, fold):
+    tr = _walk(seed, fold).trace
+    state = tr.seeds[0]
+    for _tag, rec in tr.forward_moves:
+        state = moves.apply_record(state, rec)
+        flag = gen._singular_in_scope(state, 4 if fold else 9)
+        assert flag == bool(complexes.validate_normal(state).singular_vertices)
+
+
+# --------------------------------------------- only package errors are caught
+
+
+def test_non_package_error_in_surface_propagates(fx, monkeypatch):
+    def boom(self, triangles):
+        raise RuntimeError("boom")
+
+    CP = fx("cross_polytope")
+    host, _ = moves.bistellar_one(CP, moves.bistellar_one_sites(CP)[0][0])
+    assert moves.insertion_sites(host)
+    monkeypatch.setattr(surfaces.Surface, "__init__", boom)
+    for call in (
+        lambda: complexes.validate_normal(CP),
+        lambda: complexes.find_isomorphism(CP, CP),
+        lambda: moves.contract_edge(CP, (0, 2)),
+        lambda: moves.insertion_sites(host),
+    ):
+        with pytest.raises(RuntimeError):
+            call()
+
