@@ -232,12 +232,13 @@ def _cmd_replay(args) -> int:
                 f"{args.against}", FALSE
             )
     fv = K.f_vector()
+    g2 = total_g2(K)
     payload = {
         "f": list(fv.as_tuple()),
-        "g2_total": total_g2(K),
+        "g2_total": g2,
         "matches": bool(args.against),
     }
-    _emit(args, payload, f"replay ok {fv} total_g2={total_g2(K)}")
+    _emit(args, payload, f"replay ok {fv} total_g2={g2}")
     return OK
 
 

@@ -434,6 +434,21 @@ class NormalityReport:
         return "NotNormal: " + ("; ".join(parts) if parts else "see report")
 
 
+def _ridge_degree(K: SimplicialComplex, t: frozenset) -> int:
+    """Facets at the triangle ``t``: two in a closed normal complex."""
+    return len(K._cofacets(t))
+
+
+def _link_connected(K: SimplicialComplex, face: frozenset) -> bool:
+    return K.link(face).is_connected()
+
+
+def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
+    """Classification of the link of ``v``; raises
+    :class:`PseudoformError` when it is not a closed connected surface."""
+    return surfaces.Surface(K.link((v,)).facets).classify()
+
+
 def validate_normal(K: SimplicialComplex) -> NormalityReport:
     """Check the closed normal pseudomanifold conditions in dimension 3.
 
@@ -451,7 +466,7 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
 
     ridge_failures = []
     for t in sorted(K.faces(2), key=sorted):
-        n = len(K._cofacets(t))
+        n = _ridge_degree(K, t)
         if n != 2:
             ridge_failures.append((tuple(sorted(t)), n))
 
@@ -459,22 +474,20 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
 
     disconnected_links = []
     for v in sorted(K.vertices):
-        if not K.link((v,)).is_connected():
+        if not _link_connected(K, frozenset((v,))):
             disconnected_links.append((v,))
     for e in sorted(K.faces(1), key=sorted):
-        if not K.link(e).is_connected():
+        if not _link_connected(K, e):
             disconnected_links.append(tuple(sorted(e)))
 
     bad_links = []
     singular = []
     for v in sorted(K.vertices):
-        lk = K.link((v,))
         try:
-            surf = surfaces.Surface(lk.facets)
+            cls = _vertex_link_class(K, v)
         except PseudoformError as exc:  # report, do not raise
             bad_links.append((v, str(exc)))
             continue
-        cls = surf.classify()
         if cls.kind != surfaces.SPHERE:
             singular.append((v, cls))
 
@@ -494,6 +507,50 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
     )
 
 
+def normal_update(
+    K: SimplicialComplex, K2: SimplicialComplex, singular: dict
+) -> Optional[dict]:
+    """The singular vertices of ``K2``, found by rechecking only what
+    differs from ``K``.
+
+    ``K`` must be a 3-complex whose components are all normal closed,
+    and ``singular`` maps its singular vertices to their link classes.
+    Returns that map for the 3-complex ``K2``, or None when some
+    component of ``K2`` is not normal closed.
+
+    Normality is local: a face that lies in none of the facets of
+    ``K.facets ^ K2.facets`` has the same cofacets in both complexes.
+    So only the faces of those facets are rechecked: each triangle must
+    lie in 0 or 2 facets of ``K2``, each edge still present must have a
+    connected link, and each vertex still present a closed connected
+    surface as its link, which is classified anew.  Every other vertex
+    keeps its entry.  A component is connected by definition, so the
+    verdict is that of :func:`validate_normal` on every component of
+    ``K2``, which stays the full check.
+    """
+    changed = K.facets ^ K2.facets
+
+    def touched(size):
+        return {frozenset(c) for F in changed for c in itertools.combinations(F, size)}
+
+    if any(_ridge_degree(K2, t) not in (0, 2) for t in touched(3)):
+        return None
+    if any(K2._cofacets(e) and not _link_connected(K2, e) for e in touched(2)):
+        return None
+    out = dict(singular)
+    for v in {v for F in changed for v in F}:
+        out.pop(v, None)
+        if v not in K2.vertices:
+            continue
+        try:
+            cls = _vertex_link_class(K2, v)
+        except PseudoformError:
+            return None
+        if cls.kind != surfaces.SPHERE:
+            out[v] = cls
+    return out
+
+
 def singular_vertices(K: SimplicialComplex) -> list:
     """Vertices whose link is not a 2-sphere, as a sorted label list."""
     return [v for v, _ in validate_normal(K).singular_vertices]
@@ -505,8 +562,24 @@ def total_g2(K: SimplicialComplex) -> int:
     For a connected complex this is plain ``g2``.  Summing per
     component keeps the book-keeping additive across disjoint unions,
     which is how construction traces account for connected sums.
+    Each component adds ``f1 - 4*f0 + 10``, so the sum is
+    ``f1 - 4*f0 + 10*c`` with ``c`` the number of components.
     """
-    return sum(comp.f_vector().g2 for comp in K.connected_components())
+    got = K._cache.get("total_g2")
+    if got is None:
+        if K.facets and K.dimension != 3:
+            raise DimensionError(
+                "total_g2 is defined for 3-complexes, this one has "
+                f"dimension {K.dimension}"
+            )
+        unseen = set(K.vertices)
+        c = 0
+        while unseen:
+            unseen -= K.graph_distances(next(iter(unseen))).keys()
+            c += 1
+        got = len(K.faces(1)) - 4 * len(K.vertices) + 10 * c
+        K._cache["total_g2"] = got
+    return got
 
 
 # ---------------------------------------------------------------------

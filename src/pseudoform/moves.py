@@ -513,7 +513,15 @@ def contract_two_facets(
         for sub in itertools.combinations(sorted(F), 3):
             tri_count[frozenset(sub)] = tri_count.get(frozenset(sub), 0) + 1
     boundary = [s for s, cnt in tri_count.items() if cnt == 1]
-    assert all(u not in s and v not in s for s in boundary)
+    # In a normal complex every triangle at u or v lies in two facets of
+    # the ball, so the boundary avoids both; elsewhere it need not.
+    through = sorted((tuple(sorted(s)) for s in boundary if u in s or v in s))
+    if through:
+        raise MoveError(
+            f"the boundary of the stars of {u} and {v} has triangles at "
+            f"{u} or {v}: {through}; the stars do not form a ball",
+            details=tuple(through),
+        )
     K2 = SimplicialComplex(
         (K.facets - frozenset(ball)) | {s | {w} for s in boundary}
     )

@@ -36,6 +36,7 @@ from . import surfaces
 from .complexes import (
     NormalityReport,
     SimplicialComplex,
+    normal_update,
     total_g2,
     validate_normal,
 )
@@ -232,12 +233,34 @@ def parse_trace(text: str) -> ConstructionTrace:
         raise TraceFormatError(
             f"header promised {n_seeds} seeds, found {len(seeds)}"
         )
-    return ConstructionTrace(
+    trace = ConstructionTrace(
         seeds=tuple(seeds),
         forward_moves=tuple(forward),
         claimed_fcounts=fcounts,
         claimed_g2=g2,
     )
+    _require_canonical(text, trace)
+    return trace
+
+
+def _require_canonical(text: str, trace: ConstructionTrace) -> None:
+    """Accept ``text`` only as ``format_trace`` writes ``trace``: one
+    spelling per number (``seeds=01`` and ``g2=+3`` are out), facet
+    rows sorted and distinct, single spaces, a final newline.  Names
+    the first line that differs."""
+    want = format_trace(trace)
+    if text == want:
+        return
+    pairs = itertools.zip_longest(
+        text.splitlines(keepends=True), want.splitlines(keepends=True)
+    )
+    for n, (got, exp) in enumerate(pairs, 1):
+        if got != exp:
+            raise TraceFormatError(
+                f"line {n}: not in canonical form: "
+                f"{'end of text' if got is None else repr(got)}, expected "
+                f"{'end of text' if exp is None else repr(exp)}"
+            )
 
 
 def _is_simplex_boundary(K: SimplicialComplex) -> bool:
@@ -277,17 +300,20 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
     state = SimplicialComplex(
         F for seed in trace.seeds for F in seed.facets
     )
+    singular: dict = {}  # boundary 4-simplices have sphere links only
     for i, (_tag, rec) in enumerate(trace.forward_moves):
         try:
-            state = moves.apply_record(state, rec)
+            after = moves.apply_record(state, rec)
         except PseudoformError as e:
             raise ReplayError(
                 f"forward move {i} ({rec.kind}) failed: {e}", index=i
             ) from e
-        bad = _components_all_normal(state)
-        if bad is not None:
+        singular = normal_update(state, after, singular)
+        state = after
+        if singular is None:
             raise ReplayError(
-                f"state after move {i} ({rec.kind}) is not normal: {bad}",
+                f"state after move {i} ({rec.kind}) is not normal: "
+                f"{_components_all_normal(state)}",
                 index=i,
             )
     if _face_counts(state) != tuple(trace.claimed_fcounts):
@@ -295,9 +321,10 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
             f"replayed face counts {_face_counts(state)} differ from "
             f"claimed {tuple(trace.claimed_fcounts)}"
         )
-    if total_g2(state) != trace.claimed_g2:
+    g2 = total_g2(state)
+    if g2 != trace.claimed_g2:
         raise ReplayError(
-            f"replayed g2 {total_g2(state)} differs from claimed {trace.claimed_g2}"
+            f"replayed g2 {g2} differs from claimed {trace.claimed_g2}"
         )
     return state
 
@@ -332,7 +359,14 @@ def split_at_missing_tetrahedron(
             "neighborhoods; this tetrahedron witnesses a fold, not a sum",
             details=tuple(moebius),
         )
+    return _split(K, quad, fresh_base)
 
+
+def _split(
+    K: SimplicialComplex, quad: frozenset, fresh_base: Optional[int]
+) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
+    """``split_at_missing_tetrahedron`` after its checks of the
+    tetrahedron: ``quad`` is missing and every corner separates."""
     cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
 
     def uncut_triangles(F):
@@ -420,17 +454,23 @@ def _singular_set(rep: NormalityReport) -> dict:
     return {v: cls for v, cls in rep.singular_vertices}
 
 
-def _classify_component(K: SimplicialComplex) -> "tuple[str, dict]":
-    """Admission check for one connected component."""
-    rep = validate_normal(K)
-    if not rep.is_normal_closed:
-        raise _Rejection(f"not a normal closed pseudomanifold: {rep.summary()}")
-    sing = _singular_set(rep)
+def _classify_component(
+    K: SimplicialComplex, sing: Optional[dict]
+) -> str:
+    """Admission check for one component; returns its class.
+
+    ``sing`` is the component's singular map, as ``normal_update``
+    gives it: None when the component is not normal closed.
+    """
+    if sing is None or not K.is_connected():
+        raise _Rejection(
+            f"not a normal closed pseudomanifold: {validate_normal(K).summary()}"
+        )
     g2 = K.f_vector().g2
     if not sing:
         if g2 > 9:
             raise _Rejection(f"sphere component with g2={g2} > 9")
-        return (CLASS_STACKED if g2 == 0 else CLASS_SPHERE), sing
+        return CLASS_STACKED if g2 == 0 else CLASS_SPHERE
     bad = sorted(v for v, cls in sing.items() if cls.kind != RP2)
     if bad:
         raise _Rejection(
@@ -444,7 +484,7 @@ def _classify_component(K: SimplicialComplex) -> "tuple[str, dict]":
         raise _Rejection(
             f"two-singular component with g2={g2}; only 3 and 4 are in scope"
         )
-    return CLASS_TWO_SINGULAR, sing
+    return CLASS_TWO_SINGULAR
 
 
 def _cycle_tuple(L: SimplicialComplex) -> tuple:
@@ -588,15 +628,18 @@ class _Reducer:
         )
 
     def run(
-        self, K: SimplicialComplex, tag: int
+        self, K: SimplicialComplex, tag: int, sing: Optional[dict]
     ) -> "tuple[list, list]":
         """Reduce one connected normal component to seeds.
 
-        Returns (seeds, forward records in replay order).
+        ``sing`` is its singular map (see ``_classify_component``); it
+        is carried through every step with ``normal_update``, which
+        rechecks only the faces the step touched.  Returns (seeds,
+        forward records in replay order).
         """
         inverses: list = []  # most recent first when reversed
         while True:
-            _cls, sing = _classify_component(K)
+            _classify_component(K, sing)
 
             if _is_simplex_boundary(K):
                 return [K], [(tag, r) for r in reversed(inverses)]
@@ -608,16 +651,14 @@ class _Reducer:
                     continue
                 base = self.take_labels(4)[0]
                 try:
-                    K1, K2, rec = split_at_missing_tetrahedron(
-                        K, quad, fresh_base=base
-                    )
+                    K1, K2, rec = _split(K, quad, base)
                 except MoveError as e:
                     # all corners separate yet the cut does not
                     # disconnect: a handle, impossible below g2=10
                     raise _Rejection(str(e)) from None
                 self.log(tag, "split-at-missing-tetrahedron", tuple(sorted(quad)))
-                seeds1, fwd1 = self.run(K1, tag)
-                seeds2, fwd2 = self.run(K2, tag)
+                seeds1, fwd1 = self.run(K1, tag, normal_update(K, K1, sing))
+                seeds2, fwd2 = self.run(K2, tag, normal_update(K, K2, sing))
                 forward = fwd1 + fwd2 + [(tag, rec)]
                 forward += [(tag, r) for r in reversed(inverses)]
                 return seeds1 + seeds2, forward
@@ -641,13 +682,14 @@ class _Reducer:
             else:
                 K2, rec = self.step_sphere(K, tag)
 
-            bad = _components_all_normal(K2)
-            if bad is not None:
+            sing2 = normal_update(K, K2, sing)
+            if sing2 is None:
                 raise _Rejection(
-                    f"reduction step produced an invalid complex: {bad}"
+                    "reduction step produced an invalid complex: "
+                    f"{_components_all_normal(K2)}"
                 )
             inverses.append(rec)
-            K = K2
+            K, sing = K2, sing2
 
 
 def reduce_complex(K: SimplicialComplex) -> ReduceReport:
@@ -665,9 +707,12 @@ def reduce_complex(K: SimplicialComplex) -> ReduceReport:
         )
     try:
         classes = []
+        sings = []
         for comp in components:
-            cls, _sing = _classify_component(comp)
-            classes.append(cls)
+            rep = validate_normal(comp)
+            sing = _singular_set(rep) if rep.is_normal_closed else None
+            classes.append(_classify_component(comp, sing))
+            sings.append(sing)
     except _Rejection as e:
         return ReduceReport(CLASS_REJECTED, e.reason, None, ())
 
@@ -675,8 +720,8 @@ def reduce_complex(K: SimplicialComplex) -> ReduceReport:
     seeds: list = []
     forward: list = []
     try:
-        for tag, comp in enumerate(components):
-            s, f = session.run(comp, tag)
+        for tag, (comp, sing) in enumerate(zip(components, sings)):
+            s, f = session.run(comp, tag, sing)
             seeds += s
             forward += f
     except _Rejection as e:

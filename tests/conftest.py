@@ -1,8 +1,16 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from pseudoform import io as pio
+
+# Property tests draw the same examples on every run, at a bounded cost
+# and with no per-example deadline.
+settings.register_profile(
+    "pseudoform", derandomize=True, deadline=None, max_examples=50
+)
+settings.load_profile("pseudoform")
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
