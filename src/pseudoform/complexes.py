@@ -641,16 +641,20 @@ def find_isomorphism(
     facets1 = sorted(K1.facets, key=lambda F: sorted(F))
     adj1, adj2 = K1.adjacency, K2.adjacency
 
+    if not order:
+        return {}
+    # Depth-first over ``order`` with an explicit stack: ``stack[i]``
+    # yields the candidates for ``order[i]`` not yet tried, and
+    # ``mapping`` holds the images chosen for the vertices above.
     mapping: dict = {}
     used: set = set()
     nodes = 0
-
-    def extend(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in sorted(classes2[keys1[v]]):
+    stack = [iter(sorted(classes2[keys1[order[0]]]))]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in mapping:  # back from a dead end below: drop v's image
+            used.discard(mapping.pop(v))
+        for w in stack[-1]:
             if w in used:
                 continue
             nodes += 1
@@ -671,14 +675,16 @@ def find_isomorphism(
                     if frozenset(mapping[x] for x in F) not in K2.facets:
                         facet_ok = False
                         break
-            if facet_ok and extend(i + 1):
-                return True
+            if facet_ok:
+                break  # descend to the next vertex
             del mapping[v]
             used.discard(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            return dict(mapping)
+        stack.append(iter(sorted(classes2[keys1[order[len(stack)]]])))
     return None
 
 

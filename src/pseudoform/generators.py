@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import moves, reducer
-from .complexes import SimplicialComplex, total_g2, validate_normal
+from .complexes import SimplicialComplex, normal_update, total_g2
 from .defaults import DEFAULT_SEED
 from .errors import MoveError, PseudoformError
 from .surfaces import RP2
@@ -234,22 +234,36 @@ def _gen_stacked(blocks: int, seed: int) -> GeneratedComplex:
 _WALK_KINDS = tuple(kind for kind, m in moves.MOVES.items() if m.sites)
 
 
+def _scope_update(
+    K: SimplicialComplex, K2: SimplicialComplex, singular: dict, g2_cap: int
+) -> Optional[dict]:
+    """The singular map of ``K2``, or None when ``K2`` leaves the walk's
+    scope.
+
+    ``K`` is in scope with singular map ``singular``, and only what the
+    move touched is rechecked (``normal_update``).  In scope means: total
+    g2 at most the cap, every component normal closed, and each component
+    with singular vertices has exactly two, both with RP2 links, and g2
+    3 or 4.  Components are formed only when there are singular vertices.
+    """
+    if total_g2(K2) > g2_cap:
+        return None
+    sing = normal_update(K, K2, singular)
+    if sing:
+        for comp in K2.connected_components():
+            here = [cls for v, cls in sing.items() if v in comp.vertices]
+            if here and (len(here) != 2 or any(c.kind != RP2 for c in here)
+                         or comp.f_vector().g2 not in (3, 4)):
+                return None
+    return sing
+
+
 def _singular_in_scope(K: SimplicialComplex, g2_cap: int) -> Optional[bool]:
     """Whether K has singular vertices; None when K leaves the walk's
-    scope (a component not normal, not a sphere and not a two-RP2
-    complex with g2 3 or 4, or total g2 above the cap)."""
-    singular = False
-    for comp in K.connected_components():
-        rep = validate_normal(comp)
-        if not rep.is_normal_closed:
-            return None
-        sing = rep.singular_vertices
-        if sing:
-            if (len(sing) != 2 or any(cls.kind != RP2 for _, cls in sing)
-                    or comp.f_vector().g2 not in (3, 4)):
-                return None
-            singular = True
-    return singular if total_g2(K) <= g2_cap else None
+    scope.  The full check: the walk's scope rule with every face of
+    ``K`` rechecked, as a move from the empty complex."""
+    sing = _scope_update(SimplicialComplex(()), K, {}, g2_cap)
+    return None if sing is None else bool(sing)
 
 
 def _gen_random(
@@ -257,34 +271,40 @@ def _gen_random(
 ) -> GeneratedComplex:
     rng = random.Random(seed)
     K = boundary_simplex()
-    singular = False
+    singular: dict = {}
     seeds = [K]
     forward = []
     note = ""
     stalled = False
     steps = 0
     while steps < budget:
-        candidates = {}
+        # A kind is listed in full only when the walk tries it; until
+        # then its first site tells whether it has any.  The draws are
+        # those over all kinds' full lists: the same sample of the
+        # non-empty kinds, the same choice from each list tried.
+        started = {}
         for kind in _WALK_KINDS:
             if kind == moves.EDGE_FOLD and (not allow_fold or singular):
                 continue  # folds are asked for, and start from spheres
-            sites = moves.MOVES[kind].sites(K)
-            if sites:
-                candidates[kind] = sites
+            sites = iter(moves.MOVES[kind].sites(K))
+            first = next(sites, None)
+            if first is not None:
+                started[kind] = (first, sites)
         progressed = False
-        for kind in rng.sample(sorted(candidates), k=len(candidates)):
+        for kind in rng.sample(sorted(started), k=len(started)):
+            first, rest = started[kind]
             move = moves.MOVES[kind]
-            values = dict(zip(move.inputs, rng.choice(candidates[kind])))
+            values = dict(zip(move.inputs, rng.choice([first, *rest])))
             if kind == moves.EDGE_EXPAND:
                 values["u_side"] = rng.randrange(2)
             try:
                 K2, rec = move.construct(K, values)
             except PseudoformError:
                 continue
-            in_scope = _singular_in_scope(K2, g2_cap)
-            if in_scope is None:
+            singular2 = _scope_update(K, K2, singular, g2_cap)
+            if singular2 is None:
                 continue
-            K, singular = K2, in_scope
+            K, singular = K2, singular2
             forward.append((0, rec))
             progressed = True
             break

@@ -28,19 +28,19 @@ so identical inputs give identical outputs; replay passes the recorded
 labels back in explicitly.
 
 Each kind is defined once, in :data:`MOVES`: its record schema, its
-constructor and its site enumerator.  Replay, the command line and the
-random walk all dispatch through that table.  Where a kind has a site
-enumerator that filters candidates, the enumerator and the constructor
-call the same precondition function.
+constructor and its lazy site enumerator.  Replay, the command line and
+the random walk all dispatch through that table.  Where a kind has a
+site enumerator that filters candidates, the enumerator and the
+constructor call the same precondition function.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import SimplicialComplex, total_g2
+from .complexes import SimplicialComplex, clean_face, total_g2
 from .errors import MissingFaceError, MoveError, PseudoformError
 from . import surfaces
 from .surfaces import MOEBIUS, Surface, cycle_cut, missing_triangle_neighborhood
@@ -209,22 +209,26 @@ def bistellar_one(
     return K2, rec
 
 
+def _iter_bistellar_two_sites(K: SimplicialComplex) -> Iterator:
+    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
+    for (e,), (_cof, apex) in _passing(_bistellar_two_check, K, edges):
+        yield tuple(sorted(e)), tuple(sorted(apex))
+
+
 def bistellar_two_sites(K: SimplicialComplex) -> list:
     """Degree-3 edges whose apex triangle is missing, sorted."""
-    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
-    return [
-        (tuple(sorted(e)), tuple(sorted(apex)))
-        for (e,), (_cof, apex) in _passing(_bistellar_two_check, K, edges)
-    ]
+    return list(_iter_bistellar_two_sites(K))
+
+
+def _iter_bistellar_one_sites(K: SimplicialComplex) -> Iterator:
+    triangles = ((t,) for t in sorted(K.faces(2), key=sorted))
+    for (t,), (_cof, apexes) in _passing(_bistellar_one_check, K, triangles):
+        yield tuple(sorted(t)), apexes
 
 
 def bistellar_one_sites(K: SimplicialComplex) -> list:
     """Triangles in two facets whose apexes are not adjacent, sorted."""
-    triangles = ((t,) for t in sorted(K.faces(2), key=sorted))
-    return [
-        (tuple(sorted(t)), apexes)
-        for (t,), (_cof, apexes) in _passing(_bistellar_one_check, K, triangles)
-    ]
+    return list(_iter_bistellar_one_sites(K))
 
 
 # ---------------------------------------------------------------------
@@ -301,13 +305,15 @@ def contract_edge(
     return K2, rec
 
 
+def _iter_contractible_edges(K: SimplicialComplex) -> Iterator:
+    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
+    for (e,), _ in _passing(_contract_edge_check, K, edges):
+        yield tuple(sorted(e)), len(K._cofacets(e))
+
+
 def contractible_edges(K: SimplicialComplex) -> list:
     """Edges satisfying the link condition, as (edge, degree), sorted."""
-    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
-    return [
-        (tuple(sorted(e)), len(K._cofacets(e)))
-        for (e,), _ in _passing(_contract_edge_check, K, edges)
-    ]
+    return list(_iter_contractible_edges(K))
 
 
 def expand_edge(
@@ -367,17 +373,17 @@ def expand_edge(
     return K2, rec
 
 
-def _link_cycle_sites(K: SimplicialComplex) -> list:
+def _iter_link_cycle_sites(K: SimplicialComplex) -> Iterator:
     """(vertex, 3-cycle) for the triangles and missing triangles of every
-    vertex link, sorted.  These are candidates, not sites: a missing
-    triangle need not separate its link, and ``expand_edge`` decides.
+    vertex link, lazily, sorted.  These are candidates, not sites: a
+    missing triangle need not separate its link, and ``expand_edge``
+    decides.
     """
-    out = []
     for v in sorted(K.vertices):
         L = K.link((v,))
         cycles = (*L.faces(2), *L.missing_faces(2))
-        out += [(v, c) for c in sorted(tuple(sorted(t)) for t in cycles)]
-    return out
+        for c in sorted(tuple(sorted(t)) for t in cycles):
+            yield v, c
 
 
 # ---------------------------------------------------------------------
@@ -449,18 +455,20 @@ def insert_two_facets(
     return K2, rec
 
 
+def _iter_insertion_sites(K: SimplicialComplex) -> Iterator:
+    candidates = (
+        (w, t) for w in sorted(K.vertices) for t in K.link((w,)).missing_faces(2)
+    )
+    for (w, t), _ in _passing(_insert_check, K, candidates):
+        yield w, tuple(sorted(t))
+
+
 def insertion_sites(K: SimplicialComplex) -> list:
     """Pairs (vertex, missing triangle) admitting two-facets insertion.
 
     The candidates at a vertex are the missing triangles of its link.
     """
-    candidates = (
-        (w, t) for w in sorted(K.vertices) for t in K.link((w,)).missing_faces(2)
-    )
-    return [
-        (w, tuple(sorted(t)))
-        for (w, t), _ in _passing(_insert_check, K, candidates)
-    ]
+    return list(_iter_insertion_sites(K))
 
 
 def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> frozenset:
@@ -535,12 +543,7 @@ def contract_two_facets(
     return K2, rec
 
 
-def contraction_pair_sites(K: SimplicialComplex) -> list:
-    """Vertex pairs admitting a two-facets contraction, sorted.
-
-    Two stars can share a triangle only when their centres are the
-    apexes of the two facets at it, so those pairs are the candidates.
-    """
+def _iter_contraction_pair_sites(K: SimplicialComplex) -> Iterator:
     pairs = {
         (min(u, v), max(u, v))
         for F in K.facets
@@ -548,10 +551,17 @@ def contraction_pair_sites(K: SimplicialComplex) -> list:
         for G in K._cofacets(F - {u})
         for v in G - F
     }
-    return [
-        (u, v, tuple(sorted(t)))
-        for (u, v), t in _passing(_contract_two_facets_check, K, sorted(pairs))
-    ]
+    for (u, v), t in _passing(_contract_two_facets_check, K, sorted(pairs)):
+        yield u, v, tuple(sorted(t))
+
+
+def contraction_pair_sites(K: SimplicialComplex) -> list:
+    """Vertex pairs admitting a two-facets contraction, sorted.
+
+    Two stars can share a triangle only when their centres are the
+    apexes of the two facets at it, so those pairs are the candidates.
+    """
+    return list(_iter_contraction_pair_sites(K))
 
 
 # ---------------------------------------------------------------------
@@ -585,13 +595,20 @@ def _identify_facets(
 ) -> SimplicialComplex:
     """Relabel psi's targets back onto sigma1, drop the merged facet."""
     back = {w: x for x, w in psi.items()}
-    K2 = K.relabeled(back)
-    if len(K2.facets) != len(K.facets) - 1:
+    facets = set()
+    for F in K.facets:
+        G = frozenset(back.get(v, v) for v in F)
+        if len(G) != len(F):
+            # a facet holding a vertex and its image: the usual error
+            clean_face(back.get(v, v) for v in F)
+        facets.add(G)
+    if len(facets) != len(K.facets) - 1:
         raise MoveError(
             "identification collapsed facets beyond the glued pair; "
             "the gluing map is not admissible"
         )
-    return SimplicialComplex(K2.facets - {sigma1})
+    facets.discard(sigma1)
+    return SimplicialComplex(facets)
 
 
 def _gluing_record(kind, delta, s1, s2, p, **derived) -> MoveRecord:
@@ -723,7 +740,7 @@ def edge_fold(
     return K2, _gluing_record(EDGE_FOLD, +3, s1, s2, p, edge=tuple(sorted(shared)))
 
 
-def fold_sites(K: SimplicialComplex) -> Iterable:
+def fold_sites(K: SimplicialComplex) -> Iterator:
     """Admissible folds as (sigma1, sigma2, psi-pairs), lazily, sorted.
 
     Facet pairs must share exactly one edge; the map fixes that edge,
@@ -951,13 +968,15 @@ def facet_unsubdivide(
     return K2, rec
 
 
+def _iter_unsubdividable_vertices(K: SimplicialComplex) -> Iterator:
+    vertices = ((w,) for w in sorted(K.vertices))
+    for (w,), (_cof, tetra) in _passing(_unsubdivide_check, K, vertices):
+        yield w, tuple(sorted(tetra))
+
+
 def unsubdividable_vertices(K: SimplicialComplex) -> list:
     """Degree-4 vertices whose surrounding tetrahedron is missing."""
-    vertices = ((w,) for w in sorted(K.vertices))
-    return [
-        (w, tuple(sorted(tetra)))
-        for (w,), (_cof, tetra) in _passing(_unsubdivide_check, K, vertices)
-    ]
+    return list(_iter_unsubdividable_vertices(K))
 
 
 # ---------------------------------------------------------------------
@@ -993,13 +1012,17 @@ class Move:
     ``construct(K, values)`` runs the public constructor on the inputs
     and fresh labels in ``values``, a dict keyed like the record
     (derived keys are ignored; absent fresh labels take the default).
-    ``sites(K)`` lists where the move can land, each site starting
-    with the inputs in schema order.  It is None for the gluings, which
-    pair two facets (see ``generators.admissible_handles``), and for
-    the unfold, which ``detect_unfold`` finds one site at a time; the
-    random walk draws from the kinds that have it.  Both callables look
-    the public functions up when called, so wrappers put on this module
-    (a profiler, a tracer) see every call made through the table.
+    ``sites(K)`` yields where the move can land, lazily and in sorted
+    order, each site starting with the inputs in schema order; the
+    public list of a kind (``bistellar_one_sites``, ``admissible_folds``
+    ...) is that same generator run to the end.  It is None for the
+    gluings, which pair two facets (see
+    ``generators.admissible_handles``), and for the unfold, which
+    ``detect_unfold`` finds one site at a time; the random walk draws
+    from the kinds that have it, and lists a kind in full only when it
+    tries that kind.  ``construct`` looks the public constructor up
+    when called, so wrappers put on this module (a profiler, a tracer)
+    see every move made through the table.
     """
 
     params: tuple
@@ -1022,34 +1045,34 @@ MOVES = {
     BISTELLAR1: Move(
         (Param("triangle", INPUT, TRIANGLE), Param("edge", DERIVED, EDGE)),
         lambda K, p: bistellar_one(K, p["triangle"]),
-        lambda K: bistellar_one_sites(K)),
+        _iter_bistellar_one_sites),
     BISTELLAR2: Move(
         (Param("edge", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE)),
         lambda K, p: bistellar_two(K, p["edge"]),
-        lambda K: bistellar_two_sites(K)),
+        _iter_bistellar_two_sites),
     EDGE_CONTRACT: Move(
         (Param("edge", INPUT, EDGE), Param("fresh", FRESH, LABEL),
          Param("degree", DERIVED, LABEL), Param("homeomorphic", DERIVED, FLAG)),
         lambda K, p: contract_edge(K, p["edge"], fresh=p.get("fresh")),
-        lambda K: contractible_edges(K)),
+        _iter_contractible_edges),
     EDGE_EXPAND: Move(
         (Param("vertex", INPUT, LABEL), Param("cycle", INPUT, CYCLE),
          Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL),
          Param("u_side", INPUT, LABEL)),
         lambda K, p: expand_edge(
             K, p["vertex"], p["cycle"], p["u_side"], _apexes(p)),
-        _link_cycle_sites),
+        _iter_link_cycle_sites),
     TWO_FACETS_INSERT: Move(
         (Param("vertex", INPUT, LABEL), Param("triangle", INPUT, TRIANGLE),
          Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL)),
         lambda K, p: insert_two_facets(K, p["vertex"], p["triangle"], _apexes(p)),
-        lambda K: insertion_sites(K)),
+        _iter_insertion_sites),
     TWO_FACETS_CONTRACT: Move(
         (Param("vertices", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE),
          Param("fresh", FRESH, LABEL)),
         lambda K, p: contract_two_facets(
             K, *p["vertices"], fresh=p.get("fresh")),
-        lambda K: [((u, v), t) for u, v, t in contraction_pair_sites(K)]),
+        lambda K: (((u, v), t) for u, v, t in _iter_contraction_pair_sites(K))),
     CONNECTED_SUM: Move(
         _GLUING,
         lambda K, p: connected_sum_in(
@@ -1061,7 +1084,7 @@ MOVES = {
     EDGE_FOLD: Move(
         _GLUING + (Param("edge", DERIVED, EDGE),),
         lambda K, p: edge_fold(K, p["sigma1"], p["sigma2"], dict(p["psi"])),
-        lambda K: list(fold_sites(K))),
+        lambda K: fold_sites(K)),
     EDGE_UNFOLD: Move(
         (Param("tetra", INPUT, TETRA), Param("moebius_edge", DERIVED, EDGE),
          Param("split_pair", DERIVED, EDGE), Param("fresh", FRESH, EDGE)),
@@ -1069,11 +1092,11 @@ MOVES = {
     FACET_SUBDIVIDE: Move(
         (Param("facet", INPUT, TETRA), Param("fresh", FRESH, LABEL)),
         lambda K, p: facet_subdivide(K, p["facet"], fresh=p.get("fresh")),
-        lambda K: [(F,) for F in K.canonical_facets()]),
+        lambda K: ((F,) for F in K.canonical_facets())),
     FACET_UNSUBDIVIDE: Move(
         (Param("vertex", INPUT, LABEL), Param("facet", DERIVED, TETRA)),
         lambda K, p: facet_unsubdivide(K, p["vertex"]),
-        lambda K: unsubdividable_vertices(K)),
+        _iter_unsubdividable_vertices),
 }
 
 ALL_KINDS = tuple(MOVES)
