@@ -638,7 +638,7 @@ def find_isomorphism(
 
     # rarest invariant class first, then ties by label for determinism
     order = sorted(K1.vertices, key=lambda v: (len(classes2[keys1[v]]), v))
-    facets1 = sorted(K1.facets, key=lambda F: sorted(F))
+    by_vertex1 = K1._facets_by_vertex()
     adj1, adj2 = K1.adjacency, K2.adjacency
 
     if not order:
@@ -669,13 +669,11 @@ def find_isomorphism(
                 continue
             mapping[v] = w
             used.add(w)
-            facet_ok = True
-            for F in facets1:
-                if v in F and all(x in mapping for x in F):
-                    if frozenset(mapping[x] for x in F) not in K2.facets:
-                        facet_ok = False
-                        break
-            if facet_ok:
+            # the facets at v that are now fully mapped must land on facets
+            if all(
+                frozenset(mapping[x] for x in F) in K2.facets
+                for F in by_vertex1[v] if all(x in mapping for x in F)
+            ):
                 break  # descend to the next vertex
             del mapping[v]
             used.discard(w)

@@ -685,17 +685,13 @@ def handle_addition(
     return _identify_facets(K, s1, p), _gluing_record(HANDLE_ADD, +10, s1, s2, p)
 
 
-def edge_fold(
+def _edge_fold_check(
     K: SimplicialComplex, sigma1: Iterable[int], sigma2: Iterable[int], psi: dict
-) -> "tuple[SimplicialComplex, MoveRecord]":
-    """Fold two facets sharing exactly one edge onto each other.
-
-    ``psi`` fixes the shared edge ``uv`` pointwise and matches the
-    remaining vertices; it is admissible when every path of length at
-    most 2 between a vertex and its image passes through ``u`` or
-    ``v``.  Folding a sphere along an edge makes exactly the two edge
-    endpoints singular, with projective-plane links.  g2 grows by 3.
-    """
+) -> tuple:
+    """The two facets, their shared edge and the checked gluing map.
+    After these checks the identification merges no second facet pair:
+    that would give a free corner and its image a common neighbour off
+    the folding edge, which the 2-path check forbids."""
     s1, s2 = _two_facets(K, sigma1, sigma2)
     shared = s1 & s2
     if len(shared) != 2:
@@ -735,6 +731,21 @@ def edge_fold(
             "use the reversed pairing of the free corners",
             details=(u, v),
         )
+    return s1, s2, shared, p
+
+
+def edge_fold(
+    K: SimplicialComplex, sigma1: Iterable[int], sigma2: Iterable[int], psi: dict
+) -> "tuple[SimplicialComplex, MoveRecord]":
+    """Fold two facets sharing exactly one edge onto each other.
+
+    ``psi`` fixes the shared edge ``uv`` pointwise and matches the
+    remaining vertices; it is admissible when every path of length at
+    most 2 between a vertex and its image passes through ``u`` or
+    ``v``.  Folding a sphere along an edge makes exactly the two edge
+    endpoints singular, with projective-plane links.  g2 grows by 3.
+    """
+    s1, s2, shared, p = _edge_fold_check(K, sigma1, sigma2, psi)
     fold_map = {y: w for y, w in p.items() if y not in shared}
     K2 = _identify_facets(K, s1, fold_map)
     return K2, _gluing_record(EDGE_FOLD, +3, s1, s2, p, edge=tuple(sorted(shared)))
@@ -745,23 +756,20 @@ def fold_sites(K: SimplicialComplex) -> Iterator:
 
     Facet pairs must share exactly one edge; the map fixes that edge,
     leaving two candidate matchings of the remaining corners.  Each
-    candidate is tried by ``edge_fold`` itself: whether the
-    identification collapses further facets shows only in the result.
+    candidate passes when it passes ``edge_fold``'s own precondition,
+    so listing folds builds no complex.
     """
-    for s1, s2 in itertools.combinations(K.canonical_facets(), 2):
-        shared = set(s1) & set(s2)
-        if len(shared) != 2:
-            continue
-        rest1 = [x for x in s1 if x not in shared]
-        rest2 = [x for x in s2 if x not in shared]
-        for r2 in (rest2, rest2[::-1]):
-            psi = {x: x for x in shared}
-            psi.update(zip(rest1, r2))
-            try:
-                edge_fold(K, s1, s2, psi)
-            except PseudoformError:
-                continue
-            yield (s1, s2, tuple(sorted(psi.items())))
+    def candidates():
+        for s1, s2 in itertools.combinations(K.canonical_facets(), 2):
+            shared = [x for x in s1 if x in s2]
+            if len(shared) == 2:
+                rest1 = [x for x in s1 if x not in shared]
+                rest2 = [x for x in s2 if x not in shared]
+                for r2 in (rest2, rest2[::-1]):
+                    yield s1, s2, dict(zip(shared + rest1, shared + r2))
+
+    for (s1, s2, psi), _ in _passing(_edge_fold_check, K, candidates()):
+        yield (s1, s2, tuple(sorted(psi.items())))
 
 
 def _short_path(K: SimplicialComplex, a: int, b: int, limit: int):
@@ -827,14 +835,20 @@ def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
     return reports, moeb, seps
 
 
-def detect_unfold(K: SimplicialComplex) -> Optional[UnfoldSite]:
-    """Find a missing tetrahedron with two Moebius and two separating
-    corners, scanning in sorted order.  Returns None when there is
-    none."""
+def _iter_unfold_sites(K: SimplicialComplex) -> Iterator:
+    """(tetra, moebius_edge, split_pair) of each missing tetrahedron
+    with two Moebius and two separating corners, lazily, sorted.  Not
+    the unfold's ``Move.sites``, or the random walk would unfold."""
     quads = ((q,) for q in K.missing_faces(3))
     for (quad,), (_reports, moeb, seps) in _passing(_unfold_check, K, quads):
-        return UnfoldSite(tuple(sorted(quad)), moeb, seps)
-    return None
+        yield tuple(sorted(quad)), moeb, seps
+
+
+def detect_unfold(K: SimplicialComplex) -> Optional[UnfoldSite]:
+    """The first site of ``_iter_unfold_sites`` (a missing tetrahedron
+    with two Moebius and two separating corners), or None."""
+    site = next(_iter_unfold_sites(K), None)
+    return None if site is None else UnfoldSite(*site)
 
 
 def edge_unfold(
@@ -1017,8 +1031,8 @@ class Move:
     public list of a kind (``bistellar_one_sites``, ``admissible_folds``
     ...) is that same generator run to the end.  It is None for the
     gluings, which pair two facets (see
-    ``generators.admissible_handles``), and for the unfold, which
-    ``detect_unfold`` finds one site at a time; the random walk draws
+    ``generators.admissible_handles``), and for the unfold, whose sites
+    ``_iter_unfold_sites`` lists for the reducer; the random walk draws
     from the kinds that have it, and lists a kind in full only when it
     tries that kind.  ``construct`` looks the public constructor up
     when called, so wrappers put on this module (a profiler, a tracer)

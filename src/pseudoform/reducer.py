@@ -2,12 +2,16 @@
 
 ``reduce_complex`` accepts a normal closed complex that is either a
 union of spheres with g2 at most 9 or has exactly two projective-plane
-vertices and g2 in {3, 4}, and dismantles it step by step: splitting
-connected sums at missing tetrahedra, undoing bistellar moves, edge
-expansions, two-facets insertions and edge foldings.  Every reduction
-step immediately re-applies the corresponding forward move and checks
-that it reproduces the previous state bit for bit, so the emitted
-:class:`ConstructionTrace` replays to the exact input, labels and all.
+vertices and g2 in {3, 4}, and dismantles it in one loop over a stack
+of pieces.  A piece splits at a missing tetrahedron whose corners all
+separate; otherwise the first rule of its class with a usable site
+takes one step.  A sphere undoes a bistellar 1-move, then an edge
+expansion, then a two-facets contraction; a two-singular piece undoes
+an edge fold, then an edge expansion at a singular vertex; a stacked
+piece always splits.  Each step re-applies a forward move that may
+undo it and checks that it reproduces the previous state bit for bit,
+so the emitted :class:`ConstructionTrace` replays to the exact input,
+labels and all.
 
 Trace file format (bit-exact round trip):
 
@@ -511,185 +515,171 @@ def _cycle_tuple(L: SimplicialComplex) -> tuple:
     return tuple(walk)
 
 
-def _verify_inverse(
-    before: SimplicialComplex, rebuilt: SimplicialComplex, what: str
-) -> None:
-    if rebuilt != before:
-        raise _Rejection(
-            f"internal check failed: forward {what} does not rebuild the "
-            "previous state"
-        )
+# Each class's rules, in the order they are tried: the rule id, the
+# shrinking kind whose first usable site is taken, and a filter on its
+# sites.  A stacked piece (no singular vertex, g2 = 0) is a stacked
+# sphere by Walkup's lower bound; unless it is a boundary 4-simplex it
+# has a missing tetrahedron, every corner of which separates its link,
+# so it always splits first and needs no rule of its own.
+_RULES = {
+    CLASS_STACKED: (),
+    CLASS_SPHERE: (
+        ("bistellar-down-at-degree-three-edge", moves.BISTELLAR2, None),
+        ("contract-link-condition-edge", moves.EDGE_CONTRACT, None),
+        ("insert-through-missing-triangle", moves.TWO_FACETS_INSERT, None),
+    ),
+    CLASS_TWO_SINGULAR: (
+        ("unfold-at-moebius-tetrahedron", moves.EDGE_UNFOLD, None),
+        # an edge joining a singular vertex to a non-singular one
+        ("contract-singular-incident-edge", moves.EDGE_CONTRACT,
+         lambda sing, site: (site[0][0] in sing) != (site[0][1] in sing)),
+    ),
+}
+
+# Why a piece none of its class's rules applies to is rejected.
+_STUCK = {
+    CLASS_STACKED: "stacked-range component with no split and no "
+    "degree-four vertex",
+    CLASS_SPHERE: "sphere with g2={g2} admits no bistellar 2-move, "
+    "no link-condition contraction and no two-facets insertion",
+    CLASS_TWO_SINGULAR: "two-singular component has no fold witness and "
+    "no admissible contraction at a singular vertex",
+}
 
 
-class _Reducer:
-    """Single reduction session; owns the global fresh-label counter."""
+# The forward moves that may undo each shrinking kind, as (kind, values)
+# made from the state before the step and the step's record.
+_UNDO = {
+    moves.BISTELLAR2: lambda K, p: [
+        (moves.BISTELLAR1, {"triangle": p["triangle"]})],
+    # both sides of the cut link: the contraction does not record which
+    # endpoint had which
+    moves.EDGE_CONTRACT: lambda K, p: (
+        (moves.EDGE_EXPAND, {
+            "vertex": p["fresh"], "cycle": _cycle_tuple(K.link(p["edge"])),
+            "apex_u": p["edge"][0], "apex_v": p["edge"][1], "u_side": side})
+        for side in (0, 1)),
+    moves.TWO_FACETS_INSERT: lambda K, p: [
+        (moves.TWO_FACETS_CONTRACT, {
+            "vertices": (p["apex_u"], p["apex_v"]), "fresh": p["vertex"]})],
+    moves.EDGE_UNFOLD: lambda K, p: [
+        (moves.EDGE_FOLD, {
+            "sigma1": p["moebius_edge"] + p["split_pair"],
+            "sigma2": p["moebius_edge"] + p["fresh"],
+            "psi": tuple(zip(p["moebius_edge"] + p["split_pair"],
+                             p["moebius_edge"] + p["fresh"]))})],
+}
 
-    def __init__(self, K: SimplicialComplex):
-        self.next_label = K.fresh_label()
-        self.rule_log: list = []
 
-    def take_labels(self, n: int) -> list:
-        out = list(range(self.next_label, self.next_label + n))
-        self.next_label += n
-        return out
-
-    def log(self, tag: int, rule: str, witness) -> None:
-        self.rule_log.append((tag, rule, witness))
-
-    # -- inverse-record builders (each re-applies the forward move) ---
-
-    def _inverse_of_contraction(
-        self, before: SimplicialComplex, after: SimplicialComplex,
-        edge: tuple, w: int,
-    ) -> moves.MoveRecord:
-        u, v = sorted(edge)
-        cyc = _cycle_tuple(before.link(frozenset(edge)))
-        for u_side in (0, 1):
-            rebuilt, rec = moves.expand_edge(
-                after, w, cyc, u_side=u_side, apexes=(u, v)
-            )
+def _rebuild(
+    before: SimplicialComplex, after: SimplicialComplex, rec: moves.MoveRecord
+) -> moves.MoveRecord:
+    """The forward record that turns ``after`` back into ``before``."""
+    try:
+        for kind, values in _UNDO[rec.kind](before, rec.param_dict()):
+            rebuilt, forward = moves.MOVES[kind].construct(after, values)
             if rebuilt == before:
-                return rec
-        raise _Rejection(
-            "internal check failed: contracted star does not match "
-            "either expansion side"
-        )
+                return forward
+    except PseudoformError:
+        pass
+    raise _Rejection(f"internal check failed: no forward move rebuilds "
+                     f"the state before {rec.kind}")
 
-    def step_sphere(
-        self, K: SimplicialComplex, tag: int
-    ) -> "tuple[SimplicialComplex, moves.MoveRecord]":
-        """One sphere-path reduction; returns (smaller K, inverse record)."""
-        sites = moves.bistellar_two_sites(K)
-        if sites:
-            edge, _tri = sites[0]
-            after, rec2 = moves.bistellar_two(K, edge)
-            rebuilt, rec = moves.bistellar_one(after, rec2.get("triangle"))
-            _verify_inverse(K, rebuilt, "bistellar 1-move")
-            self.log(tag, "bistellar-down-at-degree-three-edge", edge)
-            return after, rec
-        contractible = moves.contractible_edges(K)
-        if contractible:
-            edge, _deg = contractible[0]
-            (w,) = self.take_labels(1)
-            after, recc = moves.contract_edge(K, edge, fresh=w)
-            rec = self._inverse_of_contraction(K, after, edge, w)
-            self.log(tag, "contract-link-condition-edge", edge)
-            return after, rec
-        insertions = moves.insertion_sites(K)
-        if insertions:
-            wv, tri = insertions[0]
-            pair = self.take_labels(2)
-            after, reci = moves.insert_two_facets(
-                K, wv, tri, apexes=tuple(pair)
+
+def _apply_rule(
+    rule: tuple, K: SimplicialComplex, sing: dict, first_label: int
+) -> Optional[tuple]:
+    """Apply ``rule`` at its first usable site, with fresh labels from
+    ``first_label`` on.  Returns the smaller complex, the forward record
+    that rebuilds ``K``, the site's inputs (the witness) and the next
+    unused label; None when no site is usable."""
+    _rule_id, kind, keep = rule
+    move = moves.MOVES[kind]
+    sites = moves._iter_unfold_sites if kind == moves.EDGE_UNFOLD else move.sites
+    for site in sites(K):
+        if keep is not None and not keep(sing, site):
+            continue
+        values = dict(zip(move.inputs, site))
+        # the move's fresh keys take the next unused labels, in order
+        labels = itertools.count(first_label)
+        fresh = {
+            p.key: next(labels) if p.shape is moves.LABEL
+            else tuple(itertools.islice(labels, len(p.shape)))
+            for p in move.params if p.role == moves.FRESH
+        }
+        try:
+            after, rec = move.construct(K, {**values, **fresh})
+        except PseudoformError:  # e.g. an unfold whose sides do not pair
+            continue
+        witness = site[0] if len(move.inputs) == 1 else tuple(values.values())
+        return after, _rebuild(K, after, rec), witness, next(labels)
+    return None
+
+
+def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]":
+    """Reduce (tag, component, singular map) triples to seeds.
+
+    The singular map (see ``_classify_component``) is carried through
+    every step with ``normal_update``, which rechecks only the faces the
+    step touched.  Fresh labels count up from ``next_label``, and each
+    rule applied is appended to ``rule_log``.  Returns (seeds, forward
+    records in replay order).
+    """
+    seeds: list = []
+    forward: list = []
+    # The stack holds pieces still to reduce, as (tag, K, sing, records
+    # undoing the steps taken on K so far), and, as a list, the records
+    # a split piece owes the trace once both halves are reduced.  The
+    # first half lies on top, so pieces reduce, and take their labels,
+    # in depth-first order.
+    stack: list = [(tag, K, sing, []) for tag, K, sing in reversed(pieces)]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, list):
+            forward += top
+            continue
+        tag, K, sing, undo = top
+        cls = _classify_component(K, sing)
+        if _is_simplex_boundary(K):
+            seeds.append(K)
+            forward += reversed(undo)
+            continue
+        # a connected-sum split wherever every corner separates
+        quad = next((q for q in K.missing_faces(3) if all(
+            r.separates for r in moves._corner_reports(K, q).values()
+        )), None)
+        if quad is not None:
+            base, next_label = next_label, next_label + 4
+            try:
+                K1, K2, rec = _split(K, quad, base)
+            except MoveError as e:
+                # all corners separate yet the cut does not
+                # disconnect: a handle, impossible below g2=10
+                raise _Rejection(str(e)) from None
+            rule_log.append((tag, "split-at-missing-tetrahedron", tuple(sorted(quad))))
+            stack += [
+                [(tag, rec), *reversed(undo)],
+                (tag, K2, normal_update(K, K2, sing), []),
+                (tag, K1, normal_update(K, K1, sing), []),
+            ]
+            continue
+        for rule in _RULES[cls]:
+            step = _apply_rule(rule, K, sing, next_label)
+            if step is not None:
+                break
+        else:
+            raise _Rejection(_STUCK[cls].format(g2=K.f_vector().g2))
+        K2, rec, witness, next_label = step
+        rule_log.append((tag, rule[0], witness))
+        sing2 = normal_update(K, K2, sing)
+        if sing2 is None:
+            raise _Rejection(
+                "reduction step produced an invalid complex: "
+                f"{_components_all_normal(K2)}"
             )
-            rebuilt, rec = moves.contract_two_facets(
-                after, pair[0], pair[1], fresh=wv
-            )
-            _verify_inverse(K, rebuilt, "two-facets contraction")
-            self.log(tag, "insert-through-missing-triangle", (wv, tri))
-            return after, rec
-        raise _Rejection(
-            f"sphere with g2={K.f_vector().g2} admits no bistellar 2-move, "
-            "no link-condition contraction and no two-facets insertion"
-        )
-
-    def step_singular(
-        self, K: SimplicialComplex, sing: dict, tag: int
-    ) -> "tuple[SimplicialComplex, moves.MoveRecord]":
-        site = moves.detect_unfold(K)
-        if site is not None:
-            after, recu = moves.edge_unfold(
-                K, site.tetra, fresh=tuple(self.take_labels(2))
-            )
-            a, b = site.split_pair
-            a2, b2 = recu.get("fresh")
-            u, v = site.moebius_edge
-            sigma1 = tuple(sorted((u, v, a, b)))
-            sigma2 = tuple(sorted((u, v, a2, b2)))
-            psi = {u: u, v: v, a: a2, b: b2}
-            rebuilt, rec = moves.edge_fold(after, sigma1, sigma2, psi)
-            _verify_inverse(K, rebuilt, "edge folding")
-            self.log(tag, "unfold-at-moebius-tetrahedron", site.tetra)
-            return after, rec
-        # No fold witness: contract an edge joining a singular vertex to
-        # a non-singular neighbor, provided the link condition holds.
-        for edge, _deg in moves.contractible_edges(K):
-            a, b = edge
-            if (a in sing) == (b in sing):
-                continue
-            (w,) = self.take_labels(1)
-            after, recc = moves.contract_edge(K, edge, fresh=w)
-            rec = self._inverse_of_contraction(K, after, edge, w)
-            self.log(tag, "contract-singular-incident-edge", edge)
-            return after, rec
-        raise _Rejection(
-            "two-singular component has no fold witness and no admissible "
-            "contraction at a singular vertex"
-        )
-
-    def run(
-        self, K: SimplicialComplex, tag: int, sing: Optional[dict]
-    ) -> "tuple[list, list]":
-        """Reduce one connected normal component to seeds.
-
-        ``sing`` is its singular map (see ``_classify_component``); it
-        is carried through every step with ``normal_update``, which
-        rechecks only the faces the step touched.  Returns (seeds,
-        forward records in replay order).
-        """
-        inverses: list = []  # most recent first when reversed
-        while True:
-            _classify_component(K, sing)
-
-            if _is_simplex_boundary(K):
-                return [K], [(tag, r) for r in reversed(inverses)]
-
-            # (a) connected-sum split wherever every corner separates
-            for quad in K.missing_faces(3):
-                reports = moves._corner_reports(K, quad)
-                if not all(r.separates for r in reports.values()):
-                    continue
-                base = self.take_labels(4)[0]
-                try:
-                    K1, K2, rec = _split(K, quad, base)
-                except MoveError as e:
-                    # all corners separate yet the cut does not
-                    # disconnect: a handle, impossible below g2=10
-                    raise _Rejection(str(e)) from None
-                self.log(tag, "split-at-missing-tetrahedron", tuple(sorted(quad)))
-                seeds1, fwd1 = self.run(K1, tag, normal_update(K, K1, sing))
-                seeds2, fwd2 = self.run(K2, tag, normal_update(K, K2, sing))
-                forward = fwd1 + fwd2 + [(tag, rec)]
-                forward += [(tag, r) for r in reversed(inverses)]
-                return seeds1 + seeds2, forward
-
-            if sing:
-                K2, rec = self.step_singular(K, sing, tag)
-            elif K.f_vector().g2 == 0:
-                subs = moves.unsubdividable_vertices(K)
-                if not subs:
-                    raise _Rejection(
-                        "stacked-range component with no split and no "
-                        "degree-four vertex"
-                    )
-                w, _tet = subs[0]
-                K2, recu = moves.facet_unsubdivide(K, w)
-                rebuilt, rec = moves.facet_subdivide(
-                    K2, recu.get("facet"), fresh=w
-                )
-                _verify_inverse(K, rebuilt, "facet subdivision")
-                self.log(tag, "strip-degree-four-vertex", w)
-            else:
-                K2, rec = self.step_sphere(K, tag)
-
-            sing2 = normal_update(K, K2, sing)
-            if sing2 is None:
-                raise _Rejection(
-                    "reduction step produced an invalid complex: "
-                    f"{_components_all_normal(K2)}"
-                )
-            inverses.append(rec)
-            K, sing = K2, sing2
+        undo.append((tag, rec))
+        stack.append((tag, K2, sing2, undo))
+    return seeds, forward
 
 
 def reduce_complex(K: SimplicialComplex) -> ReduceReport:
@@ -716,18 +706,14 @@ def reduce_complex(K: SimplicialComplex) -> ReduceReport:
     except _Rejection as e:
         return ReduceReport(CLASS_REJECTED, e.reason, None, ())
 
-    session = _Reducer(K)
-    seeds: list = []
-    forward: list = []
+    rule_log: list = []
     try:
-        for tag, (comp, sing) in enumerate(zip(components, sings)):
-            s, f = session.run(comp, tag, sing)
-            seeds += s
-            forward += f
-    except _Rejection as e:
-        return ReduceReport(
-            CLASS_REJECTED, e.reason, None, tuple(session.rule_log)
+        seeds, forward = _reduce(
+            [(tag, *piece) for tag, piece in enumerate(zip(components, sings))],
+            K.fresh_label(), rule_log,
         )
+    except _Rejection as e:
+        return ReduceReport(CLASS_REJECTED, e.reason, None, tuple(rule_log))
 
     trace = ConstructionTrace(
         seeds=tuple(seeds),
@@ -741,7 +727,7 @@ def reduce_complex(K: SimplicialComplex) -> ReduceReport:
         input_class = CLASS_SPHERE
     else:
         input_class = CLASS_STACKED
-    return ReduceReport(input_class, None, trace, tuple(session.rule_log))
+    return ReduceReport(input_class, None, trace, tuple(rule_log))
 
 
 # ---------------------------------------------------------------------
@@ -790,7 +776,6 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
         if subs:
             K, _ = moves.facet_unsubdivide(K, subs[0][0])
             continue
-        progressed = False
         for quad in K.missing_faces(3):
             reports = moves._corner_reports(K, quad)
             if not any(r.separates for r in reports.values()):
@@ -803,7 +788,7 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
                 )
                 continue
             try:
-                K1, K2, _rec = split_at_missing_tetrahedron(K, quad)
+                K1, K2, _rec = _split(K, quad, None)
             except MoveError as e:
                 _note(facts, f"unsplittable missing tetrahedron: {e}")
                 continue
@@ -812,9 +797,8 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
                     [v for v, _ in validate_normal(C).singular_vertices]
                 )
             K = K1 if n_sing(K1) >= n_sing(K2) else K2
-            progressed = True
             break
-        if not progressed:
+        else:
             return K
 
 
