@@ -3,7 +3,8 @@
 Subcommands operate on facet-list files (one facet per line, labels
 separated by spaces, ``#`` starts a comment line).  Exit codes: 0 for
 a positive outcome, 1 when the requested property fails to hold or an
-operation is rejected, 2 for malformed input or arguments.
+operation is rejected, 2 for malformed input or arguments, or a file
+that cannot be read or written.
 
 The environment variable ``PSEUDOFORM_SEED`` overrides the default
 random seed used by ``rigidity`` and by ``gen RandomMoves(...)`` when
@@ -38,6 +39,18 @@ MALFORMED = 2
 def _fail(msg: str, code: int) -> int:
     print(msg, file=sys.stderr)
     return code
+
+
+class _WriteFailed(Exception):
+    """An output file could not be written; the message is its path."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError:
+        raise _WriteFailed(path) from None
 
 
 def _env_seed() -> Optional[int]:
@@ -188,7 +201,7 @@ def _cmd_move(args) -> int:
     print(f"applied {rec}", file=sys.stderr)
     out = io.format_facets(K2.facets)
     if args.output:
-        io.save_facets(args.output, K2.facets)
+        _write(args.output, out)
     else:
         sys.stdout.write(out)
     return OK
@@ -211,8 +224,7 @@ def _cmd_reduce(args) -> int:
     if not rep.accepted:
         return FALSE
     if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            fh.write(reducer.format_trace(rep.trace))
+        _write(args.trace, reducer.format_trace(rep.trace))
         print(f"trace written to {args.trace}", file=sys.stderr)
     return OK
 
@@ -292,8 +304,7 @@ def _cmd_gen(args) -> int:
     if g.stalled:
         print(f"note: {g.note}", file=sys.stderr)
     if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            fh.write(reducer.format_trace(g.trace))
+        _write(args.trace, reducer.format_trace(g.trace))
         print(f"trace written to {args.trace}", file=sys.stderr)
     text = io.format_facets(g.complex.facets)
     if args.json:
@@ -306,7 +317,7 @@ def _cmd_gen(args) -> int:
                        sorted(g.complex.facets, key=sorted)],
         }, sort_keys=True))
     elif args.output:
-        io.save_facets(args.output, g.complex.facets)
+        _write(args.output, text)
         print(f"written to {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -421,7 +432,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
+    except _WriteFailed as e:
+        return _fail(f"cannot write {e}", MALFORMED)
+    except OSError as e:
         return _fail(f"cannot read {e.filename}", MALFORMED)
     except (TraceFormatError, ValueError) as e:
         return _fail(f"malformed input: {e}", MALFORMED)

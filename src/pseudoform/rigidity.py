@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .complexes import SimplicialComplex
 from .defaults import DEFAULT_SEED
@@ -42,7 +42,7 @@ class RigidityVerdict:
     expected_full_rank: int
     is_generically_rigid: bool
     trials: int
-    prime: int
+    prime: int = DEFAULT_PRIME
 
     @property
     def edge_excess(self) -> int:
@@ -58,35 +58,31 @@ class RigidityVerdict:
         )
 
 
-def _rank_mod_p(rows: list, p: int) -> int:
-    """Gaussian elimination over GF(p); rows are mutable int lists."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                pivot = r
+def _rank(coords: list, pairs: list, dim: int) -> int:
+    """Rank over GF(p) of the rigidity matrix at ``coords`` with one
+    row per index pair, in one sparse row echelon pass."""
+    p = DEFAULT_PRIME
+    pivots: dict = {}  # leading column -> row scaled to lead 1
+    for iu, iv in pairs:
+        row = {}
+        for k in range(dim):
+            d = (coords[iu][k] - coords[iv][k]) % p
+            if d:
+                row[dim * iu + k] = d
+                row[dim * iv + k] = p - d
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {c: x * inv % p for c, x in row.items()}
                 break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col] % p, p - 2, p)
-        prow = [(x * inv) % p for x in rows[rank]]
-        rows[rank] = prow
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                factor = rows[r][col] % p
-                rows[r] = [
-                    (a - factor * b) % p for a, b in zip(rows[r], prow)
-                ]
-        rank += 1
-        col += 1
-    return rank
+            f = row[lead]
+            for c, x in pivot.items():
+                row[c] = (row.get(c, 0) - f * x) % p
+                if not row[c]:
+                    del row[c]
+    return len(pivots)
 
 
 def rigidity_rank(
@@ -95,7 +91,6 @@ def rigidity_rank(
     dim: int = 4,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    prime: int = DEFAULT_PRIME,
 ) -> RigidityVerdict:
     """Probabilistic-exact generic rigidity rank of a graph.
 
@@ -103,47 +98,37 @@ def rigidity_rank(
     best rank and stopping early once the theoretical ceiling
     min(|E|, dim*|V| - C(dim+1,2)) is reached.
     """
+    if dim < 1:
+        raise DimensionError(f"ambient dimension must be at least 1, got {dim}")
     vs = sorted(set(vertices))
-    es = sorted(frozenset(e) for e in edges)
+    index = {v: i for i, v in enumerate(vs)}
     if len(vs) < dim + 1:
         raise DimensionError(
             f"need at least {dim + 1} vertices for dimension {dim}, got {len(vs)}"
         )
-    if any(len(e) != 2 or not e <= set(vs) for e in es):
+    try:
+        pairs = sorted((index[u], index[v]) for u, v in map(sorted, edges))
+    except (TypeError, ValueError, KeyError):
+        pairs = None
+    if pairs is None or any(i == j for i, j in pairs):
         raise DimensionError("edges must be vertex pairs inside the vertex set")
-    index = {v: i for i, v in enumerate(vs)}
     expected = dim * len(vs) - comb(dim + 1, 2)
-    ceiling = min(len(es), expected)
+    ceiling = min(len(pairs), expected)
 
     rng = Random(seed)
     best = 0
-    used = 0
-    for _ in range(max(1, trials)):
-        used += 1
-        coords = [
-            [rng.randrange(prime) for _ in range(dim)] for _ in vs
-        ]
-        rows = []
-        for e in es:
-            u, v = sorted(e)
-            iu, iv = index[u], index[v]
-            row = [0] * (dim * len(vs))
-            for k in range(dim):
-                d = (coords[iu][k] - coords[iv][k]) % prime
-                row[dim * iu + k] = d
-                row[dim * iv + k] = (-d) % prime
-            rows.append(row)
-        best = max(best, _rank_mod_p(rows, prime))
+    for used in range(1, max(1, trials) + 1):
+        coords = [[rng.randrange(DEFAULT_PRIME) for _ in range(dim)] for _ in vs]
+        best = max(best, _rank(coords, pairs, dim))
         if best == ceiling:
             break
     return RigidityVerdict(
-        graph_size=(len(vs), len(es)),
+        graph_size=(len(vs), len(pairs)),
         ambient_dim=dim,
         rank=best,
         expected_full_rank=expected,
         is_generically_rigid=(best == expected),
         trials=used,
-        prime=prime,
     )
 
 

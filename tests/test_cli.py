@@ -7,7 +7,7 @@ import pytest
 from pseudoform import cli, io, reducer
 from pseudoform.generators import boundary_simplex
 
-from conftest import FIXTURES
+from conftest import COMPLEX_FIXTURES, FIXTURES
 
 
 def run(capsys, *argv):
@@ -232,6 +232,38 @@ def test_rigidity_rejects_surface_file(capsys):
     assert "malformed" in err
 
 
+# stdout and exit code of `rigidity` and `rigidity --json` on every
+# complex fixture, recorded before the rank became a sparse pass.
+RIGIDITY_OUTPUT = {
+    "boundary4simplex": (0, "V=5 E=10 dim=4 rank=10/10 rigid excess=0\n",
+                         '{"edge_excess": 0, "edges": 10, "expected_full_rank": 10, "rank": 10, "rigid": true, "vertices": 5}\n'),
+    "stacked_sphere_8": (0, "V=8 E=22 dim=4 rank=22/22 rigid excess=0\n",
+                         '{"edge_excess": 0, "edges": 22, "expected_full_rank": 22, "rank": 22, "rigid": true, "vertices": 8}\n'),
+    "cross_polytope": (0, "V=8 E=24 dim=4 rank=22/22 rigid excess=2\n",
+                       '{"edge_excess": 2, "edges": 24, "expected_full_rank": 22, "rank": 22, "rigid": true, "vertices": 8}\n'),
+    "chain5": (0, "V=9 E=26 dim=4 rank=26/26 rigid excess=0\n",
+               '{"edge_excess": 0, "edges": 26, "expected_full_rank": 26, "rank": 26, "rigid": true, "vertices": 9}\n'),
+    "chain9": (0, "V=13 E=42 dim=4 rank=42/42 rigid excess=0\n",
+               '{"edge_excess": 0, "edges": 42, "expected_full_rank": 42, "rank": 42, "rigid": true, "vertices": 13}\n'),
+    "foldable_sphere": (0, "V=10 E=30 dim=4 rank=30/30 rigid excess=0\n",
+                        '{"edge_excess": 0, "edges": 30, "expected_full_rank": 30, "rank": 30, "rigid": true, "vertices": 10}\n'),
+    "folded_g2_3": (0, "V=8 E=25 dim=4 rank=22/22 rigid excess=3\n",
+                    '{"edge_excess": 3, "edges": 25, "expected_full_rank": 22, "rank": 22, "rigid": true, "vertices": 8}\n'),
+    "folded_g2_4": (0, "V=8 E=26 dim=4 rank=22/22 rigid excess=4\n",
+                    '{"edge_excess": 4, "edges": 26, "expected_full_rank": 22, "rank": 22, "rigid": true, "vertices": 8}\n'),
+    "double_fold_g2_6": (0, "V=12 E=44 dim=4 rank=38/38 rigid excess=6\n",
+                         '{"edge_excess": 6, "edges": 44, "expected_full_rank": 38, "rank": 38, "rigid": true, "vertices": 12}\n'),
+}
+
+
+def test_rigidity_output_pinned(capsys):
+    assert sorted(RIGIDITY_OUTPUT) == sorted(COMPLEX_FIXTURES)
+    for name, (want_code, text, payload) in RIGIDITY_OUTPUT.items():
+        assert run(capsys, "rigidity", path(name))[:2] == (want_code, text)
+        assert run(capsys, "rigidity", path(name), "--json")[:2] == (
+            want_code, payload)
+
+
 # ------------------------------------------------------------ generators
 
 
@@ -304,6 +336,27 @@ def test_unreadable_file(capsys):
     code, _out, err = run(capsys, "validate", "/nonexistent/k.txt")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "replay"])
+def test_directory_as_input(capsys, tmp_path, command):
+    code, _out, err = run(capsys, command, str(tmp_path))
+    assert code == 2
+    assert err == f"cannot read {tmp_path}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", path("boundary4simplex"), "--trace"],
+    ["gen", "StackedSphere(4)", "--trace"],
+    ["gen", "StackedSphere(4)", "-o"],
+    ["move", "FacetSubdivide", path("boundary4simplex"), "--facet", "0,1,2,3",
+     "--fresh", "9", "-o"],
+])
+def test_unwritable_output(capsys, tmp_path, argv):
+    target = str(tmp_path / "no-such-dir" / "out")
+    code, _out, err = run(capsys, *argv, target)
+    assert code == 2
+    assert err.endswith(f"cannot write {target}\n")
 
 
 def test_malformed_facet_file(capsys, tmp_path):

@@ -64,6 +64,19 @@ def test_bad_edge_raises():
         rigidity.rigidity_rank(range(6), [(0, 0)], dim=4)
 
 
+def test_dimension_below_one_raises():
+    with pytest.raises(DimensionError):
+        rigidity.rigidity_rank(range(6), [(0, 1)], dim=0)
+    with pytest.raises(DimensionError):
+        rigidity.rigidity_rank(range(6), [(0, 1)], dim=-1)
+
+
+def test_non_pair_edge_raises():
+    for edges in ([5], [None], [(0, 1, 2)], [(0,)], [(0, "a")], [([0], [1])]):
+        with pytest.raises(DimensionError):
+            rigidity.rigidity_rank(range(6), edges, dim=4)
+
+
 def test_star_bound_on_fixtures(fx):
     for name in ("cross_polytope", "folded_g2_3", "folded_g2_4"):
         K = fx(name)
