@@ -18,7 +18,6 @@ reports the vertices whose link is not a 2-sphere (singular vertices).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, Optional
@@ -305,23 +304,27 @@ class SimplicialComplex:
         except KeyError:
             raise MissingFaceError(f"vertex {v} is not in the complex") from None
 
-    def graph_distances(self, source: int) -> dict:
-        """BFS distances from ``source`` in the 1-skeleton."""
-        dist = {source: 0}
-        queue = deque([source])
-        adj = self.adjacency
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
+    def _components(self) -> dict:
+        """Vertex -> a representative vertex of its 1-skeleton component."""
+        got = self._cache.get("components")
+        if got is None:
+            got = {}
+            adj = self.adjacency
+            for s in self.vertices:
+                if s in got:
+                    continue
+                got[s] = s
+                todo = [s]
+                while todo:
+                    for y in adj[todo.pop()]:
+                        if y not in got:
+                            got[y] = s
+                            todo.append(y)
+            self._cache["components"] = got
+        return got
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(self.graph_distances(min(self.vertices))) == len(self.vertices)
+        return len(set(self._components().values())) <= 1
 
     def connected_components(self) -> list:
         """Components of the 1-skeleton, each as a complex.
@@ -329,15 +332,12 @@ class SimplicialComplex:
         Facets are cliques, so every facet lies in exactly one
         component.
         """
-        unseen = set(self.vertices)
-        comps = []
-        while unseen:
-            reached = self.graph_distances(min(unseen))
-            unseen -= reached.keys()
-            comps.append(
-                SimplicialComplex(F for F in self.facets if next(iter(F)) in reached)
-            )
-        return sorted(comps, key=lambda K: sorted(K.vertices))
+        comp = self._components()
+        parts: dict = {}
+        for F in self.facets:
+            parts.setdefault(comp[next(iter(F))], []).append(F)
+        comps = map(SimplicialComplex, parts.values())
+        return sorted(comps, key=lambda K: min(K.vertices))
 
     # -- missing faces -------------------------------------------------
 
@@ -572,11 +572,7 @@ def total_g2(K: SimplicialComplex) -> int:
                 "total_g2 is defined for 3-complexes, this one has "
                 f"dimension {K.dimension}"
             )
-        unseen = set(K.vertices)
-        c = 0
-        while unseen:
-            unseen -= K.graph_distances(next(iter(unseen))).keys()
-            c += 1
+        c = len(set(K._components().values()))
         got = len(K.faces(1)) - 4 * len(K.vertices) + 10 * c
         K._cache["total_g2"] = got
     return got

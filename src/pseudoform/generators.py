@@ -19,7 +19,6 @@ from . import moves, reducer
 from .complexes import SimplicialComplex, normal_update, total_g2
 from .defaults import DEFAULT_SEED
 from .errors import MoveError, PseudoformError
-from .surfaces import RP2
 
 
 def boundary_simplex(base: int = 0) -> SimplicialComplex:
@@ -81,26 +80,14 @@ def find_admissible_fold(K: SimplicialComplex) -> Optional[tuple]:
 
 
 def admissible_handles(K: SimplicialComplex) -> list:
-    """All admissible handle identifications, sorted.
-
-    A bijection between two disjoint facets qualifies when every
-    vertex moves to graph distance at least 3.
-    """
-    dist = {v: K.graph_distances(v) for v in K.vertices}
-    out = []
-    facets = sorted(tuple(sorted(F)) for F in K.facets)
-    for s1, s2 in itertools.combinations(facets, 2):
-        if set(s1) & set(s2):
-            continue
-        for perm in itertools.permutations(s2):
-            if all(dist[x].get(y, 99) >= 3 for x, y in zip(s1, perm)):
-                out.append((s1, s2, tuple(zip(s1, perm))))
-    return out
+    """All admissible handles, sorted: two facets of one component glued
+    by a map that moves every vertex to graph distance at least 3."""
+    return list(moves.handle_sites(K))
 
 
 def find_admissible_handle(K: SimplicialComplex) -> Optional[tuple]:
-    hs = admissible_handles(K)
-    return hs[0] if hs else None
+    """Lexicographically first admissible handle, or None."""
+    return next(moves.handle_sites(K), None)
 
 
 # ---------------------------------------------------------------------
@@ -230,8 +217,10 @@ def _gen_stacked(blocks: int, seed: int) -> GeneratedComplex:
     return GeneratedComplex(spec, K, _trace_for(K, seeds, forward))
 
 
-# The kinds a walk draws from: those with a site enumerator.
-_WALK_KINDS = tuple(kind for kind, m in moves.MOVES.items() if m.sites)
+# The kinds a walk draws from.
+_WALK_KINDS = (moves.BISTELLAR1, moves.BISTELLAR2, moves.EDGE_CONTRACT,
+               moves.EDGE_EXPAND, moves.TWO_FACETS_INSERT, moves.TWO_FACETS_CONTRACT,
+               moves.EDGE_FOLD, moves.FACET_SUBDIVIDE, moves.FACET_UNSUBDIVIDE)
 
 
 def _scope_update(
@@ -243,17 +232,17 @@ def _scope_update(
     ``K`` is in scope with singular map ``singular``, and only what the
     move touched is rechecked (``normal_update``).  In scope means: total
     g2 at most the cap, every component normal closed, and each component
-    with singular vertices has exactly two, both with RP2 links, and g2
-    3 or 4.  Components are formed only when there are singular vertices.
+    with singular vertices in the reducer's scope for them
+    (``reducer._singular_out_of_scope``).  Components are formed only
+    when there are singular vertices.
     """
     if total_g2(K2) > g2_cap:
         return None
     sing = normal_update(K, K2, singular)
     if sing:
         for comp in K2.connected_components():
-            here = [cls for v, cls in sing.items() if v in comp.vertices]
-            if here and (len(here) != 2 or any(c.kind != RP2 for c in here)
-                         or comp.f_vector().g2 not in (3, 4)):
+            here = {v: cls for v, cls in sing.items() if v in comp.vertices}
+            if here and reducer._singular_out_of_scope(comp, here):
                 return None
     return sing
 

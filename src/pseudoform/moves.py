@@ -29,9 +29,8 @@ labels back in explicitly.
 
 Each kind is defined once, in :data:`MOVES`: its record schema, its
 constructor and its lazy site enumerator.  Replay, the command line and
-the random walk all dispatch through that table.  Where a kind has a
-site enumerator that filters candidates, the enumerator and the
-constructor call the same precondition function.
+the random walk all dispatch through that table.  A kind's enumerator
+and its constructor call the same precondition function.
 """
 
 from __future__ import annotations
@@ -107,7 +106,10 @@ def _require_absent_labels(K: SimplicialComplex, labels: Sequence[int]) -> None:
 def _fresh_pair(K: SimplicialComplex, given) -> tuple:
     """Two new labels: ``given``, or the next two unused ones."""
     m = K.fresh_label()
-    a, b = (m, m + 1) if given is None else given
+    try:
+        a, b = (m, m + 1) if given is None else given
+    except (TypeError, ValueError):
+        raise MoveError(f"expected two fresh labels, got {given!r}") from None
     _require_absent_labels(K, (a, b))
     return a, b
 
@@ -244,8 +246,12 @@ def _all_faces(L: SimplicialComplex) -> frozenset:
 
 
 def _contract_edge_check(K: SimplicialComplex, e: frozenset) -> None:
-    """The link condition: the endpoint links meet exactly in lk(e)."""
+    """The link of ``e`` is a circle, and the link condition holds: the
+    endpoint links meet exactly in lk(e)."""
     u, v = sorted(e)
+    L = K.link(e)
+    if not L.is_connected() or any(len(nb) != 2 for nb in L.adjacency.values()):
+        raise MoveError(f"link of edge ({u}, {v}) is not a circle")
     common = _all_faces(K.link((u,))) & _all_faces(K.link((v,)))
     extra = sorted(common - _all_faces(K.link(e)), key=sorted)
     if extra:
@@ -471,8 +477,10 @@ def insertion_sites(K: SimplicialComplex) -> list:
     return list(_iter_insertion_sites(K))
 
 
-def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> frozenset:
-    """The one triangle in which the stars of ``u`` and ``v`` meet."""
+def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> tuple:
+    """The one triangle in which the stars of ``u`` and ``v`` meet, the
+    facets of the two stars, and the boundary triangles of their union,
+    which must avoid ``u`` and ``v``."""
     for x in (u, v):
         if x not in K.vertices:
             raise MissingFaceError(f"vertex {x} is not in the complex")
@@ -496,26 +504,7 @@ def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> frozense
             f"{[tuple(sorted(f)) for f in stray]}",
             details=tuple(tuple(sorted(f)) for f in stray),
         )
-    return t
-
-
-def contract_two_facets(
-    K: SimplicialComplex, u: int, v: int, fresh: Optional[int] = None
-) -> "tuple[SimplicialComplex, MoveRecord]":
-    """Merge two vertex stars that meet in a single triangle.
-
-    ``u`` and ``v`` must be non-adjacent with ``star(u) * star(v)``
-    exactly one triangle and its faces.  Both stars are removed
-    (dropping the shared triangle) and the boundary sphere of the
-    union is coned over one fresh vertex.  Equivalent to a bistellar
-    1-move at the shared triangle followed by contracting the new
-    edge.  g2 grows by one.
-    """
-    t = _contract_two_facets_check(K, u, v)
-    w = K.fresh_label() if fresh is None else fresh
-    _require_absent_labels(K, (w,))
-
-    ball = [F for F in K.facets if u in F or v in F]
+    ball = K._cofacets(frozenset((u,))) + K._cofacets(frozenset((v,)))
     tri_count: dict = {}
     for F in ball:
         for sub in itertools.combinations(sorted(F), 3):
@@ -530,6 +519,24 @@ def contract_two_facets(
             f"{u} or {v}: {through}; the stars do not form a ball",
             details=tuple(through),
         )
+    return t, ball, boundary
+
+
+def contract_two_facets(
+    K: SimplicialComplex, u: int, v: int, fresh: Optional[int] = None
+) -> "tuple[SimplicialComplex, MoveRecord]":
+    """Merge two vertex stars that meet in a single triangle.
+
+    ``u`` and ``v`` must be non-adjacent with ``star(u) * star(v)``
+    exactly one triangle and its faces.  Both stars are removed
+    (dropping the shared triangle) and the boundary sphere of the
+    union is coned over one fresh vertex.  Equivalent to a bistellar
+    1-move at the shared triangle followed by contracting the new
+    edge.  g2 grows by one.
+    """
+    t, ball, boundary = _contract_two_facets_check(K, u, v)
+    w = K.fresh_label() if fresh is None else fresh
+    _require_absent_labels(K, (w,))
     K2 = SimplicialComplex(
         (K.facets - frozenset(ball)) | {s | {w} for s in boundary}
     )
@@ -551,7 +558,7 @@ def _iter_contraction_pair_sites(K: SimplicialComplex) -> Iterator:
         for G in K._cofacets(F - {u})
         for v in G - F
     }
-    for (u, v), t in _passing(_contract_two_facets_check, K, sorted(pairs)):
+    for (u, v), (t, *_) in _passing(_contract_two_facets_check, K, sorted(pairs)):
         yield u, v, tuple(sorted(t))
 
 
@@ -646,13 +653,51 @@ def connected_sum_in(
     """Connected sum of two components of one (disconnected) complex."""
     s1, s2 = _two_facets(K, sigma1, sigma2)
     p = _check_psi(s1, s2, psi)
-    reach = K.graph_distances(min(s1))
-    if any(x in reach for x in s2):
+    comp = K._components()
+    if comp[min(s1)] == comp[min(s2)]:
         raise MoveError(
             "connected sum needs the two facets in different components; "
             "use handle addition within one component"
         )
     return _identify_facets(K, s1, p), _gluing_record(CONNECTED_SUM, 0, s1, s2, p)
+
+
+def _two_path(K: SimplicialComplex, a: int, b: int, avoid=frozenset()):
+    """A vertex path of length at most 2 from ``a`` to ``b`` whose middle
+    vertex is not in ``avoid`` (the smallest such middle), or None."""
+    adj = K.adjacency
+    if a == b:
+        return (a,)
+    if b in adj[a]:
+        return (a, b)
+    middles = (adj[a] & adj[b]) - avoid
+    return (a, min(middles), b) if middles else None
+
+
+def _handle_check(
+    K: SimplicialComplex, sigma1: Iterable[int], sigma2: Iterable[int], psi: dict
+) -> tuple:
+    """The two facets of one component and the checked gluing map,
+    which moves every vertex to graph distance at least 3."""
+    s1, s2 = _two_facets(K, sigma1, sigma2)
+    if s1 == s2:
+        raise MoveError("cannot glue a facet to itself")
+    p = _check_psi(s1, s2, psi)
+    comp = K._components()
+    if comp[min(s1)] != comp[min(s2)]:
+        raise MoveError(
+            "handle addition needs both facets in one component; "
+            "use connected sum across components"
+        )
+    for x in sorted(s1):
+        path = _two_path(K, x, p[x])
+        if path is not None:
+            raise MoveError(
+                f"gluing map moves {x} to {p[x]} at distance {len(path) - 1} < 3 "
+                f"(path {list(path)})",
+                details=path,
+            )
+    return s1, s2, p
 
 
 def handle_addition(
@@ -664,25 +709,22 @@ def handle_addition(
     error reports a violating short path.  The identified facet is
     removed.  g2 grows by 10.
     """
-    s1, s2 = _two_facets(K, sigma1, sigma2)
-    if s1 == s2:
-        raise MoveError("cannot glue a facet to itself")
-    p = _check_psi(s1, s2, psi)
-    reach = K.graph_distances(min(s1))
-    if not all(x in reach for x in s2):
-        raise MoveError(
-            "handle addition needs both facets in one component; "
-            "use connected sum across components"
-        )
-    for x in sorted(s1):
-        path = _short_path(K, x, p[x], limit=2)
-        if path is not None:
-            raise MoveError(
-                f"gluing map moves {x} to {p[x]} at distance {len(path) - 1} < 3 "
-                f"(path {path})",
-                details=tuple(path),
-            )
+    s1, s2, p = _handle_check(K, sigma1, sigma2, psi)
     return _identify_facets(K, s1, p), _gluing_record(HANDLE_ADD, +10, s1, s2, p)
+
+
+def handle_sites(K: SimplicialComplex) -> Iterator:
+    """Admissible handles as (sigma1, sigma2, psi-pairs), lazily, sorted.
+    Facets sharing a vertex are skipped: it puts every corner within
+    distance 2 of every image."""
+    candidates = (
+        (s1, s2, dict(zip(s1, image)))
+        for s1, s2 in itertools.combinations(K.canonical_facets(), 2)
+        if not set(s1) & set(s2)
+        for image in itertools.permutations(s2)
+    )
+    for (s1, s2, psi), _ in _passing(_handle_check, K, candidates):
+        yield s1, s2, tuple(sorted(psi.items()))
 
 
 def _edge_fold_check(
@@ -704,19 +746,14 @@ def _edge_fold_check(
         raise MoveError(
             f"gluing map must fix the shared edge ({u}, {v}) pointwise"
         )
-    adj = K.adjacency
     for y in sorted(s1 - shared):
-        z = p[y]
-        if z in adj[y]:
+        path = _two_path(K, y, p[y], avoid=shared)
+        if path is not None:
             raise MoveError(
-                f"fold pairs adjacent vertices {y} and {z}", details=(y, z)
-            )
-        outside = sorted((adj[y] & adj[z]) - shared)
-        if outside:
-            raise MoveError(
-                f"2-path from {y} to {z} through {outside[0]} avoids the "
+                f"fold pairs adjacent vertices {y} and {p[y]}" if len(path) == 2
+                else f"2-path from {y} to {p[y]} through {path[1]} avoids the "
                 f"folding edge ({u}, {v})",
-                details=(y, outside[0], z),
+                details=path,
             )
     # The fold glues two edges of the link circle of uv onto each
     # other.  Of the two corner matchings only one keeps that circle
@@ -772,23 +809,6 @@ def fold_sites(K: SimplicialComplex) -> Iterator:
         yield (s1, s2, tuple(sorted(psi.items())))
 
 
-def _short_path(K: SimplicialComplex, a: int, b: int, limit: int):
-    """Vertex path from a to b of length <= limit, or None."""
-    if a == b:
-        return [a]
-    frontier = {a: [a]}
-    for _ in range(limit):
-        nxt = {}
-        for x, path in frontier.items():
-            for y in K.adjacency[x]:
-                if y == b:
-                    return path + [y]
-                if y not in nxt:
-                    nxt[y] = path + [y]
-        frontier = nxt
-    return None
-
-
 # ---------------------------------------------------------------------
 # edge unfolding
 # ---------------------------------------------------------------------
@@ -816,13 +836,19 @@ def _corner_reports(K: SimplicialComplex, quad: frozenset) -> dict:
     }
 
 
-def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
-    """The corner reports of a missing tetrahedron with two Moebius and
-    two separating corners, and those corner pairs."""
-    if len(quad) != 4:
-        raise MoveError(f"expected four labels, got {sorted(quad)}")
-    if quad in K.facets or not all(K.contains_face(quad - {x}) for x in quad):
+def _missing_tetrahedron_check(K: SimplicialComplex, quad: frozenset) -> None:
+    """Four labels whose triangles are all faces, the four not a facet."""
+    triangles = (quad - {x} for x in quad)
+    if len(quad) != 4 or quad in K.facets or not all(map(K.contains_face, triangles)):
         raise MoveError(f"{sorted(quad)} is not a missing tetrahedron")
+
+
+def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
+    """A missing tetrahedron with two Moebius and two separating
+    corners: those corner pairs, the cut side (0 or 1) of each facet at
+    each separating corner, and the side at the second that pairs with
+    side 1 at the first."""
+    _missing_tetrahedron_check(K, quad)
     reports = _corner_reports(K, quad)
     moeb = tuple(x for x in sorted(quad) if reports[x].neighborhood == MOEBIUS)
     seps = tuple(x for x in sorted(quad) if reports[x].separates)
@@ -832,21 +858,31 @@ def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
             f"moebius at {list(moeb)}, separating at {list(seps)}",
             details=(moeb, seps),
         )
-    return reports, moeb, seps
+    a, b = seps
+    side_a = {F: _side_of(reports[a], F - {a}) for F in K._cofacets(frozenset((a,)))}
+    side_b = {F: _side_of(reports[b], F - {b}) for F in K._cofacets(frozenset((b,)))}
+    # Pair the sides through the facets containing the edge ab: sides
+    # seen together belong to the same reinstated facet.
+    pairing: dict = {}
+    for F in K._cofacets(frozenset((a, b))):
+        if pairing.setdefault(side_a[F], side_b[F]) != side_b[F]:
+            raise MoveError(
+                f"link sides at {a} and {b} do not pair consistently",
+                details=(a, b),
+            )
+    return moeb, seps, side_a, side_b, pairing[1] if 1 in pairing else 1 - pairing[0]
 
 
 def _iter_unfold_sites(K: SimplicialComplex) -> Iterator:
     """(tetra, moebius_edge, split_pair) of each missing tetrahedron
-    with two Moebius and two separating corners, lazily, sorted.  Not
-    the unfold's ``Move.sites``, or the random walk would unfold."""
+    that ``edge_unfold`` accepts, lazily, sorted."""
     quads = ((q,) for q in K.missing_faces(3))
-    for (quad,), (_reports, moeb, seps) in _passing(_unfold_check, K, quads):
+    for (quad,), (moeb, seps, *_sides) in _passing(_unfold_check, K, quads):
         yield tuple(sorted(quad)), moeb, seps
 
 
 def detect_unfold(K: SimplicialComplex) -> Optional[UnfoldSite]:
-    """The first site of ``_iter_unfold_sites`` (a missing tetrahedron
-    with two Moebius and two separating corners), or None."""
+    """The first site of ``_iter_unfold_sites``, or None."""
     site = next(_iter_unfold_sites(K), None)
     return None if site is None else UnfoldSite(*site)
 
@@ -866,40 +902,20 @@ def edge_unfold(
     drops by 3.
     """
     quad = frozenset(tetra)
-    reports, (u, v), (a, b) = _unfold_check(K, quad)
-
-    side_a = {F: _side_of(reports[a], F - {a}) for F in K._cofacets(frozenset((a,)))}
-    side_b = {F: _side_of(reports[b], F - {b}) for F in K._cofacets(frozenset((b,)))}
-
-    # Pair the sides through the facets containing the edge ab: sides
-    # seen together belong to the same reinstated facet.
-    pairing: dict = {}
-    for F in K._cofacets(frozenset((a, b))):
-        sa, sb = side_a[F], side_b[F]
-        if pairing.setdefault(sa, sb) != sb:
-            raise MoveError(
-                f"link sides at {a} and {b} do not pair consistently",
-                details=(a, b),
-            )
-    if len(pairing) == 1:
-        (sa, sb) = next(iter(pairing.items()))
-        pairing[1 - sa] = 1 - sb
-
+    (u, v), (a, b), side_a, side_b, b_side = _unfold_check(K, quad)
     a2, b2 = _fresh_pair(K, fresh)
 
-    out = []
+    # Fresh a2 and b2 make the relabelling one-to-one, and its image
+    # avoids the missing tetrahedron, so the two new facets are new.
+    out = [frozenset((u, v, a, b)), frozenset((u, v, a2, b2))]
     for F in K.facets:
         G = F
         if a in F and side_a[F] == 1:
             G = (G - {a}) | {a2}
-        if b in F and side_b[F] == pairing[1]:
+        if b in F and side_b[F] == b_side:
             G = (G - {b}) | {b2}
         out.append(G)
-    out.append(frozenset((u, v, a, b)))
-    out.append(frozenset((u, v, a2, b2)))
     K2 = SimplicialComplex(out)
-    if len(K2.facets) != len(K.facets) + 2:
-        raise MoveError("splitting the fold corners collapsed facets")
     rec = _record(
         EDGE_UNFOLD,
         -3,
@@ -1026,17 +1042,13 @@ class Move:
     ``construct(K, values)`` runs the public constructor on the inputs
     and fresh labels in ``values``, a dict keyed like the record
     (derived keys are ignored; absent fresh labels take the default).
-    ``sites(K)`` yields where the move can land, lazily and in sorted
-    order, each site starting with the inputs in schema order; the
-    public list of a kind (``bistellar_one_sites``, ``admissible_folds``
-    ...) is that same generator run to the end.  It is None for the
-    gluings, which pair two facets (see
-    ``generators.admissible_handles``), and for the unfold, whose sites
-    ``_iter_unfold_sites`` lists for the reducer; the random walk draws
-    from the kinds that have it, and lists a kind in full only when it
-    tries that kind.  ``construct`` looks the public constructor up
-    when called, so wrappers put on this module (a profiler, a tracer)
-    see every move made through the table.
+    ``sites(K)`` yields every site the constructor accepts, found by its
+    precondition check, lazily and in sorted order, each starting with
+    the inputs in schema order; EdgeExpand's are candidate cycles, which
+    the constructor may reject.  It is None only for ConnectedSum.
+    ``construct`` looks the public constructor up when called, so
+    wrappers put on this module (a profiler, a tracer) see every move
+    made through the table.
     """
 
     params: tuple
@@ -1094,7 +1106,8 @@ MOVES = {
     HANDLE_ADD: Move(
         _GLUING,
         lambda K, p: handle_addition(
-            K, p["sigma1"], p["sigma2"], dict(p["psi"]))),
+            K, p["sigma1"], p["sigma2"], dict(p["psi"])),
+        handle_sites),
     EDGE_FOLD: Move(
         _GLUING + (Param("edge", DERIVED, EDGE),),
         lambda K, p: edge_fold(K, p["sigma1"], p["sigma2"], dict(p["psi"])),
@@ -1102,7 +1115,8 @@ MOVES = {
     EDGE_UNFOLD: Move(
         (Param("tetra", INPUT, TETRA), Param("moebius_edge", DERIVED, EDGE),
          Param("split_pair", DERIVED, EDGE), Param("fresh", FRESH, EDGE)),
-        lambda K, p: edge_unfold(K, p["tetra"], fresh=p.get("fresh"))),
+        lambda K, p: edge_unfold(K, p["tetra"], fresh=p.get("fresh")),
+        _iter_unfold_sites),
     FACET_SUBDIVIDE: Move(
         (Param("facet", INPUT, TETRA), Param("fresh", FRESH, LABEL)),
         lambda K, p: facet_subdivide(K, p["facet"], fresh=p.get("fresh")),

@@ -353,8 +353,7 @@ def split_at_missing_tetrahedron(
     tetrahedron, plus the ConnectedSum record that reassembles them.
     """
     quad = frozenset(tetra)
-    if quad in K.facets or quad not in set(K.missing_faces(3)):
-        raise MoveError(f"{sorted(quad)} is not a missing tetrahedron")
+    moves._missing_tetrahedron_check(K, quad)
     reports = moves._corner_reports(K, quad)
     moebius = [x for x in sorted(quad) if not reports[x].separates]
     if moebius:
@@ -470,48 +469,42 @@ def _classify_component(
         raise _Rejection(
             f"not a normal closed pseudomanifold: {validate_normal(K).summary()}"
         )
-    g2 = K.f_vector().g2
     if not sing:
+        g2 = K.f_vector().g2
         if g2 > 9:
             raise _Rejection(f"sphere component with g2={g2} > 9")
         return CLASS_STACKED if g2 == 0 else CLASS_SPHERE
-    bad = sorted(v for v, cls in sing.items() if cls.kind != RP2)
-    if bad:
-        raise _Rejection(
-            f"singular vertices {bad} have links other than a projective plane"
-        )
-    if len(sing) != 2:
-        raise _Rejection(
-            f"{len(sing)} projective-plane vertices; only exactly two are in scope"
-        )
-    if g2 not in (3, 4):
-        raise _Rejection(
-            f"two-singular component with g2={g2}; only 3 and 4 are in scope"
-        )
+    why = _singular_out_of_scope(K, sing)
+    if why is not None:
+        raise _Rejection(why)
     return CLASS_TWO_SINGULAR
 
 
+def _singular_out_of_scope(K: SimplicialComplex, sing: dict) -> Optional[str]:
+    """Why the component ``K`` with singular vertices ``sing`` is out of
+    the reducer's and the walk's scope, or None when it has exactly two,
+    both with projective-plane links, and g2 3 or 4."""
+    bad = sorted(v for v, cls in sing.items() if cls.kind != RP2)
+    if bad:
+        return f"singular vertices {bad} have links other than a projective plane"
+    if len(sing) != 2:
+        return f"{len(sing)} projective-plane vertices; only exactly two are in scope"
+    g2 = K.f_vector().g2
+    if g2 not in (3, 4):
+        return f"two-singular component with g2={g2}; only 3 and 4 are in scope"
+    return None
+
+
 def _cycle_tuple(L: SimplicialComplex) -> tuple:
-    """Deterministic traversal of a 1-dimensional cycle complex."""
-    adj: dict = {}
-    for e in L.faces(1):
-        a, b = sorted(e)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = min(adj)
-    if any(len(ns) != 2 for ns in adj.values()):
-        raise MoveError("edge link is not a single cycle")
-    walk = [start, min(adj[start])]
-    while True:
-        prev, cur = walk[-2], walk[-1]
-        nxt = [x for x in adj[cur] if x != prev]
-        if not nxt:
-            raise MoveError("edge link walk broke off")
-        if nxt[0] == start:
-            break
-        walk.append(nxt[0])
-    if len(walk) != len(adj):
-        raise MoveError("edge link is not a single cycle")
+    """The vertices of the circle ``L`` in order, from its least vertex
+    towards the smaller of that vertex's two neighbours.  The link of a
+    contracted edge is a circle: the contraction checks it."""
+    adj = L.adjacency
+    walk = [min(adj)]
+    nxt = min(adj[walk[0]])
+    while nxt != walk[0]:
+        walk.append(nxt)
+        (nxt,) = adj[nxt] - {walk[-2]}
     return tuple(walk)
 
 
@@ -595,8 +588,7 @@ def _apply_rule(
     unused label; None when no site is usable."""
     _rule_id, kind, keep = rule
     move = moves.MOVES[kind]
-    sites = moves._iter_unfold_sites if kind == moves.EDGE_UNFOLD else move.sites
-    for site in sites(K):
+    for site in move.sites(K):
         if keep is not None and not keep(sing, site):
             continue
         values = dict(zip(move.inputs, site))
@@ -607,10 +599,7 @@ def _apply_rule(
             else tuple(itertools.islice(labels, len(p.shape)))
             for p in move.params if p.role == moves.FRESH
         }
-        try:
-            after, rec = move.construct(K, {**values, **fresh})
-        except PseudoformError:  # e.g. an unfold whose sides do not pair
-            continue
+        after, rec = move.construct(K, {**values, **fresh})
         witness = site[0] if len(move.inputs) == 1 else tuple(values.values())
         return after, _rebuild(K, after, rec), witness, next(labels)
     return None

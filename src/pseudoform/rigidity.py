@@ -98,9 +98,14 @@ def rigidity_rank(
     best rank and stopping early once the theoretical ceiling
     min(|E|, dim*|V| - C(dim+1,2)) is reached.
     """
-    if dim < 1:
-        raise DimensionError(f"ambient dimension must be at least 1, got {dim}")
-    vs = sorted(set(vertices))
+    if not isinstance(dim, int) or dim < 1:
+        raise DimensionError(f"ambient dimension must be at least 1, got {dim!r}")
+    if not isinstance(trials, int):
+        raise DimensionError(f"trials must be an integer, got {trials!r}")
+    try:
+        vs = sorted(set(vertices))
+    except TypeError:
+        raise DimensionError("vertices must be iterable and orderable") from None
     index = {v: i for i, v in enumerate(vs)}
     if len(vs) < dim + 1:
         raise DimensionError(

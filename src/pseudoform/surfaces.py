@@ -179,11 +179,15 @@ def cycle_cut(S: Surface, cycle: Sequence[int]) -> CutReport:
     """
     if not isinstance(S, Surface):
         S = Surface(S)
-    cyc = tuple(cycle)
+    try:
+        cyc = tuple(cycle)
+        distinct = len(set(cyc))
+    except TypeError:
+        raise CycleError(f"cycle must be a sequence of labels, got {cycle!r}") from None
     n = len(cyc)
     if n < 3:
         raise CycleError(f"cycle must have at least three vertices, got {cyc}")
-    if len(set(cyc)) != n:
+    if distinct != n:
         raise CycleError(f"cycle revisits a vertex: {cyc}")
     for v in cyc:
         if v not in S.vertices:

@@ -189,14 +189,16 @@ def test_split_reuses_the_corner_reports(monkeypatch):
 
 
 def test_contract_two_facets_rejects_stars_that_are_not_a_ball():
-    # The stars of 0 and 4 meet in exactly the triangle 123, so the
-    # precondition holds, yet each triangle at 0 or 4 lies in one facet
-    # only: the boundary of the union passes through both centres.
+    # The stars of 0 and 4 meet in exactly the triangle 123, yet each
+    # triangle at 0 or 4 lies in one facet only: the boundary of the
+    # union passes through both centres.  The shared precondition says
+    # so, and the site list leaves the pair out.
     K = SimplicialComplex.from_facets([(0, 1, 2, 3), (1, 2, 3, 4)])
-    assert moves._contract_two_facets_check(K, 0, 4) == frozenset((1, 2, 3))
-    with pytest.raises(MoveError) as ei:
-        moves.contract_two_facets(K, 0, 4)
-    assert "do not form a ball" in str(ei.value)
+    for call in (moves._contract_two_facets_check, moves.contract_two_facets):
+        with pytest.raises(MoveError) as ei:
+            call(K, 0, 4)
+        assert "do not form a ball" in str(ei.value)
+    assert moves.contraction_pair_sites(K) == []
 
 
 # ------------------------------------------------- canonical trace text

@@ -1,10 +1,13 @@
 """The move table: schemas, shared preconditions, full-record replay."""
 
+import hashlib
+
 import pytest
 
 from pseudoform import cli, complexes, moves, reducer, surfaces
 from pseudoform import generators as gen
-from pseudoform.errors import ReplayError, TraceFormatError
+from pseudoform.complexes import SimplicialComplex
+from pseudoform.errors import MoveError, ReplayError, TraceFormatError
 
 from conftest import COMPLEX_FIXTURES
 
@@ -51,9 +54,25 @@ def test_corpus_records_fit_their_schemas(corpus):
     assert moves.EDGE_UNFOLD in kinds and moves.EDGE_FOLD in kinds
 
 
-@pytest.mark.parametrize("name", ["cross_polytope", "folded_g2_4", "chain5"])
+# Besides the fixtures: two disjoint boundary 4-simplices, where no
+# handle may glue across the components, and two facets sharing a
+# triangle, whose apex stars meet in that triangle without forming a
+# ball and whose edge links are paths.
+SITE_INPUTS = COMPLEX_FIXTURES + ("two_simplices", "two_facets")
+
+
+def _site_input(name, fx):
+    if name == "two_simplices":
+        return SimplicialComplex(gen.boundary_simplex().facets
+                                 | gen.boundary_simplex(5).facets)
+    if name == "two_facets":
+        return SimplicialComplex.from_facets([(0, 1, 2, 3), (1, 2, 3, 4)])
+    return fx(name)
+
+
+@pytest.mark.parametrize("name", SITE_INPUTS)
 def test_every_listed_site_constructs_and_replays(name, fx):
-    K = fx(name)
+    K = _site_input(name, fx)
     for kind, move in moves.MOVES.items():
         if move.sites is None or kind == moves.EDGE_EXPAND:
             continue  # EdgeExpand lists candidate cycles, not sites
@@ -61,6 +80,40 @@ def test_every_listed_site_constructs_and_replays(name, fx):
             values = dict(zip(move.inputs, site))
             K2, rec = move.construct(K, values)
             assert moves.apply_record(K, rec) == K2
+
+
+def test_only_the_connected_sum_has_no_site_enumerator():
+    assert [kind for kind, m in moves.MOVES.items() if m.sites is None] == [
+        moves.CONNECTED_SUM]
+
+
+# ``admissible_handles`` as the all-pairs distance table that
+# ``moves.handle_sites`` replaced listed them, as (count, sha256 of the
+# repr): these on chain9 and ``staircase_sphere(n)``, none on the
+# other fixtures.
+HANDLES = {
+    "chain9": (1, "848041cae56e2269a70fc2cfe6d161d24e8d96b83ac201c5bf6a92e035e296b0"),
+    9: (1, "848041cae56e2269a70fc2cfe6d161d24e8d96b83ac201c5bf6a92e035e296b0"),
+    16: (3507, "e6cccb588d46615f71468e7db7f7860ea5baa9ffb9ec24eb5cc350b06ba8558f"),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_FIXTURES + (9, 16))
+def test_admissible_handles_are_pinned(name, fx):
+    K = gen.staircase_sphere(name) if isinstance(name, int) else fx(name)
+    handles = gen.admissible_handles(K)
+    digest = hashlib.sha256(repr(handles).encode()).hexdigest()
+    assert (len(handles), digest) == HANDLES.get(
+        name, (0, hashlib.sha256(b"[]").hexdigest()))
+    assert gen.find_admissible_handle(K) == (handles[0] if handles else None)
+
+
+def test_no_handle_glues_two_components():
+    U = _site_input("two_simplices", None)
+    assert gen.admissible_handles(U) == []
+    s1, s2 = (0, 1, 2, 3), (5, 6, 7, 8)
+    with pytest.raises(MoveError, match="one component"):
+        moves.handle_addition(U, s1, s2, dict(zip(s1, s2)))
 
 
 # ------------------------------------------------- replay checks the record

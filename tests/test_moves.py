@@ -9,7 +9,7 @@ from pseudoform.complexes import (
     total_g2,
     validate_normal,
 )
-from pseudoform.errors import MissingFaceError, MoveError
+from pseudoform.errors import CycleError, MissingFaceError, MoveError
 from pseudoform.generators import (
     boundary_simplex,
     cross_polytope,
@@ -85,6 +85,25 @@ def test_expand_edge_then_contract_back():
 def test_expand_requires_fresh_labels(SB):
     with pytest.raises(MoveError):
         moves.expand_edge(SB, 5, (0, 1, 2), apexes=(0, 7))
+
+
+@pytest.mark.parametrize("given", [(1,), (6, 7, 8), 6])
+def test_fresh_labels_not_a_pair_are_move_errors(given, SB, fx):
+    with pytest.raises(MoveError, match="expected two fresh labels"):
+        moves.expand_edge(SB, 5, (0, 1, 2), apexes=given)
+    K0, _ = moves.bistellar_one(cross_polytope(), (0, 2, 4))
+    w, tri = moves.insertion_sites(K0)[0]
+    with pytest.raises(MoveError, match="expected two fresh labels"):
+        moves.insert_two_facets(K0, w, tri, apexes=given)
+    F = fx("folded_g2_3")
+    with pytest.raises(MoveError, match="expected two fresh labels"):
+        moves.edge_unfold(F, moves.detect_unfold(F).tetra, fresh=given)
+
+
+@pytest.mark.parametrize("cycle", [None, 5, [[0], [1], [2]]])
+def test_expand_with_no_label_cycle_is_a_cycle_error(cycle, SB):
+    with pytest.raises(CycleError):
+        moves.expand_edge(SB, 5, cycle)
 
 
 # ---------------- two-facets moves ----------------

@@ -71,6 +71,26 @@ def test_dimension_below_one_raises():
         rigidity.rigidity_rank(range(6), [(0, 1)], dim=-1)
 
 
+def test_vertices_not_iterable_raises():
+    with pytest.raises(DimensionError):
+        rigidity.rigidity_rank(5, [(0, 1)])
+
+
+def test_dimension_as_text_raises():
+    with pytest.raises(DimensionError):
+        rigidity.rigidity_rank(range(6), [(0, 1)], dim="4")
+
+
+def test_trials_as_text_raises():
+    with pytest.raises(DimensionError):
+        rigidity.rigidity_rank(range(6), [(0, 1)], trials="3")
+
+
+def test_fractional_dimension_raises():
+    with pytest.raises(DimensionError):
+        rigidity.rigidity_rank(range(6), [(0, 1)], dim=2.5)
+
+
 def test_non_pair_edge_raises():
     for edges in ([5], [None], [(0, 1, 2)], [(0,)], [(0, "a")], [([0], [1])]):
         with pytest.raises(DimensionError):
