@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import generators, io, moves, reducer, rigidity
-from .complexes import find_isomorphism, total_g2, validate_normal
+from .complexes import _vertex_link_class, find_isomorphism, total_g2, validate_normal
 from .defaults import DEFAULT_SEED
 from .errors import (
     IsomorphismInconclusive,
@@ -29,7 +29,6 @@ from .errors import (
     ReplayError,
     TraceFormatError,
 )
-from .surfaces import classify_surface
 
 OK = 0
 FALSE = 1
@@ -103,9 +102,8 @@ def _cmd_links(args) -> int:
     K = io.load_complex(args.file)
     rows = []
     for v in sorted(K.vertices):
-        L = K.link((v,))
         try:
-            cls = classify_surface(L.facets)
+            cls = _vertex_link_class(K, v)
             kind = cls.kind
             chi = cls.euler_characteristic
         except PseudoformError:

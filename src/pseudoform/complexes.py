@@ -434,19 +434,11 @@ class NormalityReport:
         return "NotNormal: " + ("; ".join(parts) if parts else "see report")
 
 
-def _ridge_degree(K: SimplicialComplex, t: frozenset) -> int:
-    """Facets at the triangle ``t``: two in a closed normal complex."""
-    return len(K._cofacets(t))
-
-
-def _link_connected(K: SimplicialComplex, face: frozenset) -> bool:
-    return K.link(face).is_connected()
-
-
 def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
-    """Classification of the link of ``v``; raises
-    :class:`PseudoformError` when it is not a closed connected surface."""
-    return surfaces.Surface(K.link((v,)).facets).classify()
+    """Classification of the link of ``v``, read off the facets at ``v``;
+    raises :class:`PseudoformError` when it is not a closed connected surface."""
+    at_v = K._facets_by_vertex().get(v, ())
+    return surfaces.Surface(frozenset(F - {v} for F in at_v if len(F) > 1)).classify()
 
 
 def validate_normal(K: SimplicialComplex) -> NormalityReport:
@@ -466,7 +458,7 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
 
     ridge_failures = []
     for t in sorted(K.faces(2), key=sorted):
-        n = _ridge_degree(K, t)
+        n = len(K._cofacets(t))
         if n != 2:
             ridge_failures.append((tuple(sorted(t)), n))
 
@@ -474,10 +466,10 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
 
     disconnected_links = []
     for v in sorted(K.vertices):
-        if not _link_connected(K, frozenset((v,))):
+        if not K.link((v,)).is_connected():
             disconnected_links.append((v,))
     for e in sorted(K.faces(1), key=sorted):
-        if not _link_connected(K, e):
+        if not K.link(e).is_connected():
             disconnected_links.append(tuple(sorted(e)))
 
     bad_links = []
@@ -533,9 +525,9 @@ def normal_update(
     def touched(size):
         return {frozenset(c) for F in changed for c in itertools.combinations(F, size)}
 
-    if any(_ridge_degree(K2, t) not in (0, 2) for t in touched(3)):
+    if any(len(K2._cofacets(t)) not in (0, 2) for t in touched(3)):
         return None
-    if any(K2._cofacets(e) and not _link_connected(K2, e) for e in touched(2)):
+    if any(K2._cofacets(e) and not K2.link(e).is_connected() for e in touched(2)):
         return None
     out = dict(singular)
     for v in {v for F in changed for v in F}:
@@ -584,15 +576,19 @@ def total_g2(K: SimplicialComplex) -> int:
 
 
 def _vertex_keys(K: SimplicialComplex) -> dict:
-    """Refined per-vertex invariants used to prune the search."""
+    """Refined per-vertex invariants used to prune the search, with the
+    link read off the facets at the vertex."""
     base = {}
-    for v in K.vertices:
-        lk = K.link((v,))
-        counts = tuple(len(lk.faces(d)) for d in range(max(lk.dimension + 1, 1)))
+    for v, at_v in K._facets_by_vertex().items():
+        link = [F - {v} for F in at_v]
+        counts = tuple(
+            len({c for t in link for c in itertools.combinations(sorted(t), d + 1)})
+            for d in range(max(K.dimension, 1))
+        )
         kind = ""
-        if lk.dimension == 2:
+        if K.dimension == 3:
             try:
-                kind = surfaces.Surface(lk.facets).classify().kind
+                kind = _vertex_link_class(K, v).kind
             except PseudoformError:
                 kind = "?"
         base[v] = (len(K.neighbors(v)), counts, kind)
@@ -612,25 +608,26 @@ def find_isomorphism(
 
     Returns the bijection as a dict, or None when the complexes are not
     isomorphic.  The search is refinement-pruned backtracking; if it
-    would exceed ``node_budget`` assignments it raises
-    :class:`IsomorphismInconclusive` instead of guessing.
+    would try more than ``node_budget`` candidate images it raises
+    :class:`IsomorphismInconclusive` instead of guessing.  A candidate
+    whose adjacency disagrees with the images already chosen is
+    counted as tried without being visited, so the cost follows the
+    consistent candidates.
     """
-    if K1.dimension != K2.dimension or len(K1.facets) != len(K2.facets):
+    if not isinstance(node_budget, int):
+        raise PseudoformError(f"node_budget must be an integer, got {node_budget!r}")
+    if K1.dimension != K2.dimension or any(
+        len(K1.faces(d)) != len(K2.faces(d)) for d in range(K1.dimension, -1, -1)
+    ):
         return None
-    if len(K1.vertices) != len(K2.vertices):
-        return None
-    for d in range(K1.dimension + 1):
-        if len(K1.faces(d)) != len(K2.faces(d)):
-            return None
 
-    keys1 = _vertex_keys(K1)
-    keys2 = _vertex_keys(K2)
+    keys1, keys2 = _vertex_keys(K1), _vertex_keys(K2)
     if sorted(keys1.values()) != sorted(keys2.values()):
         return None
 
     classes2: dict = {}
-    for v, k in keys2.items():
-        classes2.setdefault(k, []).append(v)
+    for v in sorted(keys2):
+        classes2.setdefault(keys2[v], []).append(v)
 
     # rarest invariant class first, then ties by label for determinism
     order = sorted(K1.vertices, key=lambda v: (len(classes2[keys1[v]]), v))
@@ -639,46 +636,56 @@ def find_isomorphism(
 
     if not order:
         return {}
+    mapping: dict = {}
+    used: set = set()
+
+    def candidates(v):
+        """``(tried, w)`` for each unused image ``w`` of ``v`` adjacent to exactly
+        the images of the mapped neighbours of ``v``, with ``tried`` the unused
+        candidates up to ``w``; then ``(tried, None)`` for the rest."""
+        free = [w for w in classes2[keys1[v]] if w not in used]
+        near = {mapping[u] for u in adj1[v] if u in mapping}
+        last = -1
+        for w in sorted(set(free).intersection(*map(adj2.get, near))):
+            if adj2[w] & used == near:
+                i = free.index(w, last + 1)
+                yield i - last, w
+                last = i
+        yield len(free) - 1 - last, None
+
     # Depth-first over ``order`` with an explicit stack: ``stack[i]``
     # yields the candidates for ``order[i]`` not yet tried, and
     # ``mapping`` holds the images chosen for the vertices above.
-    mapping: dict = {}
-    used: set = set()
     nodes = 0
-    stack = [iter(sorted(classes2[keys1[order[0]]]))]
+    stack = [candidates(order[0])]
     while stack:
         v = order[len(stack) - 1]
         if v in mapping:  # back from a dead end below: drop v's image
             used.discard(mapping.pop(v))
-        for w in stack[-1]:
-            if w in used:
-                continue
-            nodes += 1
+        for tried, w in stack[-1]:
+            nodes += tried
             if nodes > node_budget:
                 raise IsomorphismInconclusive(
                     f"isomorphism search budget of {node_budget} nodes exhausted"
                 )
-            consistent = all(
-                (u in adj1[v]) == (mu in adj2[w]) for u, mu in mapping.items()
-            )
-            if not consistent:
-                continue
+            if w is None:
+                break
             mapping[v] = w
             used.add(w)
             # the facets at v that are now fully mapped must land on facets
             if all(
-                frozenset(mapping[x] for x in F) in K2.facets
-                for F in by_vertex1[v] if all(x in mapping for x in F)
+                frozenset(map(mapping.get, F)) in K2.facets
+                for F in by_vertex1[v] if mapping.keys() >= F
             ):
                 break  # descend to the next vertex
             del mapping[v]
             used.discard(w)
-        else:
+        if v not in mapping:
             stack.pop()
             continue
         if len(stack) == len(order):
             return dict(mapping)
-        stack.append(iter(sorted(classes2[keys1[order[len(stack)]]])))
+        stack.append(candidates(order[len(stack)]))
     return None
 
 

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import SimplicialComplex, clean_face, total_g2
+from .complexes import SimplicialComplex, _vertex_link_class, clean_face, total_g2
 from .errors import MissingFaceError, MoveError, PseudoformError
 from . import surfaces
 from .surfaces import MOEBIUS, Surface, cycle_cut, missing_triangle_neighborhood
@@ -88,18 +88,26 @@ def _record(kind: str, delta: int, **params) -> MoveRecord:
     return MoveRecord(kind, tuple(params.items()), delta)
 
 
+def _face(labels: Iterable[int]) -> frozenset:
+    """``labels`` as a face; :class:`MoveError` if not hashable labels."""
+    try:
+        return frozenset(labels)
+    except TypeError:
+        raise MoveError(f"expected a face as an iterable of labels, got {labels!r}") from None
+
+
 def _edge(edge: Iterable[int]) -> frozenset:
-    e = frozenset(edge)
+    e = _face(edge)
     if len(e) != 2:
         raise MoveError(f"expected an edge (two labels), got {sorted(e)}")
     return e
 
 
 def _require_absent_labels(K: SimplicialComplex, labels: Sequence[int]) -> None:
-    clash = sorted(set(labels) & K.vertices)
+    clash = sorted(_face(labels) & K.vertices)
     if clash:
         raise MoveError(f"fresh labels already in use: {clash}", details=clash)
-    if len(set(labels)) != len(labels):
+    if len(_face(labels)) != len(labels):
         raise MoveError(f"fresh labels must be distinct, got {labels}")
 
 
@@ -203,7 +211,7 @@ def bistellar_one(
     ``v`` not yet joined by an edge.  The two facets are replaced by
     the three facets around the new edge ``uv``.  g2 grows by one.
     """
-    t = frozenset(triangle)
+    t = _face(triangle)
     cof, (u, v) = _bistellar_one_check(K, t)
     ring = {frozenset((u, v)) | frozenset(p) for p in itertools.combinations(sorted(t), 2)}
     K2 = SimplicialComplex((K.facets - set(cof)) | ring)
@@ -286,7 +294,7 @@ def contract_edge(
 
     def sphere_link(x: int) -> bool:
         try:
-            return Surface(K.link((x,)).facets).classify().kind == surfaces.SPHERE
+            return _vertex_link_class(K, x).kind == surfaces.SPHERE
         except PseudoformError:
             return False
 
@@ -344,7 +352,7 @@ def expand_edge(
     """
     if u_side not in (0, 1):
         raise MoveError(f"u_side must be 0 or 1, got {u_side}")
-    star_facets = K._cofacets(frozenset((vertex,)))
+    star_facets = K._cofacets(_face((vertex,)))
     if not star_facets:
         raise MissingFaceError(f"vertex {vertex} is not in the complex")
     S = Surface(K.link((vertex,)).facets)
@@ -402,7 +410,7 @@ def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
     boundary into two discs."""
     if len(t) != 3:
         raise MoveError(f"expected a triangle, got {sorted(t)}")
-    if vertex in t:
+    if _face((vertex,)) <= t:
         raise MoveError(f"triangle {sorted(t)} must not contain the vertex {vertex}")
     if K.contains_face(t):
         raise MoveError(
@@ -442,7 +450,7 @@ def insert_two_facets(
     ordering follows the canonical side order of the cut).  g2 drops
     by one.
     """
-    t = frozenset(triangle)
+    t = _face(triangle)
     star_facets, report = _insert_check(K, vertex, t)
     apex_u, apex_v = _fresh_pair(K, apexes)
 
@@ -482,7 +490,7 @@ def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> tuple:
     facets of the two stars, and the boundary triangles of their union,
     which must avoid ``u`` and ``v``."""
     for x in (u, v):
-        if x not in K.vertices:
+        if not _face((x,)) <= K.vertices:
             raise MissingFaceError(f"vertex {x} is not in the complex")
     if K.contains_face((u, v)):
         raise MoveError(f"vertices {u}, {v} are joined by an edge", details=(u, v))
@@ -577,7 +585,10 @@ def contraction_pair_sites(K: SimplicialComplex) -> list:
 
 
 def _check_psi(sigma1: frozenset, sigma2: frozenset, psi: dict) -> dict:
-    p = {int(k): int(w) for k, w in psi.items()}
+    try:
+        p = {int(k): int(w) for k, w in psi.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise MoveError(f"gluing map must be a dict of labels, got {psi!r}") from None
     if set(p) != set(sigma1) or set(p.values()) != set(sigma2):
         raise MoveError(
             f"gluing map must biject {sorted(sigma1)} onto {sorted(sigma2)}, "
@@ -589,8 +600,7 @@ def _check_psi(sigma1: frozenset, sigma2: frozenset, psi: dict) -> dict:
 
 
 def _two_facets(K: SimplicialComplex, sigma1, sigma2) -> tuple:
-    s1 = frozenset(sigma1)
-    s2 = frozenset(sigma2)
+    s1, s2 = _face(sigma1), _face(sigma2)
     for s in (s1, s2):
         if s not in K.facets:
             raise MissingFaceError(f"{sorted(s)} is not a facet")
@@ -901,7 +911,7 @@ def edge_unfold(
     two reinstated facets, and both Moebius links become spheres.  g2
     drops by 3.
     """
-    quad = frozenset(tetra)
+    quad = _face(tetra)
     (u, v), (a, b), side_a, side_b, b_side = _unfold_check(K, quad)
     a2, b2 = _fresh_pair(K, fresh)
 
@@ -946,7 +956,7 @@ def facet_subdivide(
 
     g2 is unchanged.
     """
-    s = frozenset(facet)
+    s = _face(facet)
     if s not in K.facets:
         raise MissingFaceError(f"{sorted(s)} is not a facet")
     w = K.fresh_label() if fresh is None else fresh
@@ -961,7 +971,7 @@ def facet_subdivide(
 def _unsubdivide_check(K: SimplicialComplex, vertex: int) -> tuple:
     """The four facets around ``vertex`` and the missing tetrahedron
     they surround."""
-    cof = K._cofacets(frozenset((vertex,)))
+    cof = K._cofacets(_face((vertex,)))
     if not cof:
         raise MissingFaceError(f"vertex {vertex} is not in the complex")
     if len(cof) != 4:

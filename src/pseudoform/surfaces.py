@@ -70,12 +70,10 @@ class Surface:
         tris = frozenset(frozenset(t) for t in triangles)
         if not tris:
             raise NotSurfaceError("no triangles given")
+        edge_count: dict = {}
         for t in tris:
             if len(t) != 3:
                 raise NotSurfaceError(f"not a triangle: {sorted(t)}")
-        self.triangles = tris
-        edge_count: dict = {}
-        for t in tris:
             for e in _edges_of(t):
                 edge_count[e] = edge_count.get(e, 0) + 1
         bad = sorted(
@@ -83,9 +81,10 @@ class Surface:
         )
         if bad:
             raise NotSurfaceError(f"edges not in exactly two triangles: {bad[:5]}")
+        self.triangles = tris
         self.edges = frozenset(edge_count)
         self.vertices = frozenset(v for t in tris for v in t)
-        if _triangle_components(tris) != 1:
+        if len(set(_component_ids(tris).values())) != 1:
             raise NotSurfaceError("surface is not connected")
         self._cache: dict = {}
 
@@ -103,7 +102,8 @@ class Surface:
 
     def classify(self) -> SurfaceClass:
         chi = self.euler_characteristic
-        orient = self.is_orientable
+        # unpinching a vertex raises chi, so chi = 2 is the sphere: no sweep
+        orient = chi == 2 or self.is_orientable
         return SurfaceClass(_classify(chi, orient), chi, orient)
 
     @property
@@ -358,12 +358,6 @@ def _component_ids(cells, faces_of=_edges_of) -> dict:
     return ids
 
 
-def _triangle_components(triangles) -> int:
-    if not triangles:
-        return 0
-    return max(_component_ids(list(triangles)).values()) + 1
-
-
 def _boundary_edges(triangles) -> list:
     count: dict = {}
     for t in triangles:
@@ -373,27 +367,17 @@ def _boundary_edges(triangles) -> list:
 
 
 def _count_boundary_circles(boundary_edges) -> int:
-    if not boundary_edges:
-        return 0
+    """Components of the graph of the edges; visiting pops a vertex."""
     adj: dict = {}
-    for e in boundary_edges:
-        a, b = e
+    for a, b in boundary_edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    seen: set = set()
     circles = 0
-    for start in adj:
-        if start in seen:
-            continue
+    while adj:
         circles += 1
-        seen.add(start)
-        stack = [start]
+        stack = [next(iter(adj))]
         while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+            stack.extend(adj.pop(stack.pop(), ()))
     return circles
 
 

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior, run in-process."""
 
 import json
+import pathlib
+import random
 
 import pytest
 
 from pseudoform import cli, io, reducer
-from pseudoform.generators import boundary_simplex
+from pseudoform.generators import boundary_simplex, spine_path_sphere, staircase_sphere
 
 from conftest import COMPLEX_FIXTURES, FIXTURES
 
@@ -327,6 +329,40 @@ def test_iso_negative(capsys):
     )
     assert code == 1
     assert "not isomorphic" in out
+
+
+# ``pseudoform iso`` stdout and exit code, recorded before the search
+# learned to count the candidates it skips: each fixture against a
+# seeded relabeling of itself, and two spheres with equal face counts.
+ISO_PINS = pathlib.Path(__file__).parent / "iso_cli_pins.json"
+
+
+def iso_cli_pairs(tmp_path):
+    """Name -> (file1, file2) for every pinned ``iso`` call."""
+    pairs = {}
+    for f in sorted(FIXTURES.glob("*.txt")):
+        rows = io.parse_facets(f.read_text())
+        labels = sorted({x for row in rows for x in row})
+        image = labels[:]
+        random.Random(f"iso:{f.stem}").shuffle(image)
+        to = dict(zip(labels, image))
+        copy = tmp_path / f"{f.stem}-shuffled.txt"
+        io.save_facets(copy, ([to[x] for x in row] for row in rows))
+        pairs[f.stem] = (str(f), str(copy))
+    for name, K in (("staircase9", staircase_sphere(9)), ("spine9", spine_path_sphere(9))):
+        io.save_facets(tmp_path / f"{name}.txt", K.facets)
+    pairs["staircase9-vs-spine9"] = (str(tmp_path / "staircase9.txt"),
+                                     str(tmp_path / "spine9.txt"))
+    return pairs
+
+
+def test_iso_output_pinned(capsys, tmp_path):
+    got = {}
+    for name, (f1, f2) in iso_cli_pairs(tmp_path).items():
+        for flags in ((), ("--json",)):
+            code, out, _err = run(capsys, "iso", f1, f2, *flags)
+            got[" ".join((name, *flags))] = [code, out]
+    assert got == json.loads(ISO_PINS.read_text())
 
 
 # ---------------------------------------------------------------- errors

@@ -289,3 +289,42 @@ def test_contraction_pair_sites():
     K, _ = moves.insert_two_facets(K0, w, tri, apexes=(10, 11))
     pairs = moves.contraction_pair_sites(K)
     assert (10, 11) in [(u, v) for u, v, _t in pairs]
+
+
+# ---------------- arguments that are not labels ----------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda K: moves.bistellar_one(K, 5),
+    lambda K: moves.bistellar_two(K, 5),
+    lambda K: moves.contract_edge(K, 5),
+    lambda K: moves.facet_subdivide(K, 5),
+    lambda K: moves.insert_two_facets(K, 0, None),
+    lambda K: moves.edge_unfold(K, None),
+    lambda K: moves.expand_edge(K, [0], (1, 2, 3)),
+    lambda K: moves.facet_unsubdivide(K, [5]),
+    lambda K: moves.contract_two_facets(K, [0], 4),
+], ids=["bistellar_one", "bistellar_two", "contract_edge", "facet_subdivide",
+        "insert_two_facets", "edge_unfold", "expand_edge", "facet_unsubdivide",
+        "contract_two_facets"])
+def test_faces_that_are_not_labels_are_move_errors(call):
+    with pytest.raises(MoveError, match="expected a face"):
+        call(staircase_sphere(3))
+
+
+GLUINGS = {
+    "handle_addition": lambda psi: moves.handle_addition(
+        staircase_sphere(9), (0, 1, 2, 3), (9, 10, 11, 12), psi),
+    "connected_sum_in": lambda psi: moves.connected_sum_in(
+        SimplicialComplex(boundary_simplex().facets | boundary_simplex(base=10).facets),
+        (0, 1, 2, 3), (10, 11, 12, 13), psi),
+    "edge_fold": lambda psi: moves.edge_fold(
+        spine_path_sphere(6), (0, 1, 2, 3), (0, 1, 7, 9), psi),
+}
+
+
+@pytest.mark.parametrize("psi", [None, [(0, 1)], {0: "a"}])
+@pytest.mark.parametrize("kind", sorted(GLUINGS))
+def test_gluing_maps_that_are_not_label_dicts_are_move_errors(kind, psi):
+    with pytest.raises(MoveError, match="gluing map must be a dict of labels"):
+        GLUINGS[kind](psi)
