@@ -18,6 +18,7 @@ reports the vertices whose link is not a 2-sphere (singular vertices).
 from __future__ import annotations
 
 import itertools
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, Optional
@@ -197,12 +198,7 @@ class SimplicialComplex:
         return self.faces(2)
 
     def contains_face(self, face: Iterable[int]) -> bool:
-        f = frozenset(face)
-        if not f:
-            return bool(self.facets)
-        by_vertex = self._facets_by_vertex()
-        v = next(iter(f))
-        return any(f <= F for F in by_vertex.get(v, ()))
+        return bool(self._cofacets(frozenset(face)))
 
     def _facets_by_vertex(self) -> dict:
         got = self._cache.get("facets_by_vertex")
@@ -219,10 +215,7 @@ class SimplicialComplex:
     def star(self, face: Iterable[int]) -> "SimplicialComplex":
         """Subcomplex generated by all facets containing ``face``."""
         f = frozenset(face)
-        cof = [F for F in self._cofacets(f)]
-        if not cof:
-            raise MissingFaceError(f"face {sorted(f)} is not in the complex")
-        return SimplicialComplex(cof)
+        return SimplicialComplex(cell | f for cell in self._link_cells(f))
 
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
         """Link of ``face``: a complex of dimension ``dim - |face|``.
@@ -233,22 +226,22 @@ class SimplicialComplex:
         f = frozenset(face)
         got = self._link_memo.get(f)
         if got is None:
-            cof = [F - f for F in self._cofacets(f)]
-            if not cof:
-                raise MissingFaceError(f"face {sorted(f)} is not in the complex")
-            if cof == [frozenset()]:
-                got = SimplicialComplex([])
-            else:
-                got = SimplicialComplex(c for c in cof if c)
+            got = SimplicialComplex(c for c in self._link_cells(f) if c)
             self._link_memo[f] = got
         return got
+
+    def _link_cells(self, f: frozenset) -> list:
+        """The facets ``F - f`` of the link of ``f``; MissingFaceError if none."""
+        cells = [F - f for F in self._cofacets(f)]
+        if not cells:
+            raise MissingFaceError(f"face {sorted(f)} is not in the complex")
+        return cells
 
     def _cofacets(self, f: frozenset) -> list:
         if not f:
             return list(self.facets)
         by_vertex = self._facets_by_vertex()
-        v = min(f, key=lambda x: len(by_vertex.get(x, ())))
-        return [F for F in by_vertex.get(v, ()) if f <= F]
+        return [F for F in min([by_vertex.get(x, ()) for x in f], key=len) if f <= F]
 
     def edge_degree(self, edge: Iterable[int]) -> int:
         """Number of vertices in the link of the edge.
@@ -259,9 +252,10 @@ class SimplicialComplex:
         e = frozenset(edge)
         if len(e) != 2:
             raise DimensionError(f"edge_degree wants an edge, got {sorted(e)}")
-        if not self._cofacets(e):
+        cof = self._cofacets(e)
+        if not cof:
             raise MissingFaceError(f"edge {sorted(e)} is not in the complex")
-        return len(self.link(e).vertices)
+        return len(frozenset().union(*cof) - e)
 
     # -- counting ------------------------------------------------------
 
@@ -434,6 +428,41 @@ class NormalityReport:
         return "NotNormal: " + ("; ".join(parts) if parts else "see report")
 
 
+_VertexLink = namedtuple("_VertexLink", "faces cycles holes")
+
+
+def _closure(cells) -> set:
+    """The nonempty faces of the given cells, as sorted tuples."""
+    return {f for c in map(sorted, cells) for r in range(1, len(c) + 1)
+            for f in itertools.combinations(c, r)}
+
+
+def _vertex_link(K: SimplicialComplex, v: int) -> _VertexLink:
+    """The link of ``v`` read off the facets at ``v``, memoised per
+    complex: its nonempty faces and its 3-cycles (triples of pairwise
+    joined vertices), as sorted tuples, the 3-cycles sorted, and its
+    missing triangles (the 3-cycles that are not faces, as frozensets)."""
+    memo = K._cache.setdefault("vertex_links", {})
+    got = memo.get(v)
+    if got is None:
+        faces = _closure(K._link_cells(frozenset((v,))))
+        up: dict = {}  # each link vertex to its larger link neighbours
+        for a, b in (f for f in faces if len(f) == 2):
+            up.setdefault(a, set()).add(b)
+        cycles = tuple((a, b, c) for a in sorted(up) for b in sorted(up[a])
+                       for c in sorted(up[a] & up.get(b, set())))
+        holes = [frozenset(c) for c in cycles if c not in faces]
+        got = memo[v] = _VertexLink(faces, cycles, holes)
+    return got
+
+
+def _link_connected(K: SimplicialComplex, f: frozenset) -> bool:
+    """Whether the link of ``f``, a vertex or an edge of a 3-complex, is
+    connected, read off its cofacets."""
+    edges = (e for F in K._cofacets(f) for e in itertools.combinations(F - f, 2))
+    return surfaces._count_components(edges) <= 1
+
+
 def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
     """Classification of the link of ``v``, read off the facets at ``v``;
     raises :class:`PseudoformError` when it is not a closed connected surface."""
@@ -465,12 +494,9 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
     is_connected = K.is_connected()
 
     disconnected_links = []
-    for v in sorted(K.vertices):
-        if not K.link((v,)).is_connected():
-            disconnected_links.append((v,))
-    for e in sorted(K.faces(1), key=sorted):
-        if not K.link(e).is_connected():
-            disconnected_links.append(tuple(sorted(e)))
+    for f in sorted(K.faces(0), key=sorted) + sorted(K.faces(1), key=sorted):
+        if not _link_connected(K, f):
+            disconnected_links.append(tuple(sorted(f)))
 
     bad_links = []
     singular = []
@@ -527,7 +553,7 @@ def normal_update(
 
     if any(len(K2._cofacets(t)) not in (0, 2) for t in touched(3)):
         return None
-    if any(K2._cofacets(e) and not K2.link(e).is_connected() for e in touched(2)):
+    if not all(_link_connected(K2, e) for e in touched(2)):
         return None
     out = dict(singular)
     for v in {v for F in changed for v in F}:
@@ -579,12 +605,9 @@ def _vertex_keys(K: SimplicialComplex) -> dict:
     """Refined per-vertex invariants used to prune the search, with the
     link read off the facets at the vertex."""
     base = {}
-    for v, at_v in K._facets_by_vertex().items():
-        link = [F - {v} for F in at_v]
-        counts = tuple(
-            len({c for t in link for c in itertools.combinations(sorted(t), d + 1)})
-            for d in range(max(K.dimension, 1))
-        )
+    for v in K._facets_by_vertex():
+        sizes = Counter(map(len, _closure(K._link_cells(frozenset((v,))))))
+        counts = tuple(sizes[d + 1] for d in range(max(K.dimension, 1)))
         kind = ""
         if K.dimension == 3:
             try:

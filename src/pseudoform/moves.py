@@ -36,10 +36,12 @@ and its constructor call the same precondition function.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import SimplicialComplex, _vertex_link_class, clean_face, total_g2
+from .complexes import (SimplicialComplex, _closure, _link_connected, _vertex_link,
+                        _vertex_link_class, clean_face, total_g2)
 from .errors import MissingFaceError, MoveError, PseudoformError
 from . import surfaces
 from .surfaces import MOEBIUS, Surface, cycle_cut, missing_triangle_neighborhood
@@ -120,6 +122,14 @@ def _fresh_pair(K: SimplicialComplex, given) -> tuple:
         raise MoveError(f"expected two fresh labels, got {given!r}") from None
     _require_absent_labels(K, (a, b))
     return a, b
+
+
+def _star_facets(K: SimplicialComplex, vertex: int) -> list:
+    """The facets at ``vertex``; :class:`MissingFaceError` when none."""
+    cof = K._cofacets(_face((vertex,)))
+    if not cof:
+        raise MissingFaceError(f"vertex {vertex} is not in the complex")
+    return cof
 
 
 def _passing(check: Callable, K: SimplicialComplex, candidates) -> Iterable:
@@ -246,22 +256,16 @@ def bistellar_one_sites(K: SimplicialComplex) -> list:
 # ---------------------------------------------------------------------
 
 
-def _all_faces(L: SimplicialComplex) -> frozenset:
-    out = set()
-    for d in range(L.dimension + 1):
-        out |= L.faces(d)
-    return frozenset(out)
-
-
 def _contract_edge_check(K: SimplicialComplex, e: frozenset) -> None:
     """The link of ``e`` is a circle, and the link condition holds: the
     endpoint links meet exactly in lk(e)."""
     u, v = sorted(e)
-    L = K.link(e)
-    if not L.is_connected() or any(len(nb) != 2 for nb in L.adjacency.values()):
+    cells = K._link_cells(e)
+    degrees = Counter(x for cell in cells for x in cell)
+    if not _link_connected(K, e) or set(degrees.values()) - {2}:
         raise MoveError(f"link of edge ({u}, {v}) is not a circle")
-    common = _all_faces(K.link((u,))) & _all_faces(K.link((v,)))
-    extra = sorted(common - _all_faces(K.link(e)), key=sorted)
+    common = _vertex_link(K, u).faces & _vertex_link(K, v).faces
+    extra = sorted(common - _closure(cells))
     if extra:
         raise MoveError(
             f"link condition fails at edge ({u}, {v}): "
@@ -352,11 +356,8 @@ def expand_edge(
     """
     if u_side not in (0, 1):
         raise MoveError(f"u_side must be 0 or 1, got {u_side}")
-    star_facets = K._cofacets(_face((vertex,)))
-    if not star_facets:
-        raise MissingFaceError(f"vertex {vertex} is not in the complex")
-    S = Surface(K.link((vertex,)).facets)
-    report = cycle_cut(S, cycle)
+    star_facets = _star_facets(K, vertex)
+    report = cycle_cut(Surface(frozenset(F - {vertex} for F in star_facets)), cycle)
     if not report.separates:
         raise MoveError(
             f"cycle {tuple(cycle)} does not separate the link of {vertex} "
@@ -393,11 +394,7 @@ def _iter_link_cycle_sites(K: SimplicialComplex) -> Iterator:
     missing triangle need not separate its link, and ``expand_edge``
     decides.
     """
-    for v in sorted(K.vertices):
-        L = K.link((v,))
-        cycles = (*L.faces(2), *L.missing_faces(2))
-        for c in sorted(tuple(sorted(t)) for t in cycles):
-            yield v, c
+    return ((v, c) for v in sorted(K.vertices) for c in _vertex_link(K, v).cycles)
 
 
 # ---------------------------------------------------------------------
@@ -416,9 +413,7 @@ def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
         raise MoveError(
             f"triangle {sorted(t)} is already a face", details=tuple(sorted(t))
         )
-    star_facets = K._cofacets(frozenset((vertex,)))
-    if not star_facets:
-        raise MissingFaceError(f"vertex {vertex} is not in the complex")
+    star_facets = _star_facets(K, vertex)
     report = missing_triangle_neighborhood(K, vertex, t)
     if not report.separates:
         raise MoveError(
@@ -470,9 +465,7 @@ def insert_two_facets(
 
 
 def _iter_insertion_sites(K: SimplicialComplex) -> Iterator:
-    candidates = (
-        (w, t) for w in sorted(K.vertices) for t in K.link((w,)).missing_faces(2)
-    )
+    candidates = ((w, t) for w in sorted(K.vertices) for t in _vertex_link(K, w).holes)
     for (w, t), _ in _passing(_insert_check, K, candidates):
         yield w, tuple(sorted(t))
 
@@ -489,34 +482,27 @@ def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> tuple:
     """The one triangle in which the stars of ``u`` and ``v`` meet, the
     facets of the two stars, and the boundary triangles of their union,
     which must avoid ``u`` and ``v``."""
-    for x in (u, v):
-        if not _face((x,)) <= K.vertices:
-            raise MissingFaceError(f"vertex {x} is not in the complex")
+    ball = _star_facets(K, u) + _star_facets(K, v)
     if K.contains_face((u, v)):
         raise MoveError(f"vertices {u}, {v} are joined by an edge", details=(u, v))
-    common = _all_faces(K.star((u,))) & _all_faces(K.star((v,)))
+    # u and v are not adjacent, so their closed stars meet in lk(u) & lk(v)
+    common = _vertex_link(K, u).faces & _vertex_link(K, v).faces
     tri = sorted((f for f in common if len(f) == 3), key=sorted)
     if len(tri) != 1:
         raise MoveError(
             f"stars of {u} and {v} meet in {len(tri)} triangles, need exactly 1",
             details=tuple(tuple(sorted(f)) for f in tri),
         )
-    t = tri[0]
-    expected = {t} | {frozenset(p) for p in itertools.combinations(sorted(t), 2)} | {
-        frozenset((x,)) for x in t
-    }
-    stray = sorted((f for f in common if f not in expected), key=sorted)
+    t = frozenset(tri[0])
+    stray = sorted((f for f in common if not t.issuperset(f)), key=sorted)
     if stray:
         raise MoveError(
             f"stars of {u} and {v} meet outside one triangle: "
             f"{[tuple(sorted(f)) for f in stray]}",
             details=tuple(tuple(sorted(f)) for f in stray),
         )
-    ball = K._cofacets(frozenset((u,))) + K._cofacets(frozenset((v,)))
-    tri_count: dict = {}
-    for F in ball:
-        for sub in itertools.combinations(sorted(F), 3):
-            tri_count[frozenset(sub)] = tri_count.get(frozenset(sub), 0) + 1
+    tri_count = Counter(map(frozenset, (
+        s for F in ball for s in itertools.combinations(sorted(F), 3))))
     boundary = [s for s, cnt in tri_count.items() if cnt == 1]
     # In a normal complex every triangle at u or v lies in two facets of
     # the ball, so the boundary avoids both; elsewhere it need not.
@@ -559,13 +545,10 @@ def contract_two_facets(
 
 
 def _iter_contraction_pair_sites(K: SimplicialComplex) -> Iterator:
-    pairs = {
-        (min(u, v), max(u, v))
-        for F in K.facets
-        for u in F
-        for G in K._cofacets(F - {u})
-        for v in G - F
-    }
+    adj = K.adjacency
+    apexes = (sorted(x for F in K._cofacets(t) for x in F - t) for t in K.faces(2))
+    pairs = {(u, v) for a in apexes for u, v in itertools.combinations(a, 2)
+             if v not in adj[u]}
     for (u, v), (t, *_) in _passing(_contract_two_facets_check, K, sorted(pairs)):
         yield u, v, tuple(sorted(t))
 
@@ -585,10 +568,9 @@ def contraction_pair_sites(K: SimplicialComplex) -> list:
 
 
 def _check_psi(sigma1: frozenset, sigma2: frozenset, psi: dict) -> dict:
-    try:
-        p = {int(k): int(w) for k, w in psi.items()}
-    except (AttributeError, TypeError, ValueError):
-        raise MoveError(f"gluing map must be a dict of labels, got {psi!r}") from None
+    p = dict(psi) if isinstance(psi, dict) else None
+    if p is None or not all(isinstance(x, int) for x in (*p, *p.values())):
+        raise MoveError(f"gluing map must be a dict of labels, got {psi!r}")
     if set(p) != set(sigma1) or set(p.values()) != set(sigma2):
         raise MoveError(
             f"gluing map must biject {sorted(sigma1)} onto {sorted(sigma2)}, "
@@ -725,15 +707,17 @@ def handle_addition(
 
 def handle_sites(K: SimplicialComplex) -> Iterator:
     """Admissible handles as (sigma1, sigma2, psi-pairs), lazily, sorted.
-    Facets sharing a vertex are skipped: it puts every corner within
-    distance 2 of every image."""
-    candidates = (
-        (s1, s2, dict(zip(s1, image)))
-        for s1, s2 in itertools.combinations(K.canonical_facets(), 2)
-        if not set(s1) & set(s2)
-        for image in itertools.permutations(s2)
-    )
-    for (s1, s2, psi), _ in _passing(_handle_check, K, candidates):
+    Only maps sending every corner to distance at least 3 are checked;
+    facets sharing a vertex have none, and are skipped."""
+    def candidates():
+        for s1, s2 in itertools.combinations(K.canonical_facets(), 2):
+            if not set(s1) & set(s2):
+                far = {(x, y) for x in s1 for y in s2 if _two_path(K, x, y) is None}
+                for image in itertools.permutations(s2):
+                    if far.issuperset(zip(s1, image)):
+                        yield s1, s2, dict(zip(s1, image))
+
+    for (s1, s2, psi), _ in _passing(_handle_check, K, candidates()):
         yield s1, s2, tuple(sorted(psi.items()))
 
 
@@ -772,7 +756,7 @@ def _edge_fold_check(
     merge = {p[x]: x for x in s1 - shared}
     glued = [[merge.get(x, x) for x in F - shared]
              for F in K._cofacets(shared) if F not in (s1, s2)]
-    if surfaces._count_boundary_circles(glued) != 1:
+    if surfaces._count_components(glued) != 1:
         raise MoveError(
             f"this matching splits the link circle of ({u}, {v}) in two; "
             "use the reversed pairing of the free corners",
@@ -971,9 +955,7 @@ def facet_subdivide(
 def _unsubdivide_check(K: SimplicialComplex, vertex: int) -> tuple:
     """The four facets around ``vertex`` and the missing tetrahedron
     they surround."""
-    cof = K._cofacets(_face((vertex,)))
-    if not cof:
-        raise MissingFaceError(f"vertex {vertex} is not in the complex")
+    cof = _star_facets(K, vertex)
     if len(cof) != 4:
         raise MoveError(
             f"vertex {vertex} has {len(cof)} facets around it, need 4",

@@ -40,6 +40,7 @@ from . import surfaces
 from .complexes import (
     NormalityReport,
     SimplicialComplex,
+    _vertex_link,
     normal_update,
     total_g2,
     validate_normal,
@@ -827,7 +828,7 @@ def audit_multi_singular(
     violations: list = []
 
     for v in nonsing:
-        for t in K.link((v,)).missing_faces(2):
+        for t in _vertex_link(K, v).holes:
             violations.append(
                 ("missing-triangle-in-nonsingular-link", (v, tuple(sorted(t))))
             )
@@ -842,8 +843,7 @@ def audit_multi_singular(
         if a in sing and b in sing:
             continue
         x, y = (a, b) if a not in sing else (b, a)
-        common = K.link((x,)).vertices & K.link((y,)).vertices
-        diff = common - K.link(e).vertices
+        diff = (K.neighbors(x) & K.neighbors(y)) - frozenset().union(*K._link_cells(e))
         if not diff:
             violations.append(
                 ("empty-common-link-difference", (x, y))
@@ -853,7 +853,7 @@ def audit_multi_singular(
             ("too-few-vertices-for-eight-singular", len(K.vertices))
         )
     for a in nonsing:
-        d = len(K.link((a,)).vertices)
+        d = len(K.neighbors(a))
         if d > 8:
             violations.append(("nonsingular-degree-above-eight", (a, d)))
     for e in sorted(K.faces(1), key=sorted):

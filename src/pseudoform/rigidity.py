@@ -22,7 +22,7 @@ from math import comb
 from random import Random
 from typing import Iterable
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _vertex_link
 from .defaults import DEFAULT_SEED
 from .errors import DimensionError
 from .surfaces import surface_g2
@@ -152,11 +152,9 @@ def _link_surface_g2(K: SimplicialComplex, v: int) -> int:
 
 def external_link_edges(K: SimplicialComplex, v: int) -> list:
     """Edges of K with both endpoints in lk(v) that are not link edges."""
-    L = K.link((v,))
-    lv = L.vertices
-    le = L.faces(1)
-    out = [e for e in K.faces(1) if e <= lv and e not in le]
-    return sorted(out, key=sorted)
+    lk, lv = _vertex_link(K, v).faces, K.neighbors(v)
+    return sorted((e for e in K.faces(1) if e <= lv and tuple(sorted(e)) not in lk),
+                  key=sorted)
 
 
 def check_star_bound(K: SimplicialComplex, v: int) -> bool:

@@ -15,6 +15,7 @@ of the cut surface back to original triangles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -70,21 +71,21 @@ class Surface:
         tris = frozenset(frozenset(t) for t in triangles)
         if not tris:
             raise NotSurfaceError("no triangles given")
-        edge_count: dict = {}
+        by_edge, edges_of = {}, {}
         for t in tris:
             if len(t) != 3:
                 raise NotSurfaceError(f"not a triangle: {sorted(t)}")
-            for e in _edges_of(t):
-                edge_count[e] = edge_count.get(e, 0) + 1
+            for e in edges_of.setdefault(t, _edges_of(t)):
+                by_edge.setdefault(e, []).append(t)
         bad = sorted(
-            (tuple(sorted(e)), n) for e, n in edge_count.items() if n != 2
+            (tuple(sorted(e)), len(ts)) for e, ts in by_edge.items() if len(ts) != 2
         )
         if bad:
             raise NotSurfaceError(f"edges not in exactly two triangles: {bad[:5]}")
         self.triangles = tris
-        self.edges = frozenset(edge_count)
+        self.edges = frozenset(by_edge)
         self.vertices = frozenset(v for t in tris for v in t)
-        if len(set(_component_ids(tris).values())) != 1:
+        if len(set(_component_ids(tris, edges_of.__getitem__, by_edge).values())) != 1:
             raise NotSurfaceError("surface is not connected")
         self._cache: dict = {}
 
@@ -239,7 +240,7 @@ def cycle_cut(S: Surface, cycle: Sequence[int]) -> CutReport:
     n_comps = max(comp_ids.values()) + 1
 
     boundary = _boundary_edges(cut_tris)
-    circles = _count_boundary_circles(boundary)
+    circles = _count_components(boundary)
 
     separates = n_comps == 2
     neighborhood = ANNULUS if circles == 2 else MOEBIUS
@@ -270,13 +271,13 @@ def missing_triangle_neighborhood(K, v: int, triangle: Iterable[int]) -> CutRepo
     """Cut the link of ``v`` along the boundary of a missing triangle.
 
     ``triangle`` must have its three edges in the link of ``v`` while
-    not being a triangle of that link itself.  ``K`` is a 3-complex
-    (anything with a ``link`` method returning a complex).
+    not being a triangle of that link itself.  ``K`` is a 3-complex,
+    whose facets at ``v`` give the link.
     """
     t = frozenset(triangle)
     if len(t) != 3:
         raise CycleError(f"not a triangle: {sorted(triangle)}")
-    S = Surface(K.link((v,)).facets)
+    S = Surface(frozenset(K._link_cells(frozenset((v,)))))
     if t in S.triangles:
         raise CycleError(
             f"triangle {sorted(t)} is a face of the link of {v}, not missing"
@@ -332,14 +333,16 @@ def _fan(S: Surface, c: int):
     return fan, gaps
 
 
-def _component_ids(cells, faces_of=_edges_of) -> dict:
+def _component_ids(cells, faces_of=_edges_of, by_face=None) -> dict:
     """Map each cell to a dual-graph component id (0-based, in order of
     first appearance): cells are joined across the faces ``faces_of``
-    gives, by default the edges of triangles."""
-    by_edge: dict = {}
-    for t in cells:
-        for e in faces_of(t):
-            by_edge.setdefault(e, []).append(t)
+    gives, by default the edges of triangles.  ``by_face``, when given,
+    maps each such face to its cells."""
+    if by_face is None:
+        by_face = {}
+        for t in cells:
+            for e in faces_of(t):
+                by_face.setdefault(e, []).append(t)
     ids: dict = {}
     next_id = 0
     for t in cells:
@@ -350,7 +353,7 @@ def _component_ids(cells, faces_of=_edges_of) -> dict:
         while stack:
             cur = stack.pop()
             for e in faces_of(cur):
-                for other in by_edge[e]:
+                for other in by_face[e]:
                     if other not in ids:
                         ids[other] = next_id
                         stack.append(other)
@@ -359,36 +362,30 @@ def _component_ids(cells, faces_of=_edges_of) -> dict:
 
 
 def _boundary_edges(triangles) -> list:
-    count: dict = {}
-    for t in triangles:
-        for e in _edges_of(t):
-            count[e] = count.get(e, 0) + 1
+    count = Counter(e for t in triangles for e in _edges_of(t))
     return [e for e, n in count.items() if n == 1]
 
 
-def _count_boundary_circles(boundary_edges) -> int:
+def _count_components(edges) -> int:
     """Components of the graph of the edges; visiting pops a vertex."""
     adj: dict = {}
-    for a, b in boundary_edges:
+    for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    circles = 0
+    count = 0
     while adj:
-        circles += 1
+        count += 1
         stack = [next(iter(adj))]
         while stack:
             stack.extend(adj.pop(stack.pop(), ()))
-    return circles
+    return count
 
 
 def _describe_piece(triangles) -> str:
     """Describe a connected surface-with-boundary piece of a cut."""
-    vs = {v for t in triangles for v in t}
-    es: set = set()
-    for t in triangles:
-        es.update(_edges_of(t))
-    chi = len(vs) - len(es) + len(triangles)
-    circles = _count_boundary_circles(_boundary_edges(triangles))
+    count = Counter(e for t in triangles for e in _edges_of(t))
+    chi = len({v for t in triangles for v in t}) - len(count) + len(triangles)
+    circles = _count_components([e for e, n in count.items() if n == 1])
     if chi == 1 and circles == 1:
         return "disc"
     if chi == 0 and circles == 1:

@@ -1,6 +1,7 @@
 """The move table: schemas, shared preconditions, full-record replay."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -106,6 +107,25 @@ def test_admissible_handles_are_pinned(name, fx):
     assert (len(handles), digest) == HANDLES.get(
         name, (0, hashlib.sha256(b"[]").hexdigest()))
     assert gen.find_admissible_handle(K) == (handles[0] if handles else None)
+
+
+def _handles_by_full_check(K):
+    """The handles found by running ``_handle_check`` on every map of
+    every disjoint facet pair."""
+    candidates = (
+        (s1, s2, dict(zip(s1, image)))
+        for s1, s2 in itertools.combinations(K.canonical_facets(), 2)
+        if not set(s1) & set(s2)
+        for image in itertools.permutations(s2)
+    )
+    return [(s1, s2, tuple(sorted(psi.items())))
+            for (s1, s2, psi), _ in moves._passing(moves._handle_check, K, candidates)]
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_handle_sites_skip_only_maps_the_full_check_rejects(n):
+    K = gen.staircase_sphere(n)
+    assert gen.admissible_handles(K) == _handles_by_full_check(K)
 
 
 def test_no_handle_glues_two_components():

@@ -323,7 +323,10 @@ GLUINGS = {
 }
 
 
-@pytest.mark.parametrize("psi", [None, [(0, 1)], {0: "a"}])
+# labels that are not integers, among them a float and a numeric string
+# that ``int()`` would have truncated and parsed
+@pytest.mark.parametrize("psi", [None, [(0, 1)], {0: "a"},
+                                 {0: 9.7, 1: 10, 2: 11, 3: "12"}])
 @pytest.mark.parametrize("kind", sorted(GLUINGS))
 def test_gluing_maps_that_are_not_label_dicts_are_move_errors(kind, psi):
     with pytest.raises(MoveError, match="gluing map must be a dict of labels"):
