@@ -27,7 +27,6 @@ from .errors import (
     MoveError,
     PseudoformError,
     ReplayError,
-    TraceFormatError,
 )
 
 OK = 0
@@ -434,9 +433,7 @@ def main(argv=None) -> int:
         return _fail(f"cannot write {e}", MALFORMED)
     except OSError as e:
         return _fail(f"cannot read {e.filename}", MALFORMED)
-    except (TraceFormatError, ValueError) as e:
-        return _fail(f"malformed input: {e}", MALFORMED)
-    except PseudoformError as e:
+    except (PseudoformError, ValueError) as e:
         return _fail(f"malformed input: {e}", MALFORMED)
 
 

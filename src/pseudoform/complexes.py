@@ -637,7 +637,7 @@ def find_isomorphism(
     counted as tried without being visited, so the cost follows the
     consistent candidates.
     """
-    if not isinstance(node_budget, int):
+    if not isinstance(node_budget, int) or isinstance(node_budget, bool):
         raise PseudoformError(f"node_budget must be an integer, got {node_budget!r}")
     if K1.dimension != K2.dimension or any(
         len(K1.faces(d)) != len(K2.faces(d)) for d in range(K1.dimension, -1, -1)

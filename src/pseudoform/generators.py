@@ -184,15 +184,6 @@ class GeneratedComplex:
     note: str = ""
 
 
-def _trace_for(K, seeds, forward) -> "reducer.ConstructionTrace":
-    return reducer.ConstructionTrace(
-        seeds=tuple(seeds),
-        forward_moves=tuple(forward),
-        claimed_fcounts=tuple(len(K.faces(d)) for d in range(4)),
-        claimed_g2=total_g2(K),
-    )
-
-
 def _gen_stacked(blocks: int, seed: int) -> GeneratedComplex:
     """Stacked sphere as an explicit chain of connected sums.
 
@@ -214,7 +205,7 @@ def _gen_stacked(blocks: int, seed: int) -> GeneratedComplex:
         seeds.append(block)
         forward.append((0, rec))
     spec = GeneratorSpec(STACKED_SPHERE, (("blocks", blocks),))
-    return GeneratedComplex(spec, K, _trace_for(K, seeds, forward))
+    return GeneratedComplex(spec, K, reducer._trace(K, seeds, forward))
 
 
 # The kinds a walk draws from.
@@ -245,14 +236,6 @@ def _scope_update(
             if here and reducer._singular_out_of_scope(comp, here):
                 return None
     return sing
-
-
-def _singular_in_scope(K: SimplicialComplex, g2_cap: int) -> Optional[bool]:
-    """Whether K has singular vertices; None when K leaves the walk's
-    scope.  The full check: the walk's scope rule with every face of
-    ``K`` rechecked, as a move from the empty complex."""
-    sing = _scope_update(SimplicialComplex(()), K, {}, g2_cap)
-    return None if sing is None else bool(sing)
 
 
 def _gen_random(
@@ -312,7 +295,7 @@ def _gen_random(
         ),
     )
     return GeneratedComplex(
-        spec, K, _trace_for(K, seeds, forward), stalled=stalled, note=note
+        spec, K, reducer._trace(K, seeds, forward), stalled=stalled, note=note
     )
 
 
@@ -320,7 +303,7 @@ def generate(spec: GeneratorSpec) -> GeneratedComplex:
     """Build the complex a spec describes, with a replayable trace."""
     if spec.kind == BOUNDARY_SIMPLEX:
         K = boundary_simplex()
-        return GeneratedComplex(spec, K, _trace_for(K, [K], []))
+        return GeneratedComplex(spec, K, reducer._trace(K, [K], []))
     if spec.kind == STACKED_SPHERE:
         return _gen_stacked(spec.get("blocks"), seed=DEFAULT_SEED)
     if spec.kind == CROSS_POLYTOPE:

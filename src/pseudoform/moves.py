@@ -113,6 +113,13 @@ def _require_absent_labels(K: SimplicialComplex, labels: Sequence[int]) -> None:
         raise MoveError(f"fresh labels must be distinct, got {labels}")
 
 
+def _fresh_one(K: SimplicialComplex, given) -> int:
+    """One new label: ``given``, or the next unused one."""
+    w = K.fresh_label() if given is None else given
+    _require_absent_labels(K, (w,))
+    return w
+
+
 def _fresh_pair(K: SimplicialComplex, given) -> tuple:
     """Two new labels: ``given``, or the next two unused ones."""
     m = K.fresh_label()
@@ -293,8 +300,7 @@ def contract_edge(
     u, v = sorted(e)
     n = K.edge_degree(e)
     _contract_edge_check(K, e)
-    w = K.fresh_label() if fresh is None else fresh
-    _require_absent_labels(K, (w,))
+    w = _fresh_one(K, fresh)
 
     def sphere_link(x: int) -> bool:
         try:
@@ -529,8 +535,7 @@ def contract_two_facets(
     edge.  g2 grows by one.
     """
     t, ball, boundary = _contract_two_facets_check(K, u, v)
-    w = K.fresh_label() if fresh is None else fresh
-    _require_absent_labels(K, (w,))
+    w = _fresh_one(K, fresh)
     K2 = SimplicialComplex(
         (K.facets - frozenset(ball)) | {s | {w} for s in boundary}
     )
@@ -943,8 +948,7 @@ def facet_subdivide(
     s = _face(facet)
     if s not in K.facets:
         raise MissingFaceError(f"{sorted(s)} is not a facet")
-    w = K.fresh_label() if fresh is None else fresh
-    _require_absent_labels(K, (w,))
+    w = _fresh_one(K, fresh)
     K2 = SimplicialComplex(
         (K.facets - {s}) | {(s - {x}) | {w} for x in s}
     )

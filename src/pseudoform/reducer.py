@@ -3,15 +3,17 @@
 ``reduce_complex`` accepts a normal closed complex that is either a
 union of spheres with g2 at most 9 or has exactly two projective-plane
 vertices and g2 in {3, 4}, and dismantles it in one loop over a stack
-of pieces.  A piece splits at a missing tetrahedron whose corners all
-separate; otherwise the first rule of its class with a usable site
-takes one step.  A sphere undoes a bistellar 1-move, then an edge
-expansion, then a two-facets contraction; a two-singular piece undoes
-an edge fold, then an edge expansion at a singular vertex; a stacked
-piece always splits.  Each step re-applies a forward move that may
-undo it and checks that it reproduces the previous state bit for bit,
-so the emitted :class:`ConstructionTrace` replays to the exact input,
-labels and all.
+of pieces.  A piece splits at the first missing tetrahedron that the
+split's one precondition, ``_split_check``, accepts: every corner
+separates its link, and the cut along its four triangles leaves two
+sides that share only the tetrahedron.  Otherwise the first rule of
+its class with a usable site takes one step.  A sphere undoes a
+bistellar 1-move, then an edge expansion, then a two-facets
+contraction; a two-singular piece undoes an edge fold, then an edge
+expansion at a singular vertex; a stacked piece always splits.  Each
+step re-applies a forward move that may undo it and checks that it
+reproduces the previous state bit for bit, so the emitted
+:class:`ConstructionTrace` replays to the exact input, labels and all.
 
 Trace file format (bit-exact round trip):
 
@@ -33,7 +35,7 @@ import ast
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import moves
 from . import surfaces
@@ -92,6 +94,12 @@ class ConstructionTrace:
 
 def _face_counts(K: SimplicialComplex) -> tuple:
     return tuple(len(K.faces(d)) for d in range(4))
+
+
+def _trace(K: SimplicialComplex, seeds, forward) -> ConstructionTrace:
+    """The trace that builds ``K`` from ``seeds`` by the ``forward``
+    (component tag, record) pairs."""
+    return ConstructionTrace(tuple(seeds), tuple(forward), _face_counts(K), total_g2(K))
 
 
 def _encode_value(v) -> str:
@@ -339,21 +347,13 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
 # ---------------------------------------------------------------------
 
 
-def split_at_missing_tetrahedron(
-    K: SimplicialComplex,
-    tetra: Iterable[int],
-    fresh_base: Optional[int] = None,
-) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
-    """Undo the connected sum glued along a missing tetrahedron.
+def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
+    """A missing tetrahedron every corner of which separates its link,
+    and cutting along whose four triangles leaves exactly two sides of
+    facets that share only ``quad``: those two sides.
 
-    Every corner's link must be separated by its opposite triangle,
-    and removing the four boundary triangles from the facet adjacency
-    must disconnect the complex (if it does not, the gluing was a
-    handle, which is only possible at g2 >= 10).  Returns the two
-    summands, the second with fresh labels on its copy of the
-    tetrahedron, plus the ConnectedSum record that reassembles them.
+    A cut that leaves one side means a handle, which needs g2 >= 10.
     """
-    quad = frozenset(tetra)
     moves._missing_tetrahedron_check(K, quad)
     reports = moves._corner_reports(K, quad)
     moebius = [x for x in sorted(quad) if not reports[x].separates]
@@ -363,14 +363,6 @@ def split_at_missing_tetrahedron(
             "neighborhoods; this tetrahedron witnesses a fold, not a sum",
             details=tuple(moebius),
         )
-    return _split(K, quad, fresh_base)
-
-
-def _split(
-    K: SimplicialComplex, quad: frozenset, fresh_base: Optional[int]
-) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
-    """``split_at_missing_tetrahedron`` after its checks of the
-    tetrahedron: ``quad`` is missing and every corner separates."""
     cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
 
     def uncut_triangles(F):
@@ -388,37 +380,53 @@ def _split(
             f"cutting along {sorted(quad)} leaves {n_comp} pieces; "
             "the complex is not a normal pseudomanifold there"
         )
-    side_a = frozenset(F for F, c in comp.items() if c == 0)
-    side_b = frozenset(F for F, c in comp.items() if c == 1)
-    shared = (
-        frozenset(v for F in side_a for v in F)
-        & frozenset(v for F in side_b for v in F)
-    )
+    sides = tuple(frozenset(F for F, c in comp.items() if c == s) for s in (0, 1))
+    shared = frozenset().union(*sides[0]) & frozenset().union(*sides[1])
     if shared != quad:
         raise MoveError(
             f"split sides share vertices {sorted(shared)} beyond the "
             f"tetrahedron {sorted(quad)}"
         )
+    return sides
 
-    base = K.fresh_label() if fresh_base is None else fresh_base
-    originals = sorted(quad)
-    fresh = {x: base + i for i, x in enumerate(originals)}
-    K1 = SimplicialComplex(set(side_a) | {quad})
-    relabeled_b = {
-        frozenset(fresh.get(v, v) for v in F) for F in side_b
-    }
-    K2 = SimplicialComplex(relabeled_b | {frozenset(fresh.values())})
-    psi = {x: fresh[x] for x in originals}
-    rec = moves.MoveRecord(
-        moves.CONNECTED_SUM,
-        (
-            ("sigma1", tuple(originals)),
-            ("sigma2", tuple(fresh[x] for x in originals)),
-            ("psi", tuple(sorted(psi.items()))),
-        ),
-        0,
+
+def _iter_split_sites(K: SimplicialComplex) -> Iterator:
+    """((tetra,), sides) for each missing tetrahedron ``_split_check``
+    accepts, lazily, in the order of ``missing_faces``."""
+    return moves._passing(_split_check, K, ((q,) for q in K.missing_faces(3)))
+
+
+def split_at_missing_tetrahedron(
+    K: SimplicialComplex,
+    tetra: Iterable[int],
+    fresh_base: Optional[int] = None,
+) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
+    """Undo the connected sum glued along a missing tetrahedron.
+
+    The one precondition is ``_split_check``.  Returns the two
+    summands, the second with fresh labels on its copy of the
+    tetrahedron, plus the ConnectedSum record that reassembles them.
+    """
+    quad = moves._face(tetra)
+    if not all(isinstance(x, int) for x in quad):
+        raise MoveError(f"expected a tetrahedron of integer labels, got {tetra!r}")
+    sides = _split_check(K, quad)
+    return _split(quad, *sides, K.fresh_label() if fresh_base is None else fresh_base)
+
+
+def _split(
+    quad: frozenset, side_a: frozenset, side_b: frozenset, base: int
+) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
+    """The two summands of the sides ``_split_check`` gives, the copy of
+    ``quad`` in the second relabelled from ``base`` on, and the record."""
+    fresh = {x: base + i for i, x in enumerate(sorted(quad))}
+    K1 = SimplicialComplex(side_a | {quad})
+    K2 = SimplicialComplex(
+        {frozenset(fresh.get(v, v) for v in F) for F in side_b}
+        | {frozenset(fresh.values())}
     )
-    return K1, K2, rec
+    return K1, K2, moves._gluing_record(
+        moves.CONNECTED_SUM, 0, quad, fresh.values(), fresh)
 
 
 # ---------------------------------------------------------------------
@@ -634,18 +642,11 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
             seeds.append(K)
             forward += reversed(undo)
             continue
-        # a connected-sum split wherever every corner separates
-        quad = next((q for q in K.missing_faces(3) if all(
-            r.separates for r in moves._corner_reports(K, q).values()
-        )), None)
-        if quad is not None:
-            base, next_label = next_label, next_label + 4
-            try:
-                K1, K2, rec = _split(K, quad, base)
-            except MoveError as e:
-                # all corners separate yet the cut does not
-                # disconnect: a handle, impossible below g2=10
-                raise _Rejection(str(e)) from None
+        split = next(_iter_split_sites(K), None)
+        if split is not None:
+            (quad,), sides = split
+            K1, K2, rec = _split(quad, *sides, next_label)
+            next_label += 4
             rule_log.append((tag, "split-at-missing-tetrahedron", tuple(sorted(quad))))
             stack += [
                 [(tag, rec), *reversed(undo)],
@@ -705,12 +706,7 @@ def reduce_complex(K: SimplicialComplex) -> ReduceReport:
     except _Rejection as e:
         return ReduceReport(CLASS_REJECTED, e.reason, None, tuple(rule_log))
 
-    trace = ConstructionTrace(
-        seeds=tuple(seeds),
-        forward_moves=tuple(forward),
-        claimed_fcounts=_face_counts(K),
-        claimed_g2=total_g2(K),
-    )
+    trace = _trace(K, seeds, forward)
     if CLASS_TWO_SINGULAR in classes:
         input_class = CLASS_TWO_SINGULAR
     elif any(c == CLASS_SPHERE for c in classes):
@@ -767,21 +763,22 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
             K, _ = moves.facet_unsubdivide(K, subs[0][0])
             continue
         for quad in K.missing_faces(3):
-            reports = moves._corner_reports(K, quad)
-            if not any(r.separates for r in reports.values()):
-                continue
-            if not all(r.separates for r in reports.values()):
-                _note(
-                    facts,
-                    f"missing tetrahedron {sorted(quad)} mixes separating "
-                    "and one-sided corners",
-                )
-                continue
             try:
-                K1, K2, _rec = _split(K, quad, None)
+                sides = _split_check(K, quad)
             except MoveError as e:
-                _note(facts, f"unsplittable missing tetrahedron: {e}")
+                # the corner check names the one-sided corners; the
+                # cut's errors name none
+                if e.details is None:
+                    _note(facts, f"unsplittable missing tetrahedron: {e}")
+                elif len(e.details) < 4:
+                    _note(
+                        facts,
+                        f"missing tetrahedron {sorted(quad)} mixes separating "
+                        "and one-sided corners",
+                    )
                 continue
+            K1, K2, _rec = _split(quad, *sides, K.fresh_label())
+
             def n_sing(C):
                 return len(
                     [v for v, _ in validate_normal(C).singular_vertices]

@@ -221,7 +221,7 @@ LOW_DIMENSIONAL = {
 # ------------------------------------------------- the counted search
 
 
-@pytest.mark.parametrize("budget", ["x", 2.5, None])
+@pytest.mark.parametrize("budget", ["x", 2.5, None, True])
 def test_a_budget_that_is_not_an_integer_is_refused(budget):
     K = gen.staircase_sphere(3)
     with pytest.raises(PseudoformError, match="node_budget must be an integer") as e:

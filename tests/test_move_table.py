@@ -28,10 +28,7 @@ def _unfold_trace(fx):
     K = fx("folded_g2_3")
     tr = reducer.reduce_complex(K).trace
     K2, rec = moves.edge_unfold(K, moves.detect_unfold(K).tetra)
-    return reducer.ConstructionTrace(
-        tr.seeds, tr.forward_moves + ((0, rec),),
-        tuple(len(K2.faces(d)) for d in range(4)), complexes.total_g2(K2),
-    )
+    return reducer._trace(K2, tr.seeds, tr.forward_moves + ((0, rec),))
 
 
 @pytest.fixture(scope="module")
@@ -249,13 +246,21 @@ def test_non_canonical_values_are_format_errors(value):
 # ----------------------------------------------------- the walk's fast path
 
 
+def _singular_in_scope(K, g2_cap):
+    """Whether K has singular vertices; None when K leaves the walk's
+    scope.  The full check: the walk's scope rule with every face of
+    ``K`` rechecked, as a move from the empty complex."""
+    sing = gen._scope_update(SimplicialComplex(()), K, {}, g2_cap)
+    return None if sing is None else bool(sing)
+
+
 @pytest.mark.parametrize("seed, fold", WALKS)
 def test_walk_singular_flag_matches_full_validation(seed, fold):
     tr = _walk(seed, fold).trace
     state = tr.seeds[0]
     for _tag, rec in tr.forward_moves:
         state = moves.apply_record(state, rec)
-        flag = gen._singular_in_scope(state, 4 if fold else 9)
+        flag = _singular_in_scope(state, 4 if fold else 9)
         assert flag == bool(complexes.validate_normal(state).singular_vertices)
 
 

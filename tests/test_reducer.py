@@ -35,10 +35,11 @@ def test_split_and_remerge_exactly(SB):
 
 
 def test_split_needs_a_missing_tetrahedron(SB):
-    with pytest.raises(MoveError):
-        reducer.split_at_missing_tetrahedron(SB, (0, 1, 2, 4))  # a facet
-    with pytest.raises(MoveError):
-        reducer.split_at_missing_tetrahedron(SB, (0, 1, 2, 9))
+    # a facet, an absent label, then arguments that are not a
+    # tetrahedron of integer labels
+    for tetra in ((0, 1, 2, 4), (0, 1, 2, 9), 5, [[0], 1, 2, 3], ("a", 1, 2, 3)):
+        with pytest.raises(MoveError):
+            reducer.split_at_missing_tetrahedron(SB, tetra)
 
 
 def test_split_rejects_moebius_corners(fx):
