@@ -858,8 +858,9 @@ def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
             details=(moeb, seps),
         )
     a, b = seps
-    side_a = {F: _side_of(reports[a], F - {a}) for F in K._cofacets(frozenset((a,)))}
-    side_b = {F: _side_of(reports[b], F - {b}) for F in K._cofacets(frozenset((b,)))}
+    # a separating corner's two cut sides cover its link
+    side_a = {F: int(F - {a} in reports[a].sides[1]) for F in _star_facets(K, a)}
+    side_b = {F: int(F - {b} in reports[b].sides[1]) for F in _star_facets(K, b)}
     # Pair the sides through the facets containing the edge ab: sides
     # seen together belong to the same reinstated facet.
     pairing: dict = {}
@@ -924,13 +925,6 @@ def edge_unfold(
         fresh=(a2, b2),
     )
     return K2, rec
-
-
-def _side_of(report, triangle: frozenset) -> int:
-    for s, side in enumerate(report.sides):
-        if triangle in side:
-            return s
-    raise MoveError(f"triangle {sorted(triangle)} is on neither cut side")
 
 
 # ---------------------------------------------------------------------

@@ -352,24 +352,33 @@ def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
     and cutting along whose four triangles leaves exactly two sides of
     facets that share only ``quad``: those two sides.
 
-    A cut that leaves one side means a handle, which needs g2 >= 10.
+    Both questions are one star cut: facets are joined across their
+    triangles other than the four of ``quad``.  Facets at a corner
+    ``x`` meet across a triangle through ``x`` exactly when their link
+    triangles meet across its link edge, and the three cut triangles
+    through ``x`` are the edges of the cycle ``quad - {x}``.  So ``x``
+    separates its link exactly when the cut leaves the facets at ``x``
+    in two components.  A cut that leaves one side means a handle,
+    which needs g2 >= 10.
     """
     moves._missing_tetrahedron_check(K, quad)
-    reports = moves._corner_reports(K, quad)
-    moebius = [x for x in sorted(quad) if not reports[x].separates]
+    cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
+
+    def uncut_triangles(F):
+        return [t for t in map(frozenset, itertools.combinations(F, 3)) if t not in cut]
+
+    def pieces(facets):
+        comp = surfaces._component_ids(facets, uncut_triangles)
+        return comp, max(comp.values()) + 1
+
+    moebius = [x for x in sorted(quad) if pieces(K._cofacets(frozenset((x,))))[1] != 2]
     if moebius:
         raise MoveError(
             f"corners {moebius} of {sorted(quad)} have one-sided "
             "neighborhoods; this tetrahedron witnesses a fold, not a sum",
             details=tuple(moebius),
         )
-    cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
-
-    def uncut_triangles(F):
-        return [t for t in map(frozenset, itertools.combinations(F, 3)) if t not in cut]
-
-    comp = surfaces._component_ids(sorted(K.facets, key=sorted), uncut_triangles)
-    n_comp = max(comp.values()) + 1
+    comp, n_comp = pieces(sorted(K.facets, key=sorted))
     if n_comp == 1:
         raise MoveError(
             f"cutting along {sorted(quad)} does not disconnect: the gluing "
@@ -403,15 +412,28 @@ def split_at_missing_tetrahedron(
 ) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
     """Undo the connected sum glued along a missing tetrahedron.
 
-    The one precondition is ``_split_check``.  Returns the two
-    summands, the second with fresh labels on its copy of the
-    tetrahedron, plus the ConnectedSum record that reassembles them.
+    The one precondition is ``_split_check``; before it, each corner's
+    link is cut along the opposite triangle, which refuses a corner
+    whose link is not a closed surface.  Returns the two summands, the
+    second with the labels ``fresh_base`` to ``fresh_base + 3`` (unused
+    in ``K``) on its copy of the tetrahedron, plus the ConnectedSum
+    record that reassembles them.
     """
     quad = moves._face(tetra)
     if not all(isinstance(x, int) for x in quad):
         raise MoveError(f"expected a tetrahedron of integer labels, got {tetra!r}")
-    sides = _split_check(K, quad)
-    return _split(quad, *sides, K.fresh_label() if fresh_base is None else fresh_base)
+    if fresh_base is None:
+        fresh_base = K.fresh_label()
+    elif not isinstance(fresh_base, int) or isinstance(fresh_base, bool) or fresh_base < 0:
+        raise MoveError(f"fresh_base must be a non-negative integer, got {fresh_base!r}")
+    # the second summand is summed back onto K, so its copy of the
+    # tetrahedron takes labels that are nowhere in K
+    moves._require_absent_labels(K, range(fresh_base, fresh_base + 4))
+    # A complex that is not normal may have a corner whose link is no
+    # closed surface; cutting each link refuses it.
+    moves._missing_tetrahedron_check(K, quad)
+    moves._corner_reports(K, quad)
+    return _split(quad, *_split_check(K, quad), fresh_base)
 
 
 def _split(

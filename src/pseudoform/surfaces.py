@@ -8,9 +8,12 @@ preconditions: a missing triangle in a link either separates the link
 (annulus neighbourhood) or sits one-sidedly in it (Moebius
 neighbourhood), and the two cases trigger different decompositions.
 
-The cut itself duplicates each cycle vertex into its two local fan
-arcs.  Triangles keep their identity, so callers can map every piece
-of the cut surface back to original triangles.
+Every cut is a component count (``_component_ids``).  The triangles
+at a cycle vertex fall into two arcs, joined across the edges at the
+vertex other than the two cycle edges; the cut duplicates each cycle
+vertex into one copy per arc, and the pieces of the cut surface are
+the components of its triangles.  Triangles keep their identity, so
+callers can map every piece back to original triangles.
 """
 
 from __future__ import annotations
@@ -68,7 +71,12 @@ class Surface:
     """
 
     def __init__(self, triangles: Iterable[Iterable[int]]):
-        tris = frozenset(frozenset(t) for t in triangles)
+        try:
+            tris = frozenset(frozenset(t) for t in triangles)
+        except TypeError:
+            raise NotSurfaceError(
+                f"expected triangles as iterables of labels, got {triangles!r}"
+            ) from None
         if not tris:
             raise NotSurfaceError("no triangles given")
         by_edge, edges_of = {}, {}
@@ -200,30 +208,20 @@ def cycle_cut(S: Surface, cycle: Sequence[int]) -> CutReport:
                 f"consecutive cycle vertices {tuple(sorted(e))} are not an edge"
             )
 
-    cycle_set = set(cyc)
     prevnext = {cyc[i]: (cyc[i - 1], cyc[(i + 1) % n]) for i in range(n)}
 
-    # Local side assignment: around each cycle vertex the triangle fan
-    # is sliced at the two incident cycle edges, giving two arcs.
-    side_of: dict = {}
+    # Local side assignment: the triangles at each cycle vertex c fall
+    # into arcs, joined across the link vertices of c other than its two
+    # cycle neighbours.  The fan is one cycle exactly when there are two
+    # arcs and the two triangles at a cycle edge lie in different arcs.
+    arc_of: dict = {}
     for c in cyc:
-        fan, gaps = _fan(S, c)
-        p, q = prevnext[c]
-        ip, iq = gaps.index(p), gaps.index(q)
-        k = len(fan)
-        arc = []
-        j = (ip + 1) % k
-        while True:
-            arc.append(fan[j])
-            if j == iq:
-                break
-            j = (j + 1) % k
-        in_arc = set(arc)
-        arcs = [arc, [t for t in fan if t not in in_arc]]
-        arcs.sort(key=lambda ts: min(tuple(sorted(t)) for t in ts))
-        for s, ts in enumerate(arcs):
-            for t in ts:
-                side_of[(c, t)] = s
+        fan = [t for t in S.triangles if c in t]
+        ends = {c, *prevnext[c]}
+        arc = arc_of[c] = _component_ids(fan, lambda t: t - ends)
+        p = prevnext[c][0]
+        if max(arc.values()) != 1 or len({arc[t] for t in fan if p in t}) != 2:
+            raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
 
     # Build the cut complex.  Labels become (vertex, copy) pairs with
     # copy = -1 for vertices off the cycle, keeping labels sortable.
@@ -231,7 +229,7 @@ def cycle_cut(S: Surface, cycle: Sequence[int]) -> CutReport:
     orig_of = {}
     for t in S.triangles:
         newt = frozenset(
-            (x, side_of[(x, t)]) if x in cycle_set else (x, -1) for x in t
+            (x, arc_of[x][t]) if x in arc_of else (x, -1) for x in t
         )
         cut_tris.append(newt)
         orig_of[newt] = t
@@ -274,7 +272,10 @@ def missing_triangle_neighborhood(K, v: int, triangle: Iterable[int]) -> CutRepo
     not being a triangle of that link itself.  ``K`` is a 3-complex,
     whose facets at ``v`` give the link.
     """
-    t = frozenset(triangle)
+    try:
+        t = frozenset(triangle)
+    except TypeError:
+        raise CycleError(f"expected a triangle of labels, got {triangle!r}") from None
     if len(t) != 3:
         raise CycleError(f"not a triangle: {sorted(triangle)}")
     S = Surface(frozenset(K._link_cells(frozenset((v,)))))
@@ -298,39 +299,6 @@ def missing_triangle_neighborhood(K, v: int, triangle: Iterable[int]) -> CutRepo
 def _edges_of(t):
     a, b, c = t
     return (frozenset((a, b)), frozenset((b, c)), frozenset((a, c)))
-
-
-def _fan(S: Surface, c: int):
-    """Cyclic order of the triangles around vertex ``c``.
-
-    Returns ``(fan, gaps)`` where ``gaps[i]`` is the link vertex whose
-    edge ``{c, gaps[i]}`` is shared by ``fan[i]`` and ``fan[i+1]``
-    (cyclically).
-    """
-    by_gap: dict = {}
-    tris = []
-    for t in S.triangles:
-        if c in t:
-            tris.append(t)
-            for x in t - {c}:
-                by_gap.setdefault(x, []).append(t)
-    start = min(tris, key=sorted)
-    fan = [start]
-    gaps = []
-    cur = start
-    g = min(cur - {c})
-    while True:
-        gaps.append(g)
-        t1, t2 = by_gap[g]
-        nxt = t2 if t1 == cur else t1
-        if nxt == start:
-            break
-        fan.append(nxt)
-        cur = nxt
-        g = next(x for x in cur - {c} if x != g)
-    if len(fan) != len(tris):
-        raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
-    return fan, gaps
 
 
 def _component_ids(cells, faces_of=_edges_of, by_face=None) -> dict:

@@ -11,7 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from pseudoform import complexes, generators as gen, moves, reducer
+from pseudoform import complexes, generators as gen, moves, reducer, surfaces
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import DimensionError, MoveError, TraceFormatError
 
@@ -168,21 +168,25 @@ def test_total_g2_wants_a_3_complex():
         total_g2(tetra_boundary)
 
 
-# ------------------------------------------------ the split reuses its scan
+# ------------------------------------------- the split cuts no vertex link
 
 
-def test_split_reuses_the_corner_reports(monkeypatch):
-    seen = []
-    original = moves._corner_reports
+def test_split_cuts_no_vertex_link(monkeypatch):
+    # the reducer decides every split by the star cut along the missing
+    # tetrahedron's triangles, corners included
+    calls = []
 
-    def counted(K, quad):
-        seen.append((id(K), quad))
-        return original(K, quad)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(moves, "_corner_reports", counted)
+    original = surfaces.cycle_cut
+    monkeypatch.setattr(surfaces, "cycle_cut", counted)
+    monkeypatch.setattr(moves, "cycle_cut", counted)
     report = reducer.reduce_complex(gen.staircase_sphere(12))
     assert report.accepted
-    assert len(seen) == len(set(seen))
+    assert report.trace.counts()[0] == 12
+    assert calls == []
 
 
 # ------------------------------------------------ two-facets contraction

@@ -40,6 +40,18 @@ def test_split_needs_a_missing_tetrahedron(SB):
     for tetra in ((0, 1, 2, 4), (0, 1, 2, 9), 5, [[0], 1, 2, 3], ("a", 1, 2, 3)):
         with pytest.raises(MoveError):
             reducer.split_at_missing_tetrahedron(SB, tetra)
+    # fresh labels that clash with the complex, or are no labels at all
+    K = staircase_sphere(3)
+    for base in (0, 5, K.fresh_label() - 3, "a", True, -4, 2.0):
+        with pytest.raises(MoveError):
+            reducer.split_at_missing_tetrahedron(K, (1, 2, 3, 4), fresh_base=base)
+    base = K.fresh_label() + 2
+    K1, K2, rec = reducer.split_at_missing_tetrahedron(K, (1, 2, 3, 4), fresh_base=base)
+    assert set(range(base, base + 4)) <= K2.vertices
+    merged = moves.apply_record(
+        SimplicialComplex(list(K1.facets) + list(K2.facets)), rec
+    )
+    assert merged == K
 
 
 def test_split_rejects_moebius_corners(fx):

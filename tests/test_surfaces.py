@@ -127,3 +127,18 @@ def test_sphere_missing_tetra_corners_all_separate(fx):
         for x in sorted(quad):
             rep = missing_triangle_neighborhood(K, x, quad - {x})
             assert rep.separates and rep.neighborhood == ANNULUS
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda K: Surface(5), NotSurfaceError),
+    (lambda K: Surface([5]), NotSurfaceError),
+    (lambda K: Surface([[[1], 2, 3]]), NotSurfaceError),
+    (lambda K: classify_surface(None), NotSurfaceError),
+    (lambda K: surface_g2(5), NotSurfaceError),
+    (lambda K: cycle_cut(5, (1, 2, 3)), NotSurfaceError),
+    (lambda K: missing_triangle_neighborhood(K, 0, 5), CycleError),
+    (lambda K: missing_triangle_neighborhood(K, 0, [[1], 2, 3]), CycleError),
+])
+def test_arguments_that_are_not_triangles_are_refused(fx, call, error):
+    with pytest.raises(error):
+        call(fx("boundary4simplex"))
