@@ -210,6 +210,97 @@ class SimplicialComplex:
             self._cache["facets_by_vertex"] = got
         return got
 
+    def _edge_counts(self) -> dict:
+        """Each edge with the number of facets containing it."""
+        got = self._cache.get("edge_counts")
+        if got is None:
+            got = Counter(frozenset(e) for F in self.facets
+                          for e in itertools.combinations(F, 2))
+            self._cache["edge_counts"] = got
+        return got
+
+    def _successor(self, removed: Iterable[Face], added: Iterable[Face]) -> "SimplicialComplex":
+        """The complex ``(self.facets - removed) | added``, built without
+        ``clean_face`` by patching the caches of this complex.
+
+        Trusted: the move constructors call it with ``added`` faces of
+        this complex's size made of distinct non-negative integer labels.
+        The facet-by-vertex index, the vertices, the per-edge facet counts
+        and the largest label are copied and patched at the vertices of the
+        facets that change; the counts and the label only when this complex
+        holds them.  When more facets go than stay, the caches are left to
+        be built afresh on demand instead.
+
+        The component map is patched when this complex holds one and the
+        step proves the outcome: some facet is added, the added facets are
+        connected, and every vertex of a removed facet that stays lies in
+        an added facet.  Then any path through a removed facet can go
+        through the added ones instead, so the components that the changed
+        facets meet merge into one, with the new vertices, and every other
+        component is kept.  Otherwise the map is rebuilt on demand.
+        """
+        added = frozenset(added)
+        gone = (frozenset(removed) & self.facets) - added
+        new = added - self.facets
+        K2 = SimplicialComplex.__new__(SimplicialComplex)
+        K2.facets = (self.facets - gone) | new
+        K2._faces_memo, K2._link_memo, K2._cache = {}, {}, {}
+        if len(gone) > len(K2.facets):
+            return K2
+        cache = K2._cache
+        old_vs, new_vs = frozenset().union(*gone), frozenset().union(*new)
+        by_vertex = dict(self._facets_by_vertex())
+        for v in old_vs | new_vs:
+            by_vertex[v] = [F for F in by_vertex.get(v, ()) if F not in gone]
+        for F in new:
+            for v in F:
+                by_vertex[v].append(F)
+        dead = {v for v in old_vs if not by_vertex[v]}
+        for v in dead:
+            del by_vertex[v]
+        cache["facets_by_vertex"] = by_vertex
+        cache["vertices"] = frozenset(by_vertex)
+
+        counts = self._cache.get("edge_counts")
+        if counts is not None:
+            counts = counts.copy()
+            for F in gone:
+                for e in map(frozenset, itertools.combinations(F, 2)):
+                    counts[e] -= 1
+                    if not counts[e]:
+                        del counts[e]
+            for F in new:
+                for e in map(frozenset, itertools.combinations(F, 2)):
+                    counts[e] = counts.get(e, 0) + 1
+            cache["edge_counts"] = counts
+
+        top = self._cache.get("max_label")
+        if top is not None and top in by_vertex:
+            cache["max_label"] = max(top, max(new_vs, default=-1))
+
+        comp = self._cache.get("components")
+        if comp is None or not new or not (old_vs - dead) <= new_vs:
+            return K2
+        if surfaces._count_components(
+                e for F in new for e in itertools.combinations(F, 2)) != 1:
+            return K2
+        members = self._component_members()
+        hit = {comp[v] for v in new_vs if v in comp}
+        hit.update(comp[next(iter(F))] for F in gone)
+        keep = max(sorted(hit), key=lambda r: len(members[r]))
+        merged = frozenset().union(*(members[r] for r in hit)).difference(dead) | new_vs
+        comp, members = comp.copy(), members.copy()
+        for r in hit - {keep}:
+            for v in members.pop(r):
+                comp[v] = keep
+        for v in dead:
+            del comp[v]
+        for v in new_vs:
+            comp[v] = keep
+        members[keep] = merged
+        cache["components"], cache["component_members"] = comp, members
+        return K2
+
     # -- star / link ---------------------------------------------------
 
     def star(self, face: Iterable[int]) -> "SimplicialComplex":
@@ -299,7 +390,11 @@ class SimplicialComplex:
             raise MissingFaceError(f"vertex {v} is not in the complex") from None
 
     def _components(self) -> dict:
-        """Vertex -> a representative vertex of its 1-skeleton component."""
+        """Vertex -> a label naming its 1-skeleton component.
+
+        Built by a search over the 1-skeleton, the label is a vertex of
+        the component; a map patched by ``_successor`` may keep the label
+        of a vertex the step removed."""
         got = self._cache.get("components")
         if got is None:
             got = {}
@@ -317,8 +412,19 @@ class SimplicialComplex:
             self._cache["components"] = got
         return got
 
+    def _component_members(self) -> dict:
+        """The label of each component (see ``_components``) -> its vertices."""
+        got = self._cache.get("component_members")
+        if got is None:
+            parts: dict = {}
+            for v, r in self._components().items():
+                parts.setdefault(r, []).append(v)
+            got = {r: frozenset(vs) for r, vs in parts.items()}
+            self._cache["component_members"] = got
+        return got
+
     def is_connected(self) -> bool:
-        return len(set(self._components().values())) <= 1
+        return len(self._component_members()) <= 1
 
     def connected_components(self) -> list:
         """Components of the 1-skeleton, each as a complex.
@@ -538,28 +644,34 @@ def normal_update(
 
     Normality is local: a face that lies in none of the facets of
     ``K.facets ^ K2.facets`` has the same cofacets in both complexes.
-    So only the faces of those facets are rechecked: each triangle must
-    lie in 0 or 2 facets of ``K2``, each edge still present must have a
-    connected link, and each vertex still present a closed connected
+    So only the faces of those facets that ``K2`` still has are
+    rechecked; they lie on the vertices of ``K2`` whose stars changed.
+    Each such triangle must lie in 0 or 2 facets of ``K2``, each edge
+    must have a connected link, and each vertex a closed connected
     surface as its link, which is classified anew.  Every other vertex
-    keeps its entry.  A component is connected by definition, so the
-    verdict is that of :func:`validate_normal` on every component of
-    ``K2``, which stays the full check.
+    of ``K2`` keeps its entry.  So a split half rechecks the star of the
+    filled-in tetrahedron, not the other half it lost.  A component is
+    connected by definition, so the verdict is that of
+    :func:`validate_normal` on every component of ``K2``, which stays
+    the full check.
     """
-    changed = K.facets ^ K2.facets
+    if not (isinstance(K, SimplicialComplex) and isinstance(K2, SimplicialComplex)):
+        raise PseudoformError(f"normal_update wants two complexes, got {K!r} and {K2!r}")
+    removed, added = K.facets - K2.facets, K2.facets - K.facets
+    stars = K2.vertices & frozenset().union(*removed, *added)
+    at = K._facets_by_vertex()
+    changed = added | {F for v in stars for F in at.get(v, ()) if F in removed}
 
     def touched(size):
-        return {frozenset(c) for F in changed for c in itertools.combinations(F, size)}
+        return {frozenset(c) for F in changed for c in itertools.combinations(F & stars, size)}
 
     if any(len(K2._cofacets(t)) not in (0, 2) for t in touched(3)):
         return None
     if not all(_link_connected(K2, e) for e in touched(2)):
         return None
-    out = dict(singular)
-    for v in {v for F in changed for v in F}:
+    out = {v: cls for v, cls in singular.items() if v in K2.vertices}
+    for v in stars:
         out.pop(v, None)
-        if v not in K2.vertices:
-            continue
         try:
             cls = _vertex_link_class(K2, v)
         except PseudoformError:
@@ -581,19 +693,17 @@ def total_g2(K: SimplicialComplex) -> int:
     component keeps the book-keeping additive across disjoint unions,
     which is how construction traces account for connected sums.
     Each component adds ``f1 - 4*f0 + 10``, so the sum is
-    ``f1 - 4*f0 + 10*c`` with ``c`` the number of components.
+    ``f1 - 4*f0 + 10*c`` with ``c`` the number of components, all three
+    read off the caches that ``_successor`` patches.
     """
-    got = K._cache.get("total_g2")
-    if got is None:
-        if K.facets and K.dimension != 3:
-            raise DimensionError(
-                "total_g2 is defined for 3-complexes, this one has "
-                f"dimension {K.dimension}"
-            )
-        c = len(set(K._components().values()))
-        got = len(K.faces(1)) - 4 * len(K.vertices) + 10 * c
-        K._cache["total_g2"] = got
-    return got
+    if not isinstance(K, SimplicialComplex):
+        raise PseudoformError(f"total_g2 wants a complex, got {K!r}")
+    if K.facets and K.dimension != 3:
+        raise DimensionError(
+            "total_g2 is defined for 3-complexes, this one has "
+            f"dimension {K.dimension}"
+        )
+    return len(K._edge_counts()) - 4 * len(K.vertices) + 10 * len(K._component_members())
 
 
 # ---------------------------------------------------------------------

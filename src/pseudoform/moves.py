@@ -111,6 +111,8 @@ def _require_absent_labels(K: SimplicialComplex, labels: Sequence[int]) -> None:
         raise MoveError(f"fresh labels already in use: {clash}", details=clash)
     if len(_face(labels)) != len(labels):
         raise MoveError(f"fresh labels must be distinct, got {labels}")
+    # the only labels a move brings in; _successor trusts them
+    clean_face(labels)
 
 
 def _fresh_one(K: SimplicialComplex, given) -> int:
@@ -193,9 +195,7 @@ def bistellar_two(
     e = _edge(edge)
     cof, apex = _bistellar_two_check(K, e)
     u, v = sorted(e)
-    K2 = SimplicialComplex(
-        (K.facets - frozenset(cof)) | {apex | {u}, apex | {v}}
-    )
+    K2 = K._successor(cof, (apex | {u}, apex | {v}))
     rec = _record(
         BISTELLAR2, -1, edge=(u, v), triangle=tuple(sorted(apex))
     )
@@ -231,7 +231,7 @@ def bistellar_one(
     t = _face(triangle)
     cof, (u, v) = _bistellar_one_check(K, t)
     ring = {frozenset((u, v)) | frozenset(p) for p in itertools.combinations(sorted(t), 2)}
-    K2 = SimplicialComplex((K.facets - set(cof)) | ring)
+    K2 = K._successor(cof, ring)
     rec = _record(BISTELLAR1, +1, triangle=tuple(sorted(t)), edge=(u, v))
     return K2, rec
 
@@ -309,15 +309,8 @@ def contract_edge(
             return False
 
     homeo = sphere_link(u) or sphere_link(v)
-    out = []
-    for F in K.facets:
-        if e <= F:
-            continue
-        if u in F or v in F:
-            out.append((F - e) | {w})
-        else:
-            out.append(F)
-    K2 = SimplicialComplex(out)
+    star = {*_star_facets(K, u), *_star_facets(K, v)}
+    K2 = K._successor(star, ((F - e) | {w} for F in star if not e <= F))
     rec = _record(
         EDGE_CONTRACT,
         -(n - 3),
@@ -379,9 +372,7 @@ def expand_edge(
     ]
     cone_u = [t | {apex_u} for t in report.sides[u_side]]
     cone_v = [t | {apex_v} for t in report.sides[1 - u_side]]
-    K2 = SimplicialComplex(
-        (K.facets - frozenset(star_facets)) | set(ring) | set(cone_u) | set(cone_v)
-    )
+    K2 = K._successor(star_facets, ring + cone_u + cone_v)
     rec = _record(
         EDGE_EXPAND,
         n - 3,
@@ -458,7 +449,7 @@ def insert_two_facets(
     new = [s | {apex_u} for s in report.sides[0]]
     new += [s | {apex_v} for s in report.sides[1]]
     new += [t | {apex_u}, t | {apex_v}]
-    K2 = SimplicialComplex((K.facets - frozenset(star_facets)) | set(new))
+    K2 = K._successor(star_facets, new)
     rec = _record(
         TWO_FACETS_INSERT,
         -1,
@@ -536,9 +527,7 @@ def contract_two_facets(
     """
     t, ball, boundary = _contract_two_facets_check(K, u, v)
     w = _fresh_one(K, fresh)
-    K2 = SimplicialComplex(
-        (K.facets - frozenset(ball)) | {s | {w} for s in boundary}
-    )
+    K2 = K._successor(ball, (s | {w} for s in boundary))
     rec = _record(
         TWO_FACETS_CONTRACT,
         +1,
@@ -597,22 +586,25 @@ def _two_facets(K: SimplicialComplex, sigma1, sigma2) -> tuple:
 def _identify_facets(
     K: SimplicialComplex, sigma1: frozenset, psi: dict
 ) -> SimplicialComplex:
-    """Relabel psi's targets back onto sigma1, drop the merged facet."""
+    """Relabel psi's targets back onto sigma1, drop the merged facet.
+    Only the facets at the targets are rewritten."""
     back = {w: x for x, w in psi.items()}
-    facets = set()
-    for F in K.facets:
-        G = frozenset(back.get(v, v) for v in F)
-        if len(G) != len(F):
-            # a facet holding a vertex and its image: the usual error
+    at = K._facets_by_vertex()
+    touched = {F for w in back for F in at.get(w, ())}
+    images = {frozenset(back.get(v, v) for v in F) for F in touched}
+    if any(len(G) != len(sigma1) for G in images):
+        # a facet holding a vertex and its image: the usual error, for
+        # the first such facet in the order of K.facets
+        for F in K.facets:
             clean_face(back.get(v, v) for v in F)
-        facets.add(G)
-    if len(facets) != len(K.facets) - 1:
+    # the relabelled facets number one less than before exactly when
+    # the images collide once, with each other or with the facets kept
+    if sum(G in touched or G not in K.facets for G in images) != len(touched) - 1:
         raise MoveError(
             "identification collapsed facets beyond the glued pair; "
             "the gluing map is not admissible"
         )
-    facets.discard(sigma1)
-    return SimplicialComplex(facets)
+    return K._successor(touched | {sigma1}, images - {sigma1})
 
 
 def _gluing_record(kind, delta, s1, s2, p, **derived) -> MoveRecord:
@@ -907,15 +899,16 @@ def edge_unfold(
 
     # Fresh a2 and b2 make the relabelling one-to-one, and its image
     # avoids the missing tetrahedron, so the two new facets are new.
+    star = side_a.keys() | side_b.keys()
     out = [frozenset((u, v, a, b)), frozenset((u, v, a2, b2))]
-    for F in K.facets:
+    for F in star:
         G = F
         if a in F and side_a[F] == 1:
             G = (G - {a}) | {a2}
         if b in F and side_b[F] == b_side:
             G = (G - {b}) | {b2}
         out.append(G)
-    K2 = SimplicialComplex(out)
+    K2 = K._successor(star, out)
     rec = _record(
         EDGE_UNFOLD,
         -3,
@@ -943,9 +936,7 @@ def facet_subdivide(
     if s not in K.facets:
         raise MissingFaceError(f"{sorted(s)} is not a facet")
     w = _fresh_one(K, fresh)
-    K2 = SimplicialComplex(
-        (K.facets - {s}) | {(s - {x}) | {w} for x in s}
-    )
+    K2 = K._successor((s,), ((s - {x}) | {w} for x in s))
     rec = _record(FACET_SUBDIVIDE, 0, facet=tuple(sorted(s)), fresh=w)
     return K2, rec
 
@@ -981,7 +972,7 @@ def facet_unsubdivide(
     a closed complex).  g2 is unchanged.
     """
     cof, tetra = _unsubdivide_check(K, vertex)
-    K2 = SimplicialComplex((K.facets - frozenset(cof)) | {tetra})
+    K2 = K._successor(cof, (tetra,))
     rec = _record(
         FACET_UNSUBDIVIDE, 0, vertex=vertex, facet=tuple(sorted(tetra))
     )
@@ -1128,8 +1119,15 @@ def apply_record(
 
     All preconditions are re-checked, recorded fresh labels are forced,
     and the re-derived record must equal the given one, derived values
-    and g2 delta included; any mismatch raises :class:`MoveError`.
+    and g2 delta included; any mismatch raises :class:`MoveError`.  The
+    realized change of total g2 must equal the record's too.  Its f0,
+    f1 and component count are read off the caches that the
+    constructor's ``_successor`` patched, so the check costs what the
+    move touched; the component count changes only as the step's own
+    facets prove, never as the record says.
     """
+    if not isinstance(K, SimplicialComplex) or not isinstance(record, MoveRecord):
+        raise MoveError(f"apply_record wants a complex and a MoveRecord, got {K!r} and {record!r}")
     move = MOVES.get(record.kind)
     keys = tuple(k for k, _ in record.params)
     if move is None or keys != tuple(p.key for p in move.params):

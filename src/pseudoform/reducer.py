@@ -138,6 +138,8 @@ def _decode_value(line: int, key: str, text: str, shape):
 
 
 def format_trace(trace: ConstructionTrace) -> str:
+    if not isinstance(trace, ConstructionTrace):
+        raise TraceFormatError(f"format_trace wants a ConstructionTrace, got {trace!r}")
     lines = []
     f = ",".join(str(x) for x in trace.claimed_fcounts)
     lines.append(
@@ -157,6 +159,8 @@ def format_trace(trace: ConstructionTrace) -> str:
 
 
 def parse_trace(text: str) -> ConstructionTrace:
+    if not isinstance(text, str):
+        raise TraceFormatError(f"parse_trace wants the trace as text, got {text!r}")
     lines = text.splitlines()
     if not lines or not lines[0].startswith("trace "):
         raise TraceFormatError("missing 'trace' header line")
@@ -300,7 +304,13 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
     precondition failure, on an intermediate state that is not a
     disjoint union of normal closed complexes, and on a final tally
     that differs from the trace's claim.
+
+    Each state is patched from its parent by the move's constructor
+    (``SimplicialComplex._successor``), and ``normal_update`` rechecks
+    only the faces the move touched, so a step costs what it changes.
     """
+    if not isinstance(trace, ConstructionTrace):
+        raise ReplayError(f"replay wants a ConstructionTrace, got {trace!r}")
     if not trace.seeds:
         raise ReplayError("trace has no seeds")
     seen: set = set()
@@ -433,19 +443,24 @@ def split_at_missing_tetrahedron(
     # closed surface; cutting each link refuses it.
     moves._missing_tetrahedron_check(K, quad)
     moves._corner_reports(K, quad)
-    return _split(quad, *_split_check(K, quad), fresh_base)
+    return _split(K, quad, *_split_check(K, quad), fresh_base)
 
 
 def _split(
-    quad: frozenset, side_a: frozenset, side_b: frozenset, base: int
+    K: SimplicialComplex, quad: frozenset, side_a: frozenset, side_b: frozenset,
+    base: int,
 ) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
-    """The two summands of the sides ``_split_check`` gives, the copy of
-    ``quad`` in the second relabelled from ``base`` on, and the record."""
+    """The two summands of ``K`` on the sides ``_split_check`` gives, the
+    copy of ``quad`` in the second relabelled from ``base`` on, and the
+    record.  Each summand is patched from ``K``: the second rewrites
+    only its facets at the corners of ``quad``."""
     fresh = {x: base + i for i, x in enumerate(sorted(quad))}
-    K1 = SimplicialComplex(side_a | {quad})
-    K2 = SimplicialComplex(
-        {frozenset(fresh.get(v, v) for v in F) for F in side_b}
-        | {frozenset(fresh.values())}
+    at_quad = {F for x in quad for F in K._facets_by_vertex()[x] if F in side_b}
+    K1 = K._successor(side_b, (quad,))
+    K2 = K._successor(
+        side_a | at_quad,
+        {frozenset(fresh.get(v, v) for v in F) for F in at_quad}
+        | {frozenset(fresh.values())},
     )
     return K1, K2, moves._gluing_record(
         moves.CONNECTED_SUM, 0, quad, fresh.values(), fresh)
@@ -501,7 +516,7 @@ def _classify_component(
             f"not a normal closed pseudomanifold: {validate_normal(K).summary()}"
         )
     if not sing:
-        g2 = K.f_vector().g2
+        g2 = total_g2(K)  # K is connected
         if g2 > 9:
             raise _Rejection(f"sphere component with g2={g2} > 9")
         return CLASS_STACKED if g2 == 0 else CLASS_SPHERE
@@ -514,13 +529,14 @@ def _classify_component(
 def _singular_out_of_scope(K: SimplicialComplex, sing: dict) -> Optional[str]:
     """Why the component ``K`` with singular vertices ``sing`` is out of
     the reducer's and the walk's scope, or None when it has exactly two,
-    both with projective-plane links, and g2 3 or 4."""
+    both with projective-plane links, and g2 3 or 4.  ``K`` is connected,
+    so its g2 is its total g2."""
     bad = sorted(v for v, cls in sing.items() if cls.kind != RP2)
     if bad:
         return f"singular vertices {bad} have links other than a projective plane"
     if len(sing) != 2:
         return f"{len(sing)} projective-plane vertices; only exactly two are in scope"
-    g2 = K.f_vector().g2
+    g2 = total_g2(K)
     if g2 not in (3, 4):
         return f"two-singular component with g2={g2}; only 3 and 4 are in scope"
     return None
@@ -667,7 +683,7 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
         split = next(_iter_split_sites(K), None)
         if split is not None:
             (quad,), sides = split
-            K1, K2, rec = _split(quad, *sides, next_label)
+            K1, K2, rec = _split(K, quad, *sides, next_label)
             next_label += 4
             rule_log.append((tag, "split-at-missing-tetrahedron", tuple(sorted(quad))))
             stack += [
@@ -799,7 +815,7 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
                         "and one-sided corners",
                     )
                 continue
-            K1, K2, _rec = _split(quad, *sides, K.fresh_label())
+            K1, K2, _rec = _split(K, quad, *sides, K.fresh_label())
 
             def n_sing(C):
                 return len(

@@ -79,6 +79,11 @@ class Surface:
             ) from None
         if not tris:
             raise NotSurfaceError("no triangles given")
+        vertices = frozenset().union(*tris)
+        if not all(isinstance(v, int) and v >= 0 for v in vertices):
+            raise NotSurfaceError(
+                f"labels must be non-negative integers, got {sorted(map(repr, vertices))}"
+            )
         by_edge, edges_of = {}, {}
         for t in tris:
             if len(t) != 3:
@@ -92,7 +97,7 @@ class Surface:
             raise NotSurfaceError(f"edges not in exactly two triangles: {bad[:5]}")
         self.triangles = tris
         self.edges = frozenset(by_edge)
-        self.vertices = frozenset(v for t in tris for v in t)
+        self.vertices = vertices
         if len(set(_component_ids(tris, edges_of.__getitem__, by_edge).values())) != 1:
             raise NotSurfaceError("surface is not connected")
         self._cache: dict = {}

@@ -4,7 +4,9 @@ their result once.
 ``find_isomorphism`` walks its search tree with an explicit stack, so
 its depth is not bounded by the interpreter's recursion limit.
 ``moves._identify_facets``, which every connected sum, handle addition
-and fold ends with, relabels the facets and constructs one complex.
+and fold ends with, rewrites only the facets at the vertices of the
+second facet and builds its result from the complex it is given, with
+no fresh construction.
 """
 
 import itertools
@@ -96,9 +98,21 @@ def test_identify_facets_matches_relabel_then_rebuild(monkeypatch):
         built.append(self)
         init(self, facets)
 
+    patched = []
+    successor = SimplicialComplex._successor
+
+    def recording(self, removed, added):
+        removed, added = set(removed), set(added)
+        patched.append((removed, added))
+        return successor(self, removed, added)
+
     S = gen.spine_path_sphere(8)
     s1, s2, psi = gen.admissible_folds(S)[0]
     monkeypatch.setattr(SimplicialComplex, "__init__", counting)
-    moves._identify_facets(
+    monkeypatch.setattr(SimplicialComplex, "_successor", recording)
+    K2 = moves._identify_facets(
         S, frozenset(s1), {x: w for x, w in psi if x != w})
-    assert len(built) == 1
+    assert not built
+    ((removed, added),) = patched
+    assert all(F & set(s2) for F in removed - {frozenset(s1)})
+    assert K2.facets == (S.facets - removed) | added

@@ -2,9 +2,9 @@
 
 import pytest
 
-from pseudoform import io, moves, reducer
+from pseudoform import complexes, io, moves, reducer
 from pseudoform.complexes import SimplicialComplex
-from pseudoform.errors import MoveError, ReplayError, TraceFormatError
+from pseudoform.errors import MoveError, PseudoformError, ReplayError, TraceFormatError
 from pseudoform.generators import (
     boundary_simplex,
     cross_polytope,
@@ -345,3 +345,17 @@ def test_audit_summary_readable(fx):
     s = rep.summary()
     assert "refuted" in s
     assert "violated" in s
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda K: reducer.replay(None), ReplayError),
+    (lambda K: reducer.parse_trace(5), TraceFormatError),
+    (lambda K: reducer.parse_trace(b"x"), TraceFormatError),
+    (lambda K: reducer.format_trace(None), TraceFormatError),
+    (lambda K: complexes.total_g2(None), PseudoformError),
+    (lambda K: moves.apply_record(K, 5), MoveError),
+    (lambda K: complexes.normal_update(K, 5, {}), PseudoformError),
+])
+def test_replay_path_refuses_arguments_of_the_wrong_type(call, error):
+    with pytest.raises(error):
+        call(boundary_simplex())

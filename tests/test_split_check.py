@@ -300,7 +300,7 @@ def test_split_sites_match_the_reference_scan(group, fx):
             # the halves and the record the reducer's split step builds
             (quad,), sides = next(reducer._iter_split_sites(K))
             base = K.fresh_label()
-            assert reducer._split(quad, *sides, base) == reference_split(K, first, base)
+            assert reducer._split(K, quad, *sides, base) == reference_split(K, first, base)
 
 
 def test_a_handle_tetrahedron_is_no_split_site():

@@ -133,6 +133,7 @@ def test_sphere_missing_tetra_corners_all_separate(fx):
     (lambda K: Surface(5), NotSurfaceError),
     (lambda K: Surface([5]), NotSurfaceError),
     (lambda K: Surface([[[1], 2, 3]]), NotSurfaceError),
+    (lambda K: Surface([(1, "a", 2)]), NotSurfaceError),
     (lambda K: classify_surface(None), NotSurfaceError),
     (lambda K: surface_g2(5), NotSurfaceError),
     (lambda K: cycle_cut(5, (1, 2, 3)), NotSurfaceError),
