@@ -28,6 +28,7 @@ from .errors import (
     NotSurfaceError,
     PseudoformError,
     ReplayError,
+    SpecError,
     TraceFormatError,
 )
 from .reducer import (
@@ -64,6 +65,7 @@ __all__ = [
     "NotSurfaceError",
     "PseudoformError",
     "ReplayError",
+    "SpecError",
     "TraceFormatError",
     "are_isomorphic",
     "audit_multi_singular",

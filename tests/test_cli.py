@@ -281,6 +281,13 @@ def test_gen_stdout_and_json(capsys):
     assert payload["g2_total"] == 0
 
 
+def test_gen_refuses_a_block_count_past_the_limit(capsys):
+    # refused before any block is built, with the reason
+    code, out, err = run(capsys, "gen", "StackedSphere(100000000000)")
+    assert code == 2 and out == ""
+    assert "blocks must be from 1 to" in err
+
+
 def test_gen_trace_replays(capsys, tmp_path):
     tracefile = tmp_path / "g.trace"
     outfile = tmp_path / "g.txt"

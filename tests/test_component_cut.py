@@ -34,8 +34,7 @@ from pseudoform.surfaces import (
     cycle_cut,
 )
 
-from conftest import COMPLEX_FIXTURES
-from test_split_check import _walk
+from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS
 
 
 # ---------------------------------------------------------- the reference
@@ -186,17 +185,17 @@ def vertex_links(K):
 # ------------------------------------------------------------- the corpus
 
 
-CORPUS_GROUPS = {"fixtures": lambda fx: [fx(name) for name in COMPLEX_FIXTURES]}
+CORPUS_GROUPS = {"fixtures": lambda fx, walk: [fx(name) for name in COMPLEX_FIXTURES]}
 # the benchmark's walk corpus: sphere walks 100-199, fold walks 0-15
 for _lo in range(100, 200, 50):
     CORPUS_GROUPS[f"walks{_lo}"] = (
-        lambda fx, lo=_lo: [_walk(s, False) for s in range(lo, lo + 50)])
-CORPUS_GROUPS["foldwalks"] = lambda fx: [_walk(s, True) for s in range(16)]
+        lambda fx, walk, lo=_lo: [walk(s, False).complex for s in range(lo, lo + 50)])
+CORPUS_GROUPS["foldwalks"] = lambda fx, walk: [walk(s, True).complex for s in FOLD_WALK_SEEDS]
 
 
 @pytest.mark.parametrize("group", sorted(CORPUS_GROUPS))
-def test_cut_matches_the_fan_walk_on_vertex_links(group, fx):
-    corpus = CORPUS_GROUPS[group](fx)
+def test_cut_matches_the_fan_walk_on_vertex_links(group, fx, walk):
+    corpus = CORPUS_GROUPS[group](fx, walk)
     assert corpus
     for K in corpus:
         for S in vertex_links(K):
@@ -250,11 +249,11 @@ def _identified(K, k):
     return SimplicialComplex(K.relabeled({w: u}).facets)
 
 
-def not_normal_corpus():
+def not_normal_corpus(walk):
     S = gen.staircase_sphere(4)
     out = [_glued(S, S, k) for k in (1, 2, 3)]
     for seed in range(100, 130):
-        W = _walk(seed, False)
+        W = walk(seed, False).complex
         if any(w not in W.neighbors(u) for u, w in itertools.combinations(W.vertices, 2)):
             out += [_identified(W, k) for k in range(3)]
     return out
@@ -277,9 +276,9 @@ def _split_outcome(K, q):
 NOT_NORMAL_PINNED = "d3dd220008451a44117c623c1e3b2a62621031447b02307dcad33878662949d5"
 
 
-def test_split_off_normal_input_is_pinned():
+def test_split_off_normal_input_is_pinned(walk):
     outs = [(tuple(sorted(q)), _split_outcome(K, q))
-            for K in not_normal_corpus() for q in K.missing_faces(3)]
+            for K in not_normal_corpus(walk) for q in K.missing_faces(3)]
     assert len(outs) == 220
     # corners whose link is no closed surface are refused; the star cut
     # alone would split some of them

@@ -6,6 +6,7 @@ from pseudoform import moves, reducer
 from pseudoform.complexes import total_g2
 from pseudoform.complexes import validate_normal
 from pseudoform import generators as gen
+from pseudoform.errors import PseudoformError, SpecError
 
 
 # ------------------------------------------------------------- families
@@ -44,6 +45,41 @@ def test_families_reject_tiny_block_counts(blocks):
         gen.spine_path_sphere(blocks)
     with pytest.raises(ValueError):
         gen.staircase_sphere(blocks)
+
+
+def _stacked(blocks):
+    return gen.generate(gen.GeneratorSpec(gen.STACKED_SPHERE, (("blocks", blocks),)))
+
+
+SIZED = {
+    "spine": gen.spine_path_sphere,
+    "staircase": gen.staircase_sphere,
+    "stacked": _stacked,
+}
+
+
+@pytest.mark.parametrize("family", sorted(SIZED))
+@pytest.mark.parametrize("blocks", ["3", 3.0, None, True, -1, 0, gen.MAX_BLOCKS + 1, 10**11])
+def test_block_counts_are_checked_before_anything_is_built(family, blocks, monkeypatch):
+    def refuse(base=0):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(gen, "boundary_simplex", refuse)
+    with pytest.raises(SpecError) as info:
+        SIZED[family](blocks)
+    assert isinstance(info.value, PseudoformError)
+    assert isinstance(info.value, ValueError)
+    assert "blocks must be" in str(info.value)
+
+
+def test_the_largest_block_count_is_accepted():
+    assert len(gen.staircase_sphere(gen.MAX_BLOCKS).facets) == 3 * gen.MAX_BLOCKS + 2
+
+
+@pytest.mark.parametrize("text", ["RandomMoves(seed=x)", "StackedSphere(1.5)", 5, None])
+def test_bad_specs_are_package_errors(text):
+    with pytest.raises(SpecError):
+        gen.parse_generator_spec(text)
 
 
 # ------------------------------------------------------- admissibility

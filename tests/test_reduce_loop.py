@@ -111,14 +111,7 @@ def folded_spine(n):
     return moves.edge_fold(S, s1, s2, dict(psi))[0]
 
 
-def walk(seed, fold):
-    return gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, (
-        ("seed", seed), ("budget", 20), ("allow_fold", fold),
-        ("g2_cap", 4 if fold else 9),
-    ))).complex
-
-
-def pinned_inputs(fx):
+def pinned_inputs(fx, walk):
     inputs = {name: fx(name) for name in COMPLEX_FIXTURES}
     inputs["cross"] = gen.cross_polytope()
     for n in SIZES:
@@ -126,17 +119,17 @@ def pinned_inputs(fx):
         if n >= 5:  # smaller spine spheres have no admissible fold
             inputs[f"spinefold{n}"] = folded_spine(n)
     for seed in range(100, 120):
-        inputs[f"walk{seed}"] = walk(seed, False)
+        inputs[f"walk{seed}"] = walk(seed, False).complex
     for seed in range(20):
-        inputs[f"foldwalk{seed}"] = walk(seed, True)
+        inputs[f"foldwalk{seed}"] = walk(seed, True).complex
     inputs["empty"] = SimplicialComplex([])
     return inputs
 
 
-def test_reduce_output_is_pinned(fx):
+def test_reduce_output_is_pinned(fx, walk):
     got = {
         name: fingerprint(reducer.reduce_complex(K))
-        for name, K in pinned_inputs(fx).items()
+        for name, K in pinned_inputs(fx, walk).items()
     }
     assert got == PINNED
 
@@ -160,8 +153,8 @@ def test_every_rule_has_a_step_test():
 
 
 @pytest.mark.parametrize("rule_id", sorted(RULE_INPUTS))
-def test_rule_step_is_undone_by_its_forward_record(rule_id):
-    K = walk(*reversed(RULE_INPUTS[rule_id]))
+def test_rule_step_is_undone_by_its_forward_record(rule_id, walk):
+    K = walk(*reversed(RULE_INPUTS[rule_id])).complex
     sing = dict(complexes.validate_normal(K).singular_vertices)
     cls = reducer._classify_component(K, sing)
     (rule,) = [r for r in reducer._RULES[cls] if r[0] == rule_id]

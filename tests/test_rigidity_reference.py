@@ -96,22 +96,15 @@ def folded_spine(n):
     return moves.edge_fold(S, s1, s2, dict(psi))[0]
 
 
-def walk(seed, fold):
-    return gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, (
-        ("seed", seed), ("budget", 20), ("allow_fold", fold),
-        ("g2_cap", 4 if fold else 9),
-    ))).complex
-
-
-def corpus(fx):
+def corpus(fx, walk):
     out = {name: fx(name) for name in COMPLEX_FIXTURES}
     for n in (8, 16, 32, 64):
         out[f"staircase{n}"] = gen.staircase_sphere(n)
         out[f"spinefold{n}"] = folded_spine(n)
     for seed in range(100, 120):
-        out[f"walk{seed}"] = walk(seed, False)
+        out[f"walk{seed}"] = walk(seed, False).complex
     for seed in range(16):
-        out[f"foldwalk{seed}"] = walk(seed, True)
+        out[f"foldwalk{seed}"] = walk(seed, True).complex
     return out
 
 
@@ -124,8 +117,8 @@ def shuffled_edges(edges, seed):
     return out
 
 
-def test_corpus_verdicts_match_dense_reference(fx):
-    for name, K in corpus(fx).items():
+def test_corpus_verdicts_match_dense_reference(fx, walk):
+    for name, K in corpus(fx, walk).items():
         edges = list(K.faces(1))
         want = reference_rank(K.vertices, edges)
         got = rigidity.complex_rigidity(K)

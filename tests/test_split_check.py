@@ -16,7 +16,7 @@ from pseudoform import generators as gen, moves, reducer, surfaces
 from pseudoform.complexes import SimplicialComplex
 from pseudoform.errors import MoveError
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS
 
 # sha256 of the audit's (applicable, facts, violations), force off and
 # on, for the fixtures, fold walks 0-15 (budget 20, g2 cap 4) and the
@@ -145,13 +145,6 @@ AUDIT_PINNED = {
 }
 
 
-def _walk(seed, fold):
-    return gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, (
-        ("seed", seed), ("budget", 20), ("allow_fold", fold),
-        ("g2_cap", 4 if fold else 9),
-    ))).complex
-
-
 def _folded_spine(n):
     S = gen.spine_path_sphere(n)
     folds = gen.admissible_folds(S)
@@ -165,10 +158,10 @@ def _handle_bodies():
             for s1, s2, psi in itertools.islice(moves.handle_sites(S), 5)]
 
 
-def audit_inputs(fx):
+def audit_inputs(fx, walk):
     inputs = {name: fx(name) for name in COMPLEX_FIXTURES}
-    for seed in range(16):
-        inputs[f"foldwalk{seed}"] = _walk(seed, True)
+    for seed in FOLD_WALK_SEEDS:
+        inputs[f"foldwalk{seed}"] = walk(seed, True).complex
     for i, H in enumerate(_handle_bodies()):
         inputs[f"handle{i}"] = H
     return inputs
@@ -179,9 +172,9 @@ def audit_fingerprint(rep) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_audit_output_is_pinned(fx):
+def test_audit_output_is_pinned(fx, walk):
     got, facts = {}, set()
-    for name, K in audit_inputs(fx).items():
+    for name, K in audit_inputs(fx, walk).items():
         reports = [reducer.audit_multi_singular(K, force=f) for f in (False, True)]
         got[name] = tuple(audit_fingerprint(rep) for rep in reports)
         facts.update(reports[1].facts)
@@ -277,20 +270,20 @@ def split_sites(K):
 
 
 CORPUS_GROUPS = {
-    "fixtures": lambda fx: [fx(name) for name in COMPLEX_FIXTURES],
-    "staircase": lambda fx: [gen.staircase_sphere(n) for n in range(1, 33)],
-    "spinefold": lambda fx: [_folded_spine(n) for n in range(6, 33)],
+    "fixtures": lambda fx, walk: [fx(name) for name in COMPLEX_FIXTURES],
+    "staircase": lambda fx, walk: [gen.staircase_sphere(n) for n in range(1, 33)],
+    "spinefold": lambda fx, walk: [_folded_spine(n) for n in range(6, 33)],
 }
 # the benchmark's walk corpus: sphere walks 100-199, fold walks 0-15
 for _lo in range(100, 200, 25):
     CORPUS_GROUPS[f"walks{_lo}"] = (
-        lambda fx, lo=_lo: [_walk(s, False) for s in range(lo, lo + 25)])
-CORPUS_GROUPS["foldwalks"] = lambda fx: [_walk(s, True) for s in range(16)]
+        lambda fx, walk, lo=_lo: [walk(s, False).complex for s in range(lo, lo + 25)])
+CORPUS_GROUPS["foldwalks"] = lambda fx, walk: [walk(s, True).complex for s in FOLD_WALK_SEEDS]
 
 
 @pytest.mark.parametrize("group", sorted(CORPUS_GROUPS))
-def test_split_sites_match_the_reference_scan(group, fx):
-    corpus = CORPUS_GROUPS[group](fx)
+def test_split_sites_match_the_reference_scan(group, fx, walk):
+    corpus = CORPUS_GROUPS[group](fx, walk)
     assert corpus
     for K in corpus:
         sites = split_sites(K)

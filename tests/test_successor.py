@@ -14,13 +14,15 @@ A replay of staircase spheres of two sizes then counts the work per
 move, so that a return to quadratic replay fails without any timing.
 """
 
+import hashlib
+
 import pytest
 
 from pseudoform import complexes, generators as gen, moves, reducer
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import MalformedFacetError
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS
 
 
 def _partition(comp):
@@ -183,17 +185,85 @@ def test_folded_spine_spheres_pass_the_gate(monkeypatch):
     assert tally["successors"] >= tally["updates"] > 0
 
 
+# sha256 of repr([(canonical facets, format_trace)]) of
+# generate(StackedSphere(n)) for n = 1..64, taken when every block was
+# glued with the public connected_sum on a fresh union.
+STACKED_PINNED = "ef2b0a0f7cca86b4674aafd5ca09656ffea602e05a7d59241bc4d830afde669e"
+
+
+def _stacked(n):
+    return gen.generate(gen.parse_generator_spec(f"StackedSphere({n})"))
+
+
+def test_stacked_spheres_pass_the_gate(monkeypatch):
+    tally = install_gate(monkeypatch, SimplicialComplex._successor)
+    for n in [*range(1, 33), 64]:
+        tally["fresh"].clear()
+        before = tally["successors"]
+        _stacked(n)
+        # one successor per glued block, each checked against a fresh build
+        assert tally["successors"] - before == n - 1
+
+
+def test_stacked_spheres_are_pinned():
+    made = [_stacked(n) for n in range(1, 65)]
+    outs = [(g.complex.canonical_facets(), reducer.format_trace(g.trace)) for g in made]
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == STACKED_PINNED
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_stacked_work_per_block_does_not_grow(n, monkeypatch):
+    """Generating StackedSphere(n) cleans each facet of the seeds and of
+    their union once, builds no complex but the seeds and the union,
+    searches components once, and each gluing rewrites the glued facet
+    and the block's five."""
+    counts = {"rewritten": [], "clean_face": 0, "init": 0, "searched": 0}
+    successor = SimplicialComplex._successor
+    clean_face = complexes.clean_face
+    init = SimplicialComplex.__init__
+    components = SimplicialComplex._components
+
+    def counted_successor(self, removed, added):
+        removed, added = set(removed), set(added)
+        counts["rewritten"].append(len(removed) + len(added))
+        return successor(self, removed, added)
+
+    def counted_clean_face(vertices):
+        counts["clean_face"] += 1
+        return clean_face(vertices)
+
+    def counted_init(self, facets):
+        counts["init"] += 1
+        init(self, facets)
+
+    def counted_components(self):
+        counts["searched"] += "components" not in self._cache
+        return components(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(SimplicialComplex, "_successor", counted_successor)
+        m.setattr(SimplicialComplex, "__init__", counted_init)
+        m.setattr(SimplicialComplex, "_components", counted_components)
+        m.setattr(complexes, "clean_face", counted_clean_face)
+        K = _stacked(n).complex
+    assert len(K.facets) == 3 * n + 2
+    # each seed cleans its five facets twice (from_facets, then the
+    # constructor), the union once more
+    assert counts["clean_face"] == 15 * n
+    assert counts["init"] == n + 1
+    assert counts["searched"] == 1
+    assert counts["rewritten"] == [10] * (n - 1)
+
+
 # The walk-corpus walks: sphere walks by seed (g2 cap 9) and fold walks
 # by seed (g2 cap 4), at budget 20.
-CORPUS_WALKS = [(seed, False) for seed in range(100, 200)]
-CORPUS_WALKS += [(seed, True) for seed in range(16)]
+CORPUS_WALKS = [(seed, False) for seed in SPHERE_WALK_SEEDS]
+CORPUS_WALKS += [(seed, True) for seed in FOLD_WALK_SEEDS]
 
 
 @pytest.mark.parametrize("chunk", range(4))
-def test_walk_corpus_passes_the_gate(chunk, monkeypatch):
-    walks = [gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, (
-        ("seed", seed), ("budget", 20), ("allow_fold", fold),
-        ("g2_cap", 4 if fold else 9)))) for seed, fold in CORPUS_WALKS[chunk::4]]
+def test_walk_corpus_passes_the_gate(chunk, monkeypatch, walk):
+    walks = [walk(seed, fold) for seed, fold in CORPUS_WALKS[chunk::4]]
     tally = install_gate(monkeypatch, SimplicialComplex._successor)
     for g in walks:
         tally["fresh"].clear()
