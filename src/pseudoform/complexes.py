@@ -233,8 +233,8 @@ class SimplicialComplex:
 
         The component map is patched when this complex holds one and the
         step proves the outcome: some facet is added, the added facets are
-        connected, and every vertex of a removed facet that stays lies in
-        an added facet.  Then any path through a removed facet can go
+        connected and meet a component, and every vertex of a removed facet
+        that stays lies in an added facet.  Then any path through a removed facet can go
         through the added ones instead, so the components that the changed
         facets meet merge into one, with the new vertices, and every other
         component is kept.  Otherwise the map is rebuilt on demand.
@@ -284,9 +284,11 @@ class SimplicialComplex:
         if surfaces._count_components(
                 e for F in new for e in itertools.combinations(F, 2)) != 1:
             return K2
-        members = self._component_members()
         hit = {comp[v] for v in new_vs if v in comp}
         hit.update(comp[next(iter(F))] for F in gone)
+        if not hit:  # added facets that meet no component
+            return K2
+        members = self._component_members()
         keep = max(sorted(hit), key=lambda r: len(members[r]))
         merged = frozenset().union(*(members[r] for r in hit)).difference(dead) | new_vs
         comp, members = comp.copy(), members.copy()

@@ -26,14 +26,19 @@ MAX_BLOCKS = 2048
 builds in under three seconds of CPU on a 2-core Xeon host; a larger
 count is refused before anything is built."""
 
+MAX_BUDGET = 1000
+"""The most moves a random walk may try to make.  At the limit a walk
+took 2.5 to 7.3 s of CPU on a 2-core Xeon host (four seeds, with and
+without folds); a larger budget is refused before the walk starts."""
 
-def _blocks(blocks) -> int:
-    """``blocks`` checked as a block count: an int from 1 to MAX_BLOCKS."""
-    if not isinstance(blocks, int) or isinstance(blocks, bool):
-        raise SpecError(f"blocks must be an integer, got {blocks!r}")
-    if not 1 <= blocks <= MAX_BLOCKS:
-        raise SpecError(f"blocks must be from 1 to {MAX_BLOCKS}, got {blocks}")
-    return blocks
+
+def _count(name: str, value, least: int, most: int) -> int:
+    """``value`` checked as a count: an int from ``least`` to ``most``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        raise SpecError(f"{name} must be from {least} to {most}, got {value}")
+    return value
 
 
 def boundary_simplex(base: int = 0) -> SimplicialComplex:
@@ -50,7 +55,7 @@ def spine_path_sphere(blocks: int) -> SimplicialComplex:
     cycle is long enough that folds identifying well-separated facets
     become admissible; these are the standard foldable test spheres.
     """
-    blocks = _blocks(blocks)
+    blocks = _count("blocks", blocks, 1, MAX_BLOCKS)
     K = boundary_simplex()
     for j in range(1, blocks):
         K, _ = moves.facet_subdivide(K, (0, 1, j + 2, j + 3), fresh=j + 4)
@@ -64,7 +69,7 @@ def staircase_sphere(blocks: int) -> SimplicialComplex:
     roles retire as the construction advances; with 9 or more blocks
     the two ends are far enough apart for a handle identification.
     """
-    blocks = _blocks(blocks)
+    blocks = _count("blocks", blocks, 1, MAX_BLOCKS)
     K = boundary_simplex()
     for w in range(5, blocks + 4):
         K, _ = moves.facet_subdivide(K, (w - 4, w - 3, w - 2, w - 1), fresh=w)
@@ -208,7 +213,7 @@ def _gen_stacked(blocks: int, seed: int) -> GeneratedComplex:
     each sum is a successor of the state before.  The sorted facet list
     the choice draws from is patched as facets come and go.
     """
-    blocks = _blocks(blocks)
+    blocks = _count("blocks", blocks, 1, MAX_BLOCKS)
     rng = random.Random(seed)
     seeds = [boundary_simplex(base=5 * i) for i in range(blocks)]
     K = SimplicialComplex(F for block in seeds for F in block.facets)
@@ -259,6 +264,7 @@ def _scope_update(
 def _gen_random(
     seed: int, budget: int, allow_fold: bool, g2_cap: int
 ) -> GeneratedComplex:
+    budget = _count("budget", budget, 0, MAX_BUDGET)
     rng = random.Random(seed)
     K = boundary_simplex()
     singular: dict = {}

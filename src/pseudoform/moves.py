@@ -42,9 +42,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import (SimplicialComplex, _closure, _edge_circle, _vertex_link,
                         _vertex_link_class, clean_face, total_g2)
-from .errors import MissingFaceError, MoveError, PseudoformError
+from .errors import MissingFaceError, MoveError, NotSurfaceError, PseudoformError
 from . import surfaces
-from .surfaces import MOEBIUS, Surface, cycle_cut, missing_triangle_neighborhood
+from .surfaces import Surface, cycle_cut, missing_triangle_neighborhood
 
 BISTELLAR1 = "Bistellar1"
 BISTELLAR2 = "Bistellar2"
@@ -139,6 +139,13 @@ def _star_facets(K: SimplicialComplex, vertex: int) -> list:
     if not cof:
         raise MissingFaceError(f"vertex {vertex} is not in the complex")
     return cof
+
+
+def _link_sides(K: SimplicialComplex, vertex: int, t: frozenset) -> Optional[tuple]:
+    """The two sides into which the boundary of the triangle ``t`` cuts
+    the link of ``vertex`` (``surfaces._cut_sides``), or None."""
+    link = [F - {vertex} for F in K._cofacets(frozenset((vertex,)))]
+    return surfaces._cut_sides(link, surfaces._edges_of(t))
 
 
 def _passing(check: Callable, K: SimplicialComplex, candidates) -> Iterable:
@@ -399,8 +406,10 @@ def _iter_link_cycle_sites(K: SimplicialComplex) -> Iterator:
 
 
 def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
-    """The star of ``vertex`` and the cut of its link along ``t``'s
-    boundary into two discs."""
+    """The star of ``vertex`` and the two discs into which ``t``'s
+    boundary cuts its link.  On a sphere link every such cut gives two
+    discs (Jordan-Schoenflies), and two discs glue to a sphere.  Off a
+    sphere the full cut words the refusal, or passes a pinched link."""
     if len(t) != 3:
         raise MoveError(f"expected a triangle, got {sorted(t)}")
     if _face((vertex,)) <= t:
@@ -410,6 +419,9 @@ def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
             f"triangle {sorted(t)} is already a face", details=tuple(sorted(t))
         )
     star_facets = _star_facets(K, vertex)
+    sides = _link_sides(K, vertex, t)
+    if sides is not None and _vertex_link_class(K, vertex).kind == surfaces.SPHERE:
+        return star_facets, sides
     report = missing_triangle_neighborhood(K, vertex, t)
     if not report.separates:
         raise MoveError(
@@ -423,7 +435,7 @@ def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
             f"{report.side_descriptions}",
             details=report,
         )
-    return star_facets, report
+    return star_facets, report.sides
 
 
 def insert_two_facets(
@@ -442,11 +454,11 @@ def insert_two_facets(
     by one.
     """
     t = _face(triangle)
-    star_facets, report = _insert_check(K, vertex, t)
+    star_facets, sides = _insert_check(K, vertex, t)
     apex_u, apex_v = _fresh_pair(K, apexes)
 
-    new = [s | {apex_u} for s in report.sides[0]]
-    new += [s | {apex_v} for s in report.sides[1]]
+    new = [s | {apex_u} for s in sides[0]]
+    new += [s | {apex_v} for s in sides[1]]
     new += [t | {apex_u}, t | {apex_v}]
     K2 = K._successor(star_facets, new)
     rec = _record(
@@ -827,9 +839,10 @@ def fold_sites(K: SimplicialComplex) -> Iterator:
 class UnfoldSite:
     """A missing tetrahedron that witnesses a previous edge fold.
 
-    ``moebius_edge`` holds the two corners with one-sided (Moebius)
-    triangle neighbourhoods in their links; ``split_pair`` the two
-    corners whose links are separated by the opposite triangle.
+    ``moebius_edge`` holds the two corners whose links are projective
+    planes that the opposite triangle does not separate (one-sided, a
+    Moebius neighbourhood); ``split_pair`` the two corners whose links
+    it separates.
     """
 
     tetra: tuple
@@ -837,12 +850,18 @@ class UnfoldSite:
     split_pair: tuple
 
 
-def _corner_reports(K: SimplicialComplex, quad: frozenset) -> dict:
-    """Each corner of a missing tetrahedron with the cut of its link
-    along the opposite triangle."""
-    return {
-        x: missing_triangle_neighborhood(K, x, quad - {x}) for x in sorted(quad)
-    }
+def _corner_links(K: SimplicialComplex, quad: frozenset) -> dict:
+    """Each corner of the missing tetrahedron ``quad`` -> the class of its
+    link; :class:`NotSurfaceError` when that link is no closed surface
+    or is pinched at another corner (that edge's link is no circle)."""
+    _missing_tetrahedron_check(K, quad)
+    links = {}
+    for x in sorted(quad):
+        links[x] = _vertex_link_class(K, x)
+        for c in sorted(quad - {x}):
+            if _edge_circle(K, frozenset((x, c))) is None:
+                raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
+    return links
 
 
 def _missing_tetrahedron_check(K: SimplicialComplex, quad: frozenset) -> None:
@@ -856,11 +875,12 @@ def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
     """A missing tetrahedron with two Moebius and two separating
     corners: those corner pairs, the cut side (0 or 1) of each facet at
     each separating corner, and the side at the second that pairs with
-    side 1 at the first."""
-    _missing_tetrahedron_check(K, quad)
-    reports = _corner_reports(K, quad)
-    moeb = tuple(x for x in sorted(quad) if reports[x].neighborhood == MOEBIUS)
-    seps = tuple(x for x in sorted(quad) if reports[x].separates)
+    side 1 at the first.  A Moebius corner has an RP^2 link that the
+    opposite triangle does not separate: such a cycle is one-sided."""
+    links = _corner_links(K, quad)
+    sides = {x: _link_sides(K, x, quad - {x}) for x in sorted(quad)}
+    moeb = tuple(x for x in sides if not sides[x] and links[x].kind == surfaces.RP2)
+    seps = tuple(x for x in sides if sides[x])
     if len(moeb) != 2 or len(seps) != 2:
         raise MoveError(
             f"corner pattern of {sorted(quad)} does not witness a fold: "
@@ -869,8 +889,8 @@ def _unfold_check(K: SimplicialComplex, quad: frozenset) -> tuple:
         )
     a, b = seps
     # a separating corner's two cut sides cover its link
-    side_a = {F: int(F - {a} in reports[a].sides[1]) for F in _star_facets(K, a)}
-    side_b = {F: int(F - {b} in reports[b].sides[1]) for F in _star_facets(K, b)}
+    side_a = {F: int(F - {a} in sides[a][1]) for F in _star_facets(K, a)}
+    side_b = {F: int(F - {b} in sides[b][1]) for F in _star_facets(K, b)}
     # Pair the sides through the facets containing the edge ab: sides
     # seen together belong to the same reinstated facet.
     pairing: dict = {}
@@ -905,8 +925,9 @@ def edge_unfold(
     """Undo an edge fold at a witnessing missing tetrahedron.
 
     The tetrahedron must be missing with exactly two Moebius corners
-    (the folded edge, whose links are projective planes cut open by
-    the unfold) and two separating corners.  Each separating corner is
+    (the folded edge: projective-plane links that the opposite triangle
+    does not separate, cut open by the unfold) and two corners whose
+    links it separates.  Each separating corner is
     split into its two link sides, the matching side pairs receive the
     two reinstated facets, and both Moebius links become spheres.  g2
     drops by 3.

@@ -362,33 +362,27 @@ def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
     and cutting along whose four triangles leaves exactly two sides of
     facets that share only ``quad``: those two sides.
 
-    Both questions are one star cut: facets are joined across their
-    triangles other than the four of ``quad``.  Facets at a corner
-    ``x`` meet across a triangle through ``x`` exactly when their link
-    triangles meet across its link edge, and the three cut triangles
-    through ``x`` are the edges of the cycle ``quad - {x}``.  So ``x``
-    separates its link exactly when the cut leaves the facets at ``x``
-    in two components.  A cut that leaves one side means a handle,
-    which needs g2 >= 10.
+    A corner ``x`` separates when the boundary of ``quad - {x}`` cuts
+    its link in two (``moves._link_sides``).  The facets are then cut
+    along the four triangles of ``quad``: joined across every other
+    triangle, they must fall into two sides.  A cut that leaves one
+    side means a handle, which needs g2 >= 10.
     """
     moves._missing_tetrahedron_check(K, quad)
-    cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
-
-    def uncut_triangles(F):
-        return [t for t in map(frozenset, itertools.combinations(F, 3)) if t not in cut]
-
-    def pieces(facets):
-        comp = surfaces._component_ids(facets, uncut_triangles)
-        return comp, max(comp.values()) + 1
-
-    moebius = [x for x in sorted(quad) if pieces(K._cofacets(frozenset((x,))))[1] != 2]
+    moebius = [x for x in sorted(quad) if moves._link_sides(K, x, quad - {x}) is None]
     if moebius:
         raise MoveError(
             f"corners {moebius} of {sorted(quad)} have one-sided "
             "neighborhoods; this tetrahedron witnesses a fold, not a sum",
             details=tuple(moebius),
         )
-    comp, n_comp = pieces(sorted(K.facets, key=sorted))
+    cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
+
+    def uncut_triangles(F):
+        return [t for t in map(frozenset, itertools.combinations(F, 3)) if t not in cut]
+
+    comp = surfaces._component_ids(sorted(K.facets, key=sorted), uncut_triangles)
+    n_comp = max(comp.values()) + 1
     if n_comp == 1:
         raise MoveError(
             f"cutting along {sorted(quad)} does not disconnect: the gluing "
@@ -423,8 +417,8 @@ def split_at_missing_tetrahedron(
     """Undo the connected sum glued along a missing tetrahedron.
 
     The one precondition is ``_split_check``; before it, each corner's
-    link is cut along the opposite triangle, which refuses a corner
-    whose link is not a closed surface.  Returns the two summands, the
+    link is classified (``moves._corner_links``), which refuses a link
+    that is not a closed surface.  Returns the two summands, the
     second with the labels ``fresh_base`` to ``fresh_base + 3`` (unused
     in ``K``) on its copy of the tetrahedron, plus the ConnectedSum
     record that reassembles them.
@@ -440,9 +434,8 @@ def split_at_missing_tetrahedron(
     # tetrahedron takes labels that are nowhere in K
     moves._require_absent_labels(K, range(fresh_base, fresh_base + 4))
     # A complex that is not normal may have a corner whose link is no
-    # closed surface; cutting each link refuses it.
-    moves._missing_tetrahedron_check(K, quad)
-    moves._corner_reports(K, quad)
+    # closed surface; classifying each link refuses it.
+    moves._corner_links(K, quad)
     return _split(K, quad, *_split_check(K, quad), fresh_base)
 
 

@@ -8,12 +8,11 @@ preconditions: a missing triangle in a link either separates the link
 (annulus neighbourhood) or sits one-sidedly in it (Moebius
 neighbourhood), and the two cases trigger different decompositions.
 
-Every cut is a component count (``_component_ids``).  The triangles
-at a cycle vertex fall into two arcs, joined across the edges at the
-vertex other than the two cycle edges; the cut duplicates each cycle
-vertex into one copy per arc, and the pieces of the cut surface are
-the components of its triangles.  Triangles keep their identity, so
-callers can map every piece back to original triangles.
+Every cut is a component count (``_component_ids``).  Separation is
+decided in one place, ``_cut_sides``: the sides are the components of
+the triangles joined across every edge but the cut ones.  The boundary
+circles a cut opens are read off the two arcs of triangles at each
+cycle vertex, joined across the edges there but the cycle's.
 """
 
 from __future__ import annotations
@@ -206,8 +205,8 @@ def cycle_cut(S: Surface, cycle: Sequence[int]) -> CutReport:
     for v in cyc:
         if v not in S.vertices:
             raise CycleError(f"cycle vertex {v} is not in the surface")
-    for i in range(n):
-        e = frozenset((cyc[i], cyc[(i + 1) % n]))
+    ring = [frozenset(e) for e in zip(cyc, cyc[1:] + cyc[:1])]
+    for e in ring:
         if e not in S.edges:
             raise CycleError(
                 f"consecutive cycle vertices {tuple(sorted(e))} are not an edge"
@@ -228,44 +227,22 @@ def cycle_cut(S: Surface, cycle: Sequence[int]) -> CutReport:
         if max(arc.values()) != 1 or len({arc[t] for t in fan if p in t}) != 2:
             raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
 
-    # Build the cut complex.  Labels become (vertex, copy) pairs with
-    # copy = -1 for vertices off the cycle, keeping labels sortable.
-    cut_tris = []
-    orig_of = {}
-    for t in S.triangles:
-        newt = frozenset(
-            (x, arc_of[x][t]) if x in arc_of else (x, -1) for x in t
-        )
-        cut_tris.append(newt)
-        orig_of[newt] = t
-
-    comp_ids = _component_ids(cut_tris)
-    n_comps = max(comp_ids.values()) + 1
-
-    boundary = _boundary_edges(cut_tris)
-    circles = _count_components(boundary)
-
-    separates = n_comps == 2
-    neighborhood = ANNULUS if circles == 2 else MOEBIUS
-
-    side_descriptions: tuple = ()
-    sides: tuple = ()
-    if separates:
-        groups: list = [[], []]
-        for ct in cut_tris:
-            groups[comp_ids[ct]].append(ct)
-        groups.sort(key=lambda g: min(tuple(sorted(orig_of[ct])) for ct in g))
-        sides = tuple(frozenset(orig_of[ct] for ct in g) for g in groups)
-        side_descriptions = tuple(_describe_piece(g) for g in groups)
-
+    # The cut opens each cycle edge into two rim edges, one per triangle
+    # at it, between the arcs that triangle lies in at the two ends.
+    circles = _count_components(
+        ((c, arc_of[c][t]), (d, arc_of[d][t])) for c, d in ring for t in arc_of[c] if d in t
+    )
+    # Each piece of the cut holds a rim circle, so there are at most two,
+    # and one copy of each cycle vertex, so it keeps the original labels.
+    sides = _cut_sides(S.triangles, ring) or ()
     return CutReport(
         cycle=cyc,
         is_cycle_in_surface=True,
-        separates=separates,
-        neighborhood=neighborhood,
-        components_after_cut=n_comps,
+        separates=bool(sides),
+        neighborhood=ANNULUS if circles == 2 else MOEBIUS,
+        components_after_cut=2 if sides else 1,
         n_boundary_circles=circles,
-        side_descriptions=side_descriptions,
+        side_descriptions=tuple(_describe_piece(g) for g in sides),
         sides=sides,
     )
 
@@ -334,9 +311,17 @@ def _component_ids(cells, faces_of=_edges_of, by_face=None) -> dict:
     return ids
 
 
-def _boundary_edges(triangles) -> list:
-    count = Counter(e for t in triangles for e in _edges_of(t))
-    return [e for e, n in count.items() if n == 1]
+def _cut_sides(triangles, cut_edges) -> Optional[tuple]:
+    """The two sides into which ``cut_edges`` cut ``triangles``, which
+    are joined across every other edge, the side holding the smallest
+    triangle first; None when the cut leaves not exactly two sides."""
+    cut = set(cut_edges)
+    comp = _component_ids(triangles, lambda t: [e for e in _edges_of(t) if e not in cut])
+    if max(comp.values(), default=0) != 1:
+        return None
+    i0 = comp[min(comp, key=sorted)]
+    return (frozenset(t for t, i in comp.items() if i == i0),
+            frozenset(t for t, i in comp.items() if i != i0))
 
 
 def _count_components(edges) -> int:

@@ -288,6 +288,14 @@ def test_gen_refuses_a_block_count_past_the_limit(capsys):
     assert "blocks must be from 1 to" in err
 
 
+@pytest.mark.parametrize("budget", [-1, 1001, 100000000])
+def test_gen_refuses_a_walk_budget_past_the_limit(budget, capsys):
+    # refused before the walk starts, with the reason
+    code, out, err = run(capsys, "gen", f"RandomMoves(budget={budget})")
+    assert code == 2 and out == ""
+    assert "budget must be from 0 to 1000" in err
+
+
 def test_gen_trace_replays(capsys, tmp_path):
     tracefile = tmp_path / "g.trace"
     outfile = tmp_path / "g.txt"

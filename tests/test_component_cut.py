@@ -9,13 +9,19 @@ raise the same exception class with the same message, on every
 and the benchmark's walk corpus, and on pinched spheres, whose pinch
 vertex has a fan of two cycles.
 
-The public split cuts each corner link before the star cut decides the
-split, so that a complex that is not normal is refused as before.  Its
-outcomes on the missing tetrahedra of such complexes are pinned.
+The reference's cut complex and ``_boundary_edges`` were deleted from
+``cycle_cut``, which now reads its sides off ``_cut_sides`` and its
+boundary circles off the arcs; the reference keeps them.
+
+The public split classifies each corner link before the star cut
+decides the split, so that a complex that is not normal is refused as
+before.  Its outcomes on the missing tetrahedra of such complexes are
+pinned.
 """
 
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -27,10 +33,10 @@ from pseudoform.surfaces import (
     MOEBIUS,
     CutReport,
     Surface,
-    _boundary_edges,
     _component_ids,
     _count_components,
     _describe_piece,
+    _edges_of,
     cycle_cut,
 )
 
@@ -38,6 +44,11 @@ from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS
 
 
 # ---------------------------------------------------------- the reference
+
+
+def _boundary_edges(triangles) -> list:
+    count = Counter(e for t in triangles for e in _edges_of(t))
+    return [e for e, n in count.items() if n == 1]
 
 
 def _fan(S, c):

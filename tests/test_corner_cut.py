@@ -1,0 +1,210 @@
+"""The move checks decide each link cut from its sides and the link
+class: a differential test against the full cuts they replaced.
+
+Two-facets insertion and edge unfolding each ask how a 3-cycle cuts a
+vertex link.  They now read the answer off ``surfaces._cut_sides`` and
+the class of the link.  The references below are the checks as they
+were before, which cut each link in full and read ``CutReport``
+fields; their cut is the fan walk of ``tests/test_component_cut.py``,
+so it shares no code with the new one.  On every candidate both must
+give the same return value, or raise the same exception class with the
+same message and details.  The unfold check refuses a complex that is
+not normal as the public split does, through ``moves._corner_links``.
+
+The candidates are every 3-cycle of every vertex link (insertion) and
+every missing tetrahedron (unfold), on the fixtures, both ladders,
+every state of the benchmark's walk corpus, the non-normal complexes of
+``tests/test_component_cut.py`` and a complex with two torus links.
+Four mutants of the new checks must each fail the gate.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from pseudoform import generators as gen, moves, surfaces
+from pseudoform.complexes import SimplicialComplex, _vertex_link
+from pseudoform.errors import CycleError, MoveError, PseudoformError
+
+from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS
+from test_component_cut import not_normal_corpus, reference_cycle_cut
+from test_split_check import _folded_spine
+
+
+# ---------------------------------------------------------- the references
+
+
+def reference_neighborhood(K, v, t):
+    """``missing_triangle_neighborhood`` with the fan-walk cut."""
+    S = surfaces.Surface(frozenset(K._link_cells(frozenset((v,)))))
+    if t in S.triangles:
+        raise CycleError(f"triangle {sorted(t)} is a face of the link of {v}, not missing")
+    for e in surfaces._edges_of(t):
+        if e not in S.edges:
+            raise CycleError(
+                f"edge {tuple(sorted(e))} of the triangle is not in the link of {v}")
+    return reference_cycle_cut(S, tuple(sorted(t)))
+
+
+def reference_insert_check(K, vertex, t):
+    """The insertion check that decided by the full cut."""
+    if len(t) != 3:
+        raise MoveError(f"expected a triangle, got {sorted(t)}")
+    if frozenset((vertex,)) <= t:
+        raise MoveError(f"triangle {sorted(t)} must not contain the vertex {vertex}")
+    if K.contains_face(t):
+        raise MoveError(f"triangle {sorted(t)} is already a face", details=tuple(sorted(t)))
+    star_facets = moves._star_facets(K, vertex)
+    report = reference_neighborhood(K, vertex, t)
+    if not report.separates:
+        raise MoveError(
+            f"boundary of {sorted(t)} does not separate the link of {vertex}",
+            details=report,
+        )
+    if any(d != "disc" for d in report.side_descriptions):
+        raise MoveError(
+            f"cut sides of the link of {vertex} are not both discs: "
+            f"{report.side_descriptions}",
+            details=report,
+        )
+    return star_facets, report.sides
+
+
+def reference_corner_reports(K, quad):
+    """Each corner of a missing tetrahedron with the full cut of its
+    link along the opposite triangle."""
+    return {x: reference_neighborhood(K, x, quad - {x}) for x in sorted(quad)}
+
+
+def reference_unfold_check(K, quad):
+    """The unfold check that read the corner pattern off the full cuts."""
+    moves._missing_tetrahedron_check(K, quad)
+    reports = reference_corner_reports(K, quad)
+    moeb = tuple(x for x in sorted(quad) if reports[x].neighborhood == surfaces.MOEBIUS)
+    seps = tuple(x for x in sorted(quad) if reports[x].separates)
+    if len(moeb) != 2 or len(seps) != 2:
+        raise MoveError(
+            f"corner pattern of {sorted(quad)} does not witness a fold: "
+            f"moebius at {list(moeb)}, separating at {list(seps)}",
+            details=(moeb, seps),
+        )
+    a, b = seps
+    side_a = {F: int(F - {a} in reports[a].sides[1]) for F in moves._star_facets(K, a)}
+    side_b = {F: int(F - {b} in reports[b].sides[1]) for F in moves._star_facets(K, b)}
+    pairing: dict = {}
+    for F in K._cofacets(frozenset((a, b))):
+        if pairing.setdefault(side_a[F], side_b[F]) != side_b[F]:
+            raise MoveError(
+                f"link sides at {a} and {b} do not pair consistently", details=(a, b))
+    return moeb, seps, side_a, side_b, pairing[1] if 1 in pairing else 1 - pairing[0]
+
+
+# ----------------------------------------------------------------- the gate
+
+
+def outcome(check, K, *args):
+    try:
+        return check(K, *args)
+    except PseudoformError as e:
+        return (type(e).__name__, str(e), getattr(e, "details", None))
+
+
+def mismatches(K) -> list:
+    """The candidates of ``K`` on which a check and its reference differ."""
+    out = []
+    cycles = [(v, frozenset(c)) for v in sorted(K.vertices) for c in _vertex_link(K, v).cycles]
+    for v, t in cycles:
+        if outcome(moves._insert_check, K, v, t) != outcome(reference_insert_check, K, v, t):
+            out.append(("insert", v, tuple(sorted(t))))
+    for q in K.missing_faces(3):
+        if outcome(moves._unfold_check, K, q) != outcome(reference_unfold_check, K, q):
+            out.append(("unfold", tuple(sorted(q))))
+    return out
+
+
+def walk_states(g):
+    """Every state of a generated walk, from its seeds on."""
+    state = SimplicialComplex(F for s in g.trace.seeds for F in s.facets)
+    states = [state]
+    for _tag, rec in g.trace.forward_moves:
+        state = moves.apply_record(state, rec)
+        states.append(state)
+    assert state == g.complex
+    return states
+
+
+# Normal, with torus links at 7 and 8.  At the missing tetrahedron
+# (5, 6, 7, 8) the corners 7 and 8 do not separate their links, and the
+# triangle boundaries are two-sided there: no fold witness.
+TORUS_LINKS = SimplicialComplex([
+    (0, 1, 3, 7), (0, 1, 3, 8), (0, 1, 5, 7), (0, 1, 5, 8), (0, 2, 3, 7),
+    (0, 2, 3, 8), (0, 2, 6, 7), (0, 2, 6, 8), (0, 5, 7, 8), (0, 6, 7, 8),
+    (1, 2, 4, 7), (1, 2, 4, 8), (1, 2, 6, 7), (1, 2, 6, 8), (1, 3, 4, 7),
+    (1, 3, 4, 8), (1, 5, 6, 7), (1, 5, 6, 8), (2, 3, 5, 7), (2, 3, 5, 8),
+    (2, 4, 5, 7), (2, 4, 5, 8), (3, 4, 6, 7), (3, 4, 6, 8), (3, 5, 6, 7),
+    (3, 5, 6, 8), (4, 5, 7, 8), (4, 6, 7, 8),
+])
+
+
+CORPUS_GROUPS = {
+    "fixtures": lambda fx, walk: [fx(name) for name in COMPLEX_FIXTURES],
+    "staircase": lambda fx, walk: [gen.staircase_sphere(n) for n in range(1, 17)],
+    "spinefold": lambda fx, walk: [_folded_spine(n) for n in range(6, 33)],
+    "notnormal": lambda fx, walk: not_normal_corpus(walk),
+    "torus": lambda fx, walk: [TORUS_LINKS],
+    "foldwalks": lambda fx, walk: [
+        K for s in FOLD_WALK_SEEDS for K in walk_states(walk(s, True))],
+}
+# the benchmark's sphere walks, every state
+for _lo in range(SPHERE_WALK_SEEDS.start, SPHERE_WALK_SEEDS.stop, 25):
+    CORPUS_GROUPS[f"walks{_lo}"] = (lambda fx, walk, lo=_lo: [
+        K for s in range(lo, lo + 25) for K in walk_states(walk(s, False))])
+
+
+@pytest.mark.parametrize("group", sorted(CORPUS_GROUPS))
+def test_checks_match_the_full_cut(group, fx, walk):
+    corpus = CORPUS_GROUPS[group](fx, walk)
+    assert corpus
+    for K in corpus:
+        assert mismatches(K) == []
+
+
+def test_torus_corners_neither_separate_nor_fold():
+    quad = frozenset((5, 6, 7, 8))
+    assert TORUS_LINKS.missing_faces(3) == [quad]
+    links = moves._corner_links(TORUS_LINKS, quad)
+    assert [links[x].kind for x in (7, 8)] == [surfaces.TORUS] * 2
+    reports = reference_corner_reports(TORUS_LINKS, quad)
+    for x in (7, 8):
+        assert moves._link_sides(TORUS_LINKS, x, quad - {x}) is None
+        assert reports[x].neighborhood == surfaces.ANNULUS
+    with pytest.raises(MoveError, match="does not witness a fold"):
+        moves.edge_unfold(TORUS_LINKS, quad)
+
+
+# ------------------------------------------------------------- the mutants
+
+
+MUTANTS = {
+    "no RP2 test": (moves, "_unfold_check",
+                    "not sides[x] and links[x].kind == surfaces.RP2", "not sides[x]"),
+    "no pinch test": (moves, "_corner_links",
+                      "_edge_circle(K, frozenset((x, c))) is None", "False"),
+    "sides swapped": (surfaces, "_cut_sides", "i0 = comp[", "i0 = 1 - comp["),
+    "no sphere test": (moves, "_insert_check",
+                       "sides is not None and _vertex_link_class(K, vertex).kind == "
+                       "surfaces.SPHERE", "sides is not None"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_the_gate_fails_on_a_mutant(name, fx, walk, monkeypatch):
+    module, func, old, new = MUTANTS[name]
+    source = textwrap.dedent(inspect.getsource(getattr(module, func)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, func, namespace[func])
+    corpus = [TORUS_LINKS, fx("folded_g2_3"), *not_normal_corpus(walk)]
+    assert any(mismatches(K) for K in corpus)

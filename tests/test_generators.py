@@ -76,6 +76,24 @@ def test_the_largest_block_count_is_accepted():
     assert len(gen.staircase_sphere(gen.MAX_BLOCKS).facets) == 3 * gen.MAX_BLOCKS + 2
 
 
+@pytest.mark.parametrize("budget", ["3", 3.0, None, True, -1, gen.MAX_BUDGET + 1, 10**8])
+def test_walk_budgets_are_checked_before_the_walk_starts(budget, monkeypatch):
+    def refuse(base=0):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(gen, "boundary_simplex", refuse)
+    spec = gen.GeneratorSpec(gen.RANDOM_MOVES, (
+        ("seed", 1), ("budget", budget), ("allow_fold", False), ("g2_cap", 9)))
+    with pytest.raises(SpecError, match="budget must be"):
+        gen.generate(spec)
+
+
+def test_the_walk_budget_cap_admits_long_walks():
+    assert gen.MAX_BUDGET >= 500
+    assert gen.generate(gen.parse_generator_spec("RandomMoves(budget=0)")).trace.counts() \
+        == (1, 0, 0)
+
+
 @pytest.mark.parametrize("text", ["RandomMoves(seed=x)", "StackedSphere(1.5)", 5, None])
 def test_bad_specs_are_package_errors(text):
     with pytest.raises(SpecError):

@@ -15,7 +15,7 @@ from pseudoform import complexes, generators as gen, moves, reducer, surfaces
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import DimensionError, MoveError, TraceFormatError
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, SPHERE_WALK_SEEDS
 
 # 48 short walks, half of them allowed to fold, plus the two fold walks
 # that fold (at their twelfth move)
@@ -186,6 +186,25 @@ def test_split_cuts_no_vertex_link(monkeypatch):
     report = reducer.reduce_complex(gen.staircase_sphere(12))
     assert report.accepted
     assert report.trace.counts()[0] == 12
+    assert calls == []
+
+
+def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):
+    # both decide from the sides of the cut link and its class; the full
+    # cut only words a refusal on a link that is not a sphere
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = moves.missing_triangle_neighborhood
+    monkeypatch.setattr(moves, "missing_triangle_neighborhood", counted)
+    report = reducer.reduce_complex(_folded_spine(32))
+    assert report.accepted
+    assert report.trace.counts()[2] == 1
+    finals = [walk(seed, False).complex for seed in SPHERE_WALK_SEEDS]
+    assert sum(len(moves.insertion_sites(K)) for K in finals) == 339
     assert calls == []
 
 

@@ -187,11 +187,17 @@ def test_audit_output_is_pinned(fx, walk):
 # ------------------------------------------------ the scan and cut in full
 
 
+def corner_reports(K, quad):
+    """Each corner of a missing tetrahedron with the full cut of its
+    link along the opposite triangle."""
+    return {x: surfaces.missing_triangle_neighborhood(K, x, quad - {x}) for x in sorted(quad)}
+
+
 def reference_split(K, quad, fresh_base=None):
     """``split_at_missing_tetrahedron`` written out in full: the corner
     check, then the cut and the build."""
     moves._missing_tetrahedron_check(K, quad)
-    reports = moves._corner_reports(K, quad)
+    reports = corner_reports(K, quad)
     moebius = [x for x in sorted(quad) if not reports[x].separates]
     if moebius:
         raise MoveError(
@@ -246,7 +252,7 @@ def reference_split(K, quad, fresh_base=None):
 def reference_site(K):
     """The first missing tetrahedron whose corners all separate."""
     return next((q for q in K.missing_faces(3) if all(
-        r.separates for r in moves._corner_reports(K, q).values()
+        r.separates for r in corner_reports(K, q).values()
     )), None)
 
 

@@ -273,6 +273,18 @@ def test_walk_corpus_passes_the_gate(chunk, monkeypatch, walk):
         assert _reduce_and_replay(g.complex, tally).accepted
 
 
+def test_added_facets_that_meet_no_component_are_a_new_one():
+    K = gen.boundary_simplex()
+    K._components()
+    added = gen.boundary_simplex(5).facets
+    fresh = Fresh()
+    K2 = K._successor((), added)
+    assert K2.facets == K.facets | added
+    check_successor(K, K2, fresh)
+    assert _partition(K2._components()) == [list(range(5)), list(range(5, 10))]
+    assert _partition(K2._components()) == _partition(fresh.build(K2.facets)._components())
+
+
 @pytest.mark.parametrize("fresh", [-1, "7", 2.5])
 def test_fresh_labels_are_checked_before_the_trusted_build(fresh):
     # a record's fresh labels are the only labels a move brings in
