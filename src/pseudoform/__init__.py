@@ -21,6 +21,7 @@ from .defaults import DEFAULT_SEED
 from .errors import (
     CycleError,
     DimensionError,
+    FileReadError,
     IsomorphismInconclusive,
     MalformedFacetError,
     MissingFaceError,
@@ -58,6 +59,7 @@ __all__ = [
     "ReduceReport",
     "CycleError",
     "DimensionError",
+    "FileReadError",
     "IsomorphismInconclusive",
     "MalformedFacetError",
     "MissingFaceError",

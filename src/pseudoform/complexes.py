@@ -36,6 +36,14 @@ Face = frozenset
 """A face is a frozenset of vertex labels."""
 
 
+def _as_complex(K, caller: str) -> "SimplicialComplex":
+    """``K``, which must be a :class:`SimplicialComplex`; otherwise a
+    :class:`PseudoformError` naming ``caller``."""
+    if not isinstance(K, SimplicialComplex):
+        raise PseudoformError(f"{caller} wants a complex, got {K!r}")
+    return K
+
+
 def clean_face(vertices: Iterable[int]) -> Face:
     """Validate and freeze one face given as an iterable of labels.
 
@@ -611,7 +619,7 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
     Vertex links are classified; non-sphere links populate
     ``singular_vertices``.
     """
-    if K.dimension != 3:
+    if _as_complex(K, "validate_normal").dimension != 3:
         raise DimensionError(
             f"validate_normal expects a 3-complex, got dimension {K.dimension}"
         )
@@ -721,9 +729,7 @@ def total_g2(K: SimplicialComplex) -> int:
     ``f1 - 4*f0 + 10*c`` with ``c`` the number of components, all three
     read off the caches that ``_successor`` patches.
     """
-    if not isinstance(K, SimplicialComplex):
-        raise PseudoformError(f"total_g2 wants a complex, got {K!r}")
-    if K.facets and K.dimension != 3:
+    if _as_complex(K, "total_g2").facets and K.dimension != 3:
         raise DimensionError(
             "total_g2 is defined for 3-complexes, this one has "
             f"dimension {K.dimension}"
@@ -774,6 +780,8 @@ def find_isomorphism(
     """
     if not isinstance(node_budget, int) or isinstance(node_budget, bool):
         raise PseudoformError(f"node_budget must be an integer, got {node_budget!r}")
+    _as_complex(K1, "find_isomorphism")
+    _as_complex(K2, "find_isomorphism")
     if K1.dimension != K2.dimension or any(
         len(K1.faces(d)) != len(K2.faces(d)) for d in range(K1.dimension, -1, -1)
     ):

@@ -36,6 +36,10 @@ class SpecError(PseudoformError, ValueError):
     """A generator spec or size argument is malformed or out of range."""
 
 
+class FileReadError(PseudoformError, OSError):
+    """A file could not be read; ``filename`` names it."""
+
+
 class MoveError(PseudoformError):
     """A move precondition failed.
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .complexes import SimplicialComplex
-from .errors import MalformedFacetError
+from .errors import FileReadError, MalformedFacetError
 from .surfaces import Surface
 
 
@@ -74,12 +74,24 @@ def parse_surface(text: str) -> Surface:
     return Surface(rows)
 
 
+def _read(path: Union[str, Path]) -> str:
+    """The text of the file at ``path``; :class:`FileReadError` (an
+    ``OSError`` too) when it cannot be read, and
+    :class:`MalformedFacetError` when it is not text."""
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise FileReadError(e.errno, e.strerror, e.filename) from None
+    except UnicodeDecodeError as e:
+        raise MalformedFacetError(str(e)) from None
+
+
 def load_complex(path: Union[str, Path]) -> SimplicialComplex:
-    return parse_complex(Path(path).read_text())
+    return parse_complex(_read(path))
 
 
 def load_surface(path: Union[str, Path]) -> Surface:
-    return parse_surface(Path(path).read_text())
+    return parse_surface(_read(path))
 
 
 def save_facets(path: Union[str, Path], facets: Iterable[Iterable[int]]) -> None:

@@ -28,9 +28,11 @@ so identical inputs give identical outputs; replay passes the recorded
 labels back in explicitly.
 
 Each kind is defined once, in :data:`MOVES`: its record schema, its
-constructor and its lazy site enumerator.  Replay, the command line and
-the random walk all dispatch through that table.  A kind's enumerator
-and its constructor call the same precondition function.
+constructor, its lazy site enumerator and, for a connected sum, the
+rule that gives the singular vertices of the result
+(:func:`singular_after`).  Replay, the command line and the random walk
+all dispatch through that table.  A kind's enumerator and its
+constructor call the same precondition function.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import (SimplicialComplex, _closure, _edge_circle, _vertex_link,
-                        _vertex_link_class, clean_face, total_g2)
+                        _vertex_link_class, clean_face, normal_update, total_g2)
 from .errors import MissingFaceError, MoveError, NotSurfaceError, PseudoformError
 from . import surfaces
 from .surfaces import Surface, cycle_cut, missing_triangle_neighborhood
@@ -662,6 +664,29 @@ def connected_sum_in(
     return _identify_facets(K, s1, p), _gluing_record(CONNECTED_SUM, 0, s1, s2, p)
 
 
+def _sum_links(p: dict, singular: dict) -> dict:
+    """The singular map after a connected sum with parameters ``p``,
+    from the map before it.
+
+    The two facets lie in different components, so only the faces of
+    sigma1 change, and the components stay normal: each triangle of
+    sigma1 keeps two cofacets, and each edge's link is two arcs joined
+    at their ends, a circle.  The link of a glued vertex x is then
+    lk(x) # lk(psi(x)) (``surfaces._sum_class``).  The targets of psi
+    are gone; every other vertex keeps its link up to relabelling.
+    """
+    psi = dict(p["psi"])
+    gone = psi.keys() | psi.values()
+    out = {v: cls for v, cls in singular.items() if v not in gone}
+    for x, w in psi.items():
+        if x in singular or w in singular:
+            cls = surfaces._sum_class(singular.get(x, surfaces.SPHERE_CLASS),
+                                      singular.get(w, surfaces.SPHERE_CLASS))
+            if cls.kind != surfaces.SPHERE:
+                out[x] = cls
+    return out
+
+
 def _two_path(K: SimplicialComplex, a: int, b: int, avoid=frozenset()):
     """A vertex path of length at most 2 from ``a`` to ``b`` whose middle
     vertex is not in ``avoid`` (the smallest such middle), or None."""
@@ -1069,11 +1094,16 @@ class Move:
     ``construct`` looks the public constructor up when called, so
     wrappers put on this module (a profiler, a tracer) see every move
     made through the table.
+    ``links(values, singular)``, when set, is the singular map of the
+    result, read off the record's values and the map of the complex the
+    move starts from (see :func:`singular_after`).  Only ConnectedSum
+    has one.
     """
 
     params: tuple
     construct: Callable
     sites: Optional[Callable] = None
+    links: Optional[Callable] = None
 
     @property
     def inputs(self) -> tuple:
@@ -1122,7 +1152,8 @@ MOVES = {
     CONNECTED_SUM: Move(
         _GLUING,
         lambda K, p: connected_sum_in(
-            K, p["sigma1"], p["sigma2"], dict(p["psi"]))),
+            K, p["sigma1"], p["sigma2"], dict(p["psi"])),
+        links=_sum_links),
     HANDLE_ADD: Move(
         _GLUING,
         lambda K, p: handle_addition(
@@ -1183,3 +1214,21 @@ def apply_record(
             f"move changed total g2 by {realized}, expected {rec.g2_delta}"
         )
     return K2
+
+
+def singular_after(
+    K: SimplicialComplex, K2: SimplicialComplex, record: MoveRecord, singular: dict
+) -> Optional[dict]:
+    """The singular map of ``K2``, which the move ``record`` made from
+    ``K``, given the map ``singular`` of ``K``; None when some component
+    of ``K2`` is not normal closed.
+
+    Call it only once the move's own check has passed, on a ``K`` whose
+    components are all normal closed.  A kind with a ``links`` rule
+    reads the map off the record and builds no link; every other kind
+    rechecks the faces the move touched (``normal_update``).
+    """
+    links = MOVES[record.kind].links
+    if links is None:
+        return normal_update(K, K2, singular)
+    return links(record.param_dict(), singular)

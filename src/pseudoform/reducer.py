@@ -42,6 +42,7 @@ from . import surfaces
 from .complexes import (
     NormalityReport,
     SimplicialComplex,
+    _as_complex,
     _vertex_link,
     normal_update,
     total_g2,
@@ -306,8 +307,12 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
     that differs from the trace's claim.
 
     Each state is patched from its parent by the move's constructor
-    (``SimplicialComplex._successor``), and ``normal_update`` rechecks
-    only the faces the move touched, so a step costs what it changes.
+    (``SimplicialComplex._successor``).  Its singular map comes from
+    ``moves.singular_after`` once the move's checks have passed: a
+    connected sum reads it off the record and the parent's map, which
+    is exact because every earlier state is normal, and every other
+    kind rechecks only the faces the move touched.  So a step costs
+    what it changes.
     """
     if not isinstance(trace, ConstructionTrace):
         raise ReplayError(f"replay wants a ConstructionTrace, got {trace!r}")
@@ -331,7 +336,7 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
             raise ReplayError(
                 f"forward move {i} ({rec.kind}) failed: {e}", index=i
             ) from e
-        singular = normal_update(state, after, singular)
+        singular = moves.singular_after(state, after, rec, singular)
         state = after
         if singular is None:
             raise ReplayError(
@@ -446,7 +451,8 @@ def _split(
     """The two summands of ``K`` on the sides ``_split_check`` gives, the
     copy of ``quad`` in the second relabelled from ``base`` on, and the
     record.  Each summand is patched from ``K``: the second rewrites
-    only its facets at the corners of ``quad``."""
+    only its facets at the corners of ``quad``.  ``_split_singular``
+    gives their singular maps."""
     fresh = {x: base + i for i, x in enumerate(sorted(quad))}
     at_quad = {F for x in quad for F in K._facets_by_vertex()[x] if F in side_b}
     K1 = K._successor(side_b, (quad,))
@@ -457,6 +463,38 @@ def _split(
     )
     return K1, K2, moves._gluing_record(
         moves.CONNECTED_SUM, 0, quad, fresh.values(), fresh)
+
+
+def _split_singular(
+    K: SimplicialComplex, K1: SimplicialComplex, K2: SimplicialComplex,
+    rec: moves.MoveRecord, singular: dict,
+) -> Optional[tuple]:
+    """The singular maps of the halves ``K1`` and ``K2`` that ``_split``
+    made of ``K``, from the map of ``K`` and the record that glues them;
+    None when a corner's link is neither a sphere nor RP^2.
+
+    The split check has passed, so both halves are normal: the two sides
+    share only the tetrahedron, and the boundary of the triangle
+    opposite each corner cuts its link in two, one part on each side,
+    which the triangle closes up in its half.  A singular vertex that is
+    not a corner keeps its link in the half that holds its star.  A
+    sphere corner is a sphere in both halves (Jordan-Schoenflies: both
+    parts are discs).  An RP^2 corner is cut into a disc and a Moebius
+    strip: the half whose link has Euler characteristic 2 gets the
+    sphere, the other keeps RP^2.
+    """
+    fresh = dict(rec.get("psi"))
+    if any(singular[x].kind != RP2 for x in fresh if x in singular):
+        return None
+    maps: tuple = ({}, {})
+    for v, cls in singular.items():
+        if v not in fresh:
+            maps[v not in K1.vertices][v] = cls
+        elif sum((-1) ** (len(f) - 1) for f in _vertex_link(K1, v).faces) == 2:
+            maps[1][fresh[v]] = cls
+        else:
+            maps[0][v] = cls
+    return maps
 
 
 # ---------------------------------------------------------------------
@@ -649,9 +687,11 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
     """Reduce (tag, component, singular map) triples to seeds.
 
     The singular map (see ``_classify_component``) is carried through
-    every step with ``normal_update``, which rechecks only the faces the
-    step touched.  Fresh labels count up from ``next_label``, and each
-    rule applied is appended to ``rule_log``.  Returns (seeds, forward
+    every step.  A split gives both halves theirs by ``_split_singular``,
+    which reads them off the split check; where it cannot, and after a
+    rule step, ``normal_update`` rechecks only the faces the step
+    touched.  Fresh labels count up from ``next_label``, and each rule
+    applied is appended to ``rule_log``.  Returns (seeds, forward
     records in replay order).
     """
     seeds: list = []
@@ -677,12 +717,14 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
         if split is not None:
             (quad,), sides = split
             K1, K2, rec = _split(K, quad, *sides, next_label)
+            sing1, sing2 = _split_singular(K, K1, K2, rec, sing) or (
+                normal_update(K, K1, sing), normal_update(K, K2, sing))
             next_label += 4
             rule_log.append((tag, "split-at-missing-tetrahedron", tuple(sorted(quad))))
             stack += [
                 [(tag, rec), *reversed(undo)],
-                (tag, K2, normal_update(K, K2, sing), []),
-                (tag, K1, normal_update(K, K1, sing), []),
+                (tag, K2, sing2, []),
+                (tag, K1, sing1, []),
             ]
             continue
         for rule in _RULES[cls]:
@@ -709,10 +751,11 @@ def reduce_complex(K: SimplicialComplex) -> ReduceReport:
 
     Accepts disjoint unions; components reduce independently and the
     trace tags each move with its component index.  Returns a Rejected
-    report (never raises) when the input is outside the supported
-    classes or a guaranteed move is unexpectedly unavailable.
+    report when the input is outside the supported classes or a
+    guaranteed move is unexpectedly unavailable; raises
+    :class:`PseudoformError` only when ``K`` is not a complex.
     """
-    components = K.connected_components()
+    components = _as_complex(K, "reduce_complex").connected_components()
     if not components:
         return ReduceReport(
             CLASS_REJECTED, "empty complex", None, ()
@@ -832,7 +875,7 @@ def audit_multi_singular(
     subdivisions undone, separable connected sums split off).
     """
     facts: list = []
-    rep = validate_normal(K)
+    rep = validate_normal(_as_complex(K, "audit_multi_singular"))
     if not rep.is_normal_closed:
         facts.append(f"not a normal closed pseudomanifold ({rep.summary()})")
         return AuditReport(False, tuple(facts), ())

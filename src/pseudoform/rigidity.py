@@ -22,7 +22,7 @@ from math import comb
 from random import Random
 from typing import Iterable
 
-from .complexes import SimplicialComplex, _vertex_link
+from .complexes import SimplicialComplex, _as_complex, _vertex_link
 from .defaults import DEFAULT_SEED
 from .errors import DimensionError
 from .surfaces import surface_g2
@@ -143,6 +143,7 @@ def complex_rigidity(
     trials: int = DEFAULT_TRIALS,
 ) -> RigidityVerdict:
     """Rigidity verdict of the 1-skeleton of a 3-complex in dimension 4."""
+    K = _as_complex(K, "complex_rigidity")
     return rigidity_rank(K.vertices, K.faces(1), dim=4, seed=seed, trials=trials)
 
 

@@ -60,6 +60,17 @@ def _classify(chi: int, orientable: bool) -> str:
     return OTHER
 
 
+SPHERE_CLASS = SurfaceClass(SPHERE, 2, True)
+
+
+def _sum_class(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
+    """The class of the connected sum of two closed surfaces: the Euler
+    characteristics add less 2, and it is orientable when both are."""
+    chi = a.euler_characteristic + b.euler_characteristic - 2
+    orient = a.orientable and b.orientable
+    return SurfaceClass(_classify(chi, orient), chi, orient)
+
+
 class Surface:
     """A closed connected triangulated surface.
 

@@ -1,9 +1,10 @@
+import dataclasses
 import pathlib
 
 import pytest
 from hypothesis import settings
 
-from pseudoform import generators as gen, io as pio
+from pseudoform import generators as gen, io as pio, moves, reducer
 
 # Property tests draw the same examples on every run, at a bounded cost
 # and with no per-example deadline.
@@ -38,6 +39,78 @@ def walk_spec(seed: int, fold: bool) -> "gen.GeneratorSpec":
         ("seed", seed), ("budget", 20), ("allow_fold", fold),
         ("g2_cap", 4 if fold else 9),
     ))
+
+
+def folded_spine(n: int):
+    """``spine_path_sphere(n)`` folded at its first admissible fold."""
+    S = gen.spine_path_sphere(n)
+    s1, s2, psi = gen.find_admissible_fold(S)
+    return moves.edge_fold(S, s1, s2, dict(psi))[0]
+
+
+def rp2_second_summand():
+    """A boundary 4-simplex glued, as the first summand, onto the folded
+    ``spine_path_sphere(6)`` at a facet of its projective-plane vertex 0,
+    and a trace that builds it: the folded sphere's reduction trace with
+    the simplex as one more seed and the sum as the last move.  Each
+    glued vertex of the simplex whose image has an RP^2 link gets it."""
+    F = folded_spine(6)
+    trace = reducer.reduce_complex(F).trace
+    base = 1 + max(v for seed in trace.seeds for v in seed.vertices)
+    S = gen.boundary_simplex(base)
+    sigma2 = next(G for G in F.canonical_facets() if 0 in G)
+    sigma1 = tuple(range(base, base + 4))
+    K, rec = moves.connected_sum(S, sigma1, F, sigma2, dict(zip(sigma1, sigma2)))
+    seeds = trace.seeds + (S,)
+    return K, reducer._trace(K, seeds, trace.forward_moves + ((1, rec),))
+
+
+# Mutants of the rules that carry singular maps through a connected sum
+# and a split; each patches one rule in with ``monkeypatch``.  On the
+# complex and trace of ``rp2_second_summand`` the gates must fail them.
+
+def _sum_rule(monkeypatch, links):
+    move = moves.MOVES[moves.CONNECTED_SUM]
+    monkeypatch.setitem(moves.MOVES, moves.CONNECTED_SUM, dataclasses.replace(move, links=links))
+
+
+def sum_keeps_only_the_first_class(monkeypatch):
+    """Each glued vertex keeps its own class, not the sum of both."""
+    def links(p, singular):
+        targets = dict(p["psi"]).values()
+        return {v: cls for v, cls in singular.items() if v not in targets}
+    _sum_rule(monkeypatch, links)
+
+
+def sum_keeps_the_targets(monkeypatch):
+    """The glued-away targets of psi stay in the map."""
+    rule = moves.MOVES[moves.CONNECTED_SUM].links
+
+    def links(p, singular):
+        out = rule(p, singular)
+        out.update((w, singular[w]) for w in dict(p["psi"]).values() if w in singular)
+        return out
+    _sum_rule(monkeypatch, links)
+
+
+def split_swaps_the_rp2_side(monkeypatch):
+    """An RP^2 corner keeps its class in the half that gets the sphere."""
+    split_singular = reducer._split_singular
+
+    def swapped(K, K1, K2, rec, singular):
+        m1, m2 = split_singular(K, K1, K2, rec, singular)
+        for x, w in rec.get("psi"):
+            if x in singular:
+                if x in m1:
+                    m2[w] = m1.pop(x)
+                else:
+                    m1[x] = m2.pop(w)
+        return m1, m2
+    monkeypatch.setattr(reducer, "_split_singular", swapped)
+
+
+LINKS_MUTANTS = (sum_keeps_only_the_first_class, sum_keeps_the_targets,
+                 split_swaps_the_rp2_side)
 
 
 def fixture_text(name: str) -> str:

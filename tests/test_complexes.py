@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoform import reducer, rigidity
 from pseudoform.complexes import (
     FVector,
     SimplicialComplex,
@@ -16,6 +17,7 @@ from pseudoform.errors import (
     DimensionError,
     MalformedFacetError,
     MissingFaceError,
+    PseudoformError,
 )
 from pseudoform.generators import boundary_simplex, cross_polytope
 
@@ -152,3 +154,18 @@ def test_relabeled_complex_is_isomorphic(perm):
     CP = cross_polytope()
     mapping = {i: 100 + perm[i] for i in range(8)}
     assert are_isomorphic(CP, CP.relabeled(mapping))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validate_normal(5),
+    lambda: find_isomorphism(boundary_simplex(), 5),
+    lambda: find_isomorphism(5, boundary_simplex()),
+    lambda: reducer.reduce_complex(5),
+    lambda: reducer.audit_multi_singular(5),
+    lambda: rigidity.complex_rigidity(5),
+], ids=["validate_normal", "find_isomorphism-second", "find_isomorphism-first",
+        "reduce_complex", "audit_multi_singular", "complex_rigidity"])
+def test_an_argument_that_is_no_complex_is_a_package_error(call):
+    with pytest.raises(PseudoformError) as ei:
+        call()
+    assert "wants a complex, got 5" in str(ei.value)

@@ -3,7 +3,7 @@
 import pytest
 
 from pseudoform import io
-from pseudoform.errors import MalformedFacetError
+from pseudoform.errors import FileReadError, MalformedFacetError, PseudoformError
 from pseudoform.generators import boundary_simplex
 from pseudoform.surfaces import RP2, classify_surface
 
@@ -76,3 +76,21 @@ def test_surface_fixture_loads(fixture_text):
 def test_empty_text_gives_empty_complex():
     K = io.parse_complex("# nothing here\n")
     assert K.facets == frozenset()
+
+
+@pytest.mark.parametrize("load", [io.load_complex, io.load_surface])
+def test_unreadable_paths_are_package_errors(load, tmp_path):
+    # a directory and a missing file; the error is an OSError too, so the
+    # command line still says "cannot read <path>"
+    for path in (tmp_path, tmp_path / "missing.txt"):
+        with pytest.raises(FileReadError) as ei:
+            load(path)
+        assert isinstance(ei.value, (PseudoformError, OSError))
+        assert ei.value.filename == str(path)
+
+
+def test_a_file_that_is_not_text_is_malformed(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe0 1 2 3\n")
+    with pytest.raises(MalformedFacetError, match="can't decode byte 0xff"):
+        io.load_complex(path)

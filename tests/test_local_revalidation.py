@@ -1,9 +1,12 @@
-"""Local revalidation: ``normal_update`` against the full check.
+"""Local revalidation: the carried singular maps against the full check.
 
-Replay and the reducer recheck only the faces a move touched.  The
-tests here compare that fast path with ``validate_normal`` on every
-component, at every replay step and every reducer step and split of
-the corpus, and on perturbed complexes where it must reject.
+Replay and the reducer recheck only the faces a move touched
+(``normal_update``), and a connected sum and a split read their maps
+off the step (``moves.singular_after``, ``reducer._split_singular``).
+The tests here compare those maps with ``validate_normal`` on every
+component, at every replay step and every reducer step and split half
+of the corpus, and ``normal_update`` on perturbed complexes where it
+must reject.  Mutants of the sum and split rules must fail the gate.
 """
 
 import itertools
@@ -15,7 +18,8 @@ from pseudoform import complexes, generators as gen, moves, reducer, surfaces
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import DimensionError, MoveError, TraceFormatError
 
-from conftest import COMPLEX_FIXTURES, SPHERE_WALK_SEEDS
+from conftest import (COMPLEX_FIXTURES, LINKS_MUTANTS, SPHERE_WALK_SEEDS, folded_spine,
+                      rp2_second_summand)
 
 # 48 short walks, half of them allowed to fold, plus the two fold walks
 # that fold (at their twelfth move)
@@ -49,22 +53,48 @@ def full_singular_map(K):
     return out
 
 
-@pytest.fixture
-def checked_updates(monkeypatch):
-    """Make every ``normal_update`` of replay and the reducer assert
-    agreement with the oracle; yields the list of checked calls."""
+def install_checks(monkeypatch):
+    """Make every singular map that replay and the reducer carry assert
+    agreement with the oracle: each ``moves.singular_after``, each
+    ``normal_update`` of the reducer and both halves of each answer of
+    ``reducer._split_singular``, as they are now.  Returns the list of
+    checks, one per step and split half, each as (the record's kind,
+    "update" or "split", whether the map gives a vertex of a facet the
+    step changed a class other than the sphere)."""
     calls = []
+    singular_after, split_singular = moves.singular_after, reducer._split_singular
 
-    def checked(K, K2, singular):
-        # ``singular`` is the seeds' {}, the admission pass's full check
-        # or an earlier checked result
-        got = normal_update(K, K2, singular)
+    def check(kind, K, K2, got):
+        # the map of ``K`` is the seeds' {}, the admission pass's full
+        # check or an earlier checked result
         assert got == full_singular_map(K2)
-        calls.append(got)
+        calls.append((kind, bool(got) and any(v in got for F in K2.facets - K.facets for v in F)))
+
+    def checked(K, K2, rec, singular):
+        got = singular_after(K, K2, rec, singular)
+        check(rec.kind, K, K2, got)
         return got
 
-    monkeypatch.setattr(reducer, "normal_update", checked)
+    def checked_update(K, K2, singular):
+        got = normal_update(K, K2, singular)
+        check("update", K, K2, got)
+        return got
+
+    def checked_split(K, K1, K2, rec, singular):
+        got = split_singular(K, K1, K2, rec, singular)
+        for half, sing in zip((K1, K2), got or ()):
+            check("split", K, half, sing)
+        return got
+
+    monkeypatch.setattr(moves, "singular_after", checked)
+    monkeypatch.setattr(reducer, "normal_update", checked_update)
+    monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return calls
+
+
+@pytest.fixture
+def checked_updates(monkeypatch):
+    return install_checks(monkeypatch)
 
 
 def _reduce_and_replay(K, calls):
@@ -101,6 +131,44 @@ def test_walks_agree_with_full_validation(walks, checked_updates):
         folds += g.trace.counts()[2]
         _reduce_and_replay(g.complex, checked_updates)
     assert folds == 2
+
+
+def test_rp2_second_summand_agrees_with_full_validation(checked_updates):
+    K, trace = rp2_second_summand()
+    del checked_updates[:]
+    assert reducer.replay(trace) == K
+    assert len(checked_updates) == len(trace.forward_moves)
+    # the last move glues the sphere's vertex onto an RP^2 vertex
+    assert checked_updates[-1] == (moves.CONNECTED_SUM, True)
+    _reduce_and_replay(K, checked_updates)
+
+
+def test_every_links_rule_answers_a_non_sphere_class(fx, walks, checked_updates):
+    """Each kind with a ``links`` rule has a gated replay step at which
+    its map gives a vertex of a changed facet a class other than the
+    sphere, so that no rule lands unexercised."""
+    traces = [rp2_second_summand()[1]]
+    traces += [reducer.reduce_complex(fx(name)).trace for name in ("folded_g2_3", "folded_g2_4")]
+    traces += [g.trace for g in walks]
+    del checked_updates[:]
+    for trace in traces:
+        reducer.replay(trace)
+    seen = {kind for kind, non_sphere in checked_updates if non_sphere}
+    ruled = [kind for kind, move in moves.MOVES.items() if move.links is not None]
+    assert ruled
+    assert [kind for kind in ruled if kind not in seen] == []
+
+
+@pytest.mark.parametrize("mutate", LINKS_MUTANTS)
+def test_the_gate_fails_on_a_links_mutant(mutate, monkeypatch):
+    # a sum mutant fails at replay's last move, the split mutant at a
+    # split of the reduction with an RP^2 corner
+    K, trace = rp2_second_summand()
+    mutate(monkeypatch)
+    install_checks(monkeypatch)
+    with pytest.raises(AssertionError):
+        reducer.replay(trace)
+        reducer.reduce_complex(K)
 
 
 # --------------------------------------------------- the rejecting path
@@ -187,6 +255,44 @@ def test_split_cuts_no_vertex_link(monkeypatch):
     assert report.accepted
     assert report.trace.counts()[0] == 12
     assert calls == []
+
+
+def _surface_builds(monkeypatch):
+    """Record, for each ``surfaces.Surface`` built from now on, the kind
+    of the move replay is at (None before the first)."""
+    builds, at = [], [None]
+    init, apply_record = surfaces.Surface.__init__, moves.apply_record
+
+    def counted(self, triangles):
+        builds.append(at[0])
+        init(self, triangles)
+
+    def starting(K, record):
+        at[0] = record.kind
+        return apply_record(K, record)
+
+    monkeypatch.setattr(surfaces.Surface, "__init__", counted)
+    monkeypatch.setattr(moves, "apply_record", starting)
+    return builds
+
+
+def test_sums_and_splits_build_no_link_surface(monkeypatch):
+    # a connected sum and a split read their singular maps off the step;
+    # the parent built a Surface at every vertex of every relabelled facet
+    staircase = gen.staircase_sphere(64)
+    folded = folded_spine(32)
+    traces = [reducer.reduce_complex(K).trace for K in (staircase, folded)]
+    builds = _surface_builds(monkeypatch)
+    assert reducer.replay(traces[0]) == staircase
+    assert builds == []  # 426 before
+    assert reducer.replay(traces[1]) == folded
+    assert traces[1].counts()[2] == 1
+    assert set(builds) == {moves.EDGE_FOLD}  # 7 builds; 293 before
+    del builds[:]
+    assert reducer.reduce_complex(staircase).accepted
+    # the admission check classifies each vertex link once: 68 of the
+    # 746 builds before
+    assert len(builds) == len(staircase.vertices)
 
 
 def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):

@@ -6,9 +6,12 @@ complex the move starts from instead of building the result afresh.
 The gate here checks, at every replay step, reducer step and split half
 of the corpus, that the result equals a fresh ``SimplicialComplex`` of
 its facets in every cache it carries, that the change of total g2 read
-off those caches is the fresh one, and that ``normal_update`` agrees
-with ``validate_normal`` on every component.  Mutants that drop one
-patched edge or one component merge must fail the gate.
+off those caches is the fresh one, and that the singular map carried
+from the step (``moves.singular_after``, and ``reducer._split_singular``
+for both halves of a split) agrees with ``validate_normal`` on every
+component.  Mutants that drop one patched edge or one component merge,
+or that give a connected sum or a split the wrong singular map, must
+fail the gate.
 
 A replay of staircase spheres of two sizes then counts the work per
 move, so that a return to quadratic replay fails without any timing.
@@ -22,7 +25,8 @@ from pseudoform import complexes, generators as gen, moves, reducer
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import MalformedFacetError
 
-from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS
+from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, SPHERE_WALK_SEEDS,
+                      folded_spine, rp2_second_summand)
 
 
 def _partition(comp):
@@ -120,10 +124,14 @@ def check_successor(K, K2, fresh):
 
 
 def install_gate(monkeypatch, successor):
-    """Put every call of ``successor`` and every ``normal_update`` of the
-    reducer and replay under the gate; returns the tally of checks, whose
-    ``fresh`` builds are to be cleared between inputs."""
+    """Put every call of ``successor``, and every singular map that the
+    reducer and replay carry (each ``moves.singular_after``, each
+    ``normal_update`` of the reducer and both halves of each answer of
+    ``reducer._split_singular``), as they are now, under the gate;
+    returns the tally of checks, whose ``fresh`` builds are to be
+    cleared between inputs."""
     tally = {"successors": 0, "carried": 0, "updates": 0, "fresh": Fresh()}
+    singular_after, split_singular = moves.singular_after, reducer._split_singular
 
     def gated(self, removed, added):
         K2 = successor(self, removed, added)
@@ -131,14 +139,30 @@ def install_gate(monkeypatch, successor):
         tally["successors"] += 1
         return K2
 
-    def checked(K, K2, singular):
-        got = normal_update(K, K2, singular)
+    def check(K2, got):
         assert got == tally["fresh"].singular_map(K2)
         tally["updates"] += 1
+
+    def checked(K, K2, rec, singular):
+        got = singular_after(K, K2, rec, singular)
+        check(K2, got)
+        return got
+
+    def checked_update(K, K2, singular):
+        got = normal_update(K, K2, singular)
+        check(K2, got)
+        return got
+
+    def checked_split(K, K1, K2, rec, singular):
+        got = split_singular(K, K1, K2, rec, singular)
+        for half, sing in zip((K1, K2), got or ()):
+            check(half, sing)
         return got
 
     monkeypatch.setattr(SimplicialComplex, "_successor", gated)
-    monkeypatch.setattr(reducer, "normal_update", checked)
+    monkeypatch.setattr(moves, "singular_after", checked)
+    monkeypatch.setattr(reducer, "normal_update", checked_update)
+    monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return tally
 
 
@@ -148,12 +172,6 @@ def _reduce_and_replay(K, tally):
     if report.accepted:
         assert reducer.replay(report.trace) == K
     return report
-
-
-def _folded_spine(n):
-    S = gen.spine_path_sphere(n)
-    s1, s2, psi = gen.find_admissible_fold(S)
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
 
 
 # --------------------------------------------------------------- the gate
@@ -178,7 +196,7 @@ def test_staircase_spheres_pass_the_gate(monkeypatch):
 
 
 def test_folded_spine_spheres_pass_the_gate(monkeypatch):
-    inputs = [_folded_spine(n) for n in range(6, 65)]
+    inputs = [folded_spine(n) for n in range(6, 65)]
     tally = install_gate(monkeypatch, SimplicialComplex._successor)
     for K in inputs:
         assert _reduce_and_replay(K, tally).accepted
@@ -328,6 +346,24 @@ def test_the_gate_fails_on_a_mutant(mutate, monkeypatch):
     install_gate(monkeypatch, mutant)
     with pytest.raises(AssertionError):
         reducer.replay(reducer.reduce_complex(gen.staircase_sphere(4)).trace)
+
+
+def test_rp2_second_summand_passes_the_gate(monkeypatch):
+    K, trace = rp2_second_summand()
+    tally = install_gate(monkeypatch, SimplicialComplex._successor)
+    assert reducer.replay(trace) == K
+    assert tally["updates"] == len(trace.forward_moves)
+    assert _reduce_and_replay(K, tally).accepted
+
+
+@pytest.mark.parametrize("mutate", LINKS_MUTANTS)
+def test_the_gate_fails_on_a_links_mutant(mutate, monkeypatch):
+    K, trace = rp2_second_summand()
+    mutate(monkeypatch)
+    install_gate(monkeypatch, SimplicialComplex._successor)
+    with pytest.raises(AssertionError):
+        reducer.replay(trace)
+        reducer.reduce_complex(K)
 
 
 # ------------------------------------------------ the operation-count guard
