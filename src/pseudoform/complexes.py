@@ -619,7 +619,7 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
     Vertex links are classified; non-sphere links populate
     ``singular_vertices``.
     """
-    if _as_complex(K, "validate_normal").dimension != 3:
+    if K.dimension != 3:
         raise DimensionError(
             f"validate_normal expects a 3-complex, got dimension {K.dimension}"
         )

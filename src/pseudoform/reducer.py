@@ -466,26 +466,24 @@ def _split(
 
 
 def _split_singular(
-    K: SimplicialComplex, K1: SimplicialComplex, K2: SimplicialComplex,
-    rec: moves.MoveRecord, singular: dict,
-) -> Optional[tuple]:
-    """The singular maps of the halves ``K1`` and ``K2`` that ``_split``
-    made of ``K``, from the map of ``K`` and the record that glues them;
-    None when a corner's link is neither a sphere nor RP^2.
+    K1: SimplicialComplex, rec: moves.MoveRecord, singular: dict,
+) -> tuple:
+    """The singular maps of the two halves ``_split`` made, the first
+    ``K1``, from the map of the split piece and the record that glues
+    them.
 
     The split check has passed, so both halves are normal: the two sides
     share only the tetrahedron, and the boundary of the triangle
     opposite each corner cuts its link in two, one part on each side,
-    which the triangle closes up in its half.  A singular vertex that is
-    not a corner keeps its link in the half that holds its star.  A
-    sphere corner is a sphere in both halves (Jordan-Schoenflies: both
-    parts are discs).  An RP^2 corner is cut into a disc and a Moebius
-    strip: the half whose link has Euler characteristic 2 gets the
-    sphere, the other keeps RP^2.
+    which the triangle closes up in its half.  The piece passed
+    ``_classify_component``, so each corner's link is a sphere or RP^2.
+    A singular vertex that is not a corner keeps its link in the half
+    that holds its star.  A sphere corner is a sphere in both halves
+    (Jordan-Schoenflies: both parts are discs).  An RP^2 corner is cut
+    into a disc and a Moebius strip: the half whose link has Euler
+    characteristic 2 gets the sphere, the other keeps RP^2.
     """
     fresh = dict(rec.get("psi"))
-    if any(singular[x].kind != RP2 for x in fresh if x in singular):
-        return None
     maps: tuple = ({}, {})
     for v, cls in singular.items():
         if v not in fresh:
@@ -688,10 +686,10 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
 
     The singular map (see ``_classify_component``) is carried through
     every step.  A split gives both halves theirs by ``_split_singular``,
-    which reads them off the split check; where it cannot, and after a
-    rule step, ``normal_update`` rechecks only the faces the step
-    touched.  Fresh labels count up from ``next_label``, and each rule
-    applied is appended to ``rule_log``.  Returns (seeds, forward
+    which reads them off the split check; after a rule step,
+    ``normal_update`` rechecks only the faces the step touched.  Fresh
+    labels count up from ``next_label``, and each rule applied is
+    appended to ``rule_log``.  Returns (seeds, forward
     records in replay order).
     """
     seeds: list = []
@@ -717,8 +715,7 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
         if split is not None:
             (quad,), sides = split
             K1, K2, rec = _split(K, quad, *sides, next_label)
-            sing1, sing2 = _split_singular(K, K1, K2, rec, sing) or (
-                normal_update(K, K1, sing), normal_update(K, K2, sing))
+            sing1, sing2 = _split_singular(K1, rec, sing)
             next_label += 4
             rule_log.append((tag, "split-at-missing-tetrahedron", tuple(sorted(quad))))
             stack += [

@@ -97,8 +97,8 @@ def split_swaps_the_rp2_side(monkeypatch):
     """An RP^2 corner keeps its class in the half that gets the sphere."""
     split_singular = reducer._split_singular
 
-    def swapped(K, K1, K2, rec, singular):
-        m1, m2 = split_singular(K, K1, K2, rec, singular)
+    def swapped(K1, rec, singular):
+        m1, m2 = split_singular(K1, rec, singular)
         for x, w in rec.get("psi"):
             if x in singular:
                 if x in m1:

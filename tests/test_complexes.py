@@ -157,13 +157,12 @@ def test_relabeled_complex_is_isomorphic(perm):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: validate_normal(5),
     lambda: find_isomorphism(boundary_simplex(), 5),
     lambda: find_isomorphism(5, boundary_simplex()),
     lambda: reducer.reduce_complex(5),
     lambda: reducer.audit_multi_singular(5),
     lambda: rigidity.complex_rigidity(5),
-], ids=["validate_normal", "find_isomorphism-second", "find_isomorphism-first",
+], ids=["find_isomorphism-second", "find_isomorphism-first",
         "reduce_complex", "audit_multi_singular", "complex_rigidity"])
 def test_an_argument_that_is_no_complex_is_a_package_error(call):
     with pytest.raises(PseudoformError) as ei:

@@ -58,11 +58,13 @@ def install_checks(monkeypatch):
     agreement with the oracle: each ``moves.singular_after``, each
     ``normal_update`` of the reducer and both halves of each answer of
     ``reducer._split_singular``, as they are now.  Returns the list of
-    checks, one per step and split half, each as (the record's kind,
+    checks, one per step and split half, each as (the record's kind, or
     "update" or "split", whether the map gives a vertex of a facet the
     step changed a class other than the sphere)."""
     calls = []
-    singular_after, split_singular = moves.singular_after, reducer._split_singular
+    singular_after = moves.singular_after
+    split, split_singular = reducer._split, reducer._split_singular
+    split_of = {}  # record -> (piece, first half, second half)
 
     def check(kind, K, K2, got):
         # the map of ``K`` is the seeds' {}, the admission pass's full
@@ -80,14 +82,21 @@ def install_checks(monkeypatch):
         check("update", K, K2, got)
         return got
 
-    def checked_split(K, K1, K2, rec, singular):
-        got = split_singular(K, K1, K2, rec, singular)
-        for half, sing in zip((K1, K2), got or ()):
+    def recorded_split(K, *args):
+        K1, K2, rec = split(K, *args)
+        split_of[id(rec)] = K, K1, K2
+        return K1, K2, rec
+
+    def checked_split(K1, rec, singular):
+        got = split_singular(K1, rec, singular)
+        K, *halves = split_of.pop(id(rec))
+        for half, sing in zip(halves, got):
             check("split", K, half, sing)
         return got
 
     monkeypatch.setattr(moves, "singular_after", checked)
     monkeypatch.setattr(reducer, "normal_update", checked_update)
+    monkeypatch.setattr(reducer, "_split", recorded_split)
     monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return calls
 

@@ -131,7 +131,9 @@ def install_gate(monkeypatch, successor):
     returns the tally of checks, whose ``fresh`` builds are to be
     cleared between inputs."""
     tally = {"successors": 0, "carried": 0, "updates": 0, "fresh": Fresh()}
-    singular_after, split_singular = moves.singular_after, reducer._split_singular
+    singular_after = moves.singular_after
+    split, split_singular = reducer._split, reducer._split_singular
+    halves_of = {}  # record -> the two halves
 
     def gated(self, removed, added):
         K2 = successor(self, removed, added)
@@ -153,15 +155,21 @@ def install_gate(monkeypatch, successor):
         check(K2, got)
         return got
 
-    def checked_split(K, K1, K2, rec, singular):
-        got = split_singular(K, K1, K2, rec, singular)
-        for half, sing in zip((K1, K2), got or ()):
+    def recorded_split(*args):
+        K1, K2, rec = split(*args)
+        halves_of[id(rec)] = K1, K2
+        return K1, K2, rec
+
+    def checked_split(K1, rec, singular):
+        got = split_singular(K1, rec, singular)
+        for half, sing in zip(halves_of.pop(id(rec)), got):
             check(half, sing)
         return got
 
     monkeypatch.setattr(SimplicialComplex, "_successor", gated)
     monkeypatch.setattr(moves, "singular_after", checked)
     monkeypatch.setattr(reducer, "normal_update", checked_update)
+    monkeypatch.setattr(reducer, "_split", recorded_split)
     monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return tally
 
