@@ -44,13 +44,20 @@ def _as_complex(K, caller: str) -> "SimplicialComplex":
     return K
 
 
+def _not_a_face(face) -> MalformedFacetError:
+    return MalformedFacetError(f"expected a face as an iterable of labels, got {face!r}")
+
+
 def clean_face(vertices: Iterable[int]) -> Face:
     """Validate and freeze one face given as an iterable of labels.
 
     Labels must be distinct non-negative integers; anything else raises
     :class:`MalformedFacetError`.
     """
-    vs = tuple(vertices)
+    try:
+        vs = tuple(vertices)
+    except TypeError:
+        raise _not_a_face(vertices) from None
     for v in vs:
         if not isinstance(v, int) or v < 0:
             raise MalformedFacetError(
@@ -110,7 +117,10 @@ class SimplicialComplex:
     """
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        cleaned = frozenset(clean_face(f) for f in facets)
+        try:
+            cleaned = frozenset(clean_face(f) for f in facets)
+        except TypeError:
+            raise MalformedFacetError(f"expected an iterable of facets, got {facets!r}") from None
         sizes = {len(f) for f in cleaned}
         if len(sizes) > 1:
             raise DimensionError(
@@ -128,7 +138,10 @@ class SimplicialComplex:
         Every row must contain exactly four distinct labels.  This is
         the standard entry point for the objects this package studies.
         """
-        rows = [clean_face(q) for q in quadruples]
+        try:
+            rows = [clean_face(q) for q in quadruples]
+        except TypeError:
+            raise MalformedFacetError(f"expected an iterable of facets, got {quadruples!r}") from None
         for row in rows:
             if len(row) != 4:
                 raise MalformedFacetError(
@@ -182,19 +195,22 @@ class SimplicialComplex:
 
     def faces(self, dim: int) -> frozenset:
         """All faces of the given dimension, as frozensets."""
-        if dim < 0 or dim > self.dimension:
-            return frozenset()
-        got = self._faces_memo.get(dim)
-        if got is None:
-            if dim == self.dimension:
-                got = self.facets
-            else:
-                got = frozenset(
-                    frozenset(c)
-                    for f in self.facets
-                    for c in itertools.combinations(f, dim + 1)
-                )
-            self._faces_memo[dim] = got
+        try:
+            if dim < 0 or dim > self.dimension:
+                return frozenset()
+            got = self._faces_memo.get(dim)
+            if got is None:
+                if dim == self.dimension:
+                    got = self.facets
+                else:
+                    got = frozenset(
+                        frozenset(c)
+                        for f in self.facets
+                        for c in itertools.combinations(f, dim + 1)
+                    )
+                self._faces_memo[dim] = got
+        except TypeError:
+            raise DimensionError(f"faces wants an integer dimension, got {dim!r}") from None
         return got
 
     @property
@@ -206,7 +222,11 @@ class SimplicialComplex:
         return self.faces(2)
 
     def contains_face(self, face: Iterable[int]) -> bool:
-        return bool(self._cofacets(frozenset(face)))
+        try:
+            f = frozenset(face)
+        except TypeError:
+            raise _not_a_face(face) from None
+        return bool(self._cofacets(f))
 
     def _facets_by_vertex(self) -> dict:
         got = self._cache.get("facets_by_vertex")
@@ -324,7 +344,10 @@ class SimplicialComplex:
         The link of a vertex in a 3-complex is a 2-complex, the link of
         an edge a graph, the link of a facet the empty complex.
         """
-        f = frozenset(face)
+        try:
+            f = frozenset(face)
+        except TypeError:
+            raise _not_a_face(face) from None
         got = self._link_memo.get(f)
         if got is None:
             got = SimplicialComplex(c for c in self._link_cells(f) if c)
@@ -350,7 +373,10 @@ class SimplicialComplex:
         Equals the number of facets around the edge whenever that link
         is a single cycle (the closed, normal case).
         """
-        e = frozenset(edge)
+        try:
+            e = frozenset(edge)
+        except TypeError:
+            raise _not_a_face(edge) from None
         if len(e) != 2:
             raise DimensionError(f"edge_degree wants an edge, got {sorted(e)}")
         cof = self._cofacets(e)
@@ -489,9 +515,11 @@ class SimplicialComplex:
 
     def relabeled(self, mapping: dict) -> "SimplicialComplex":
         """Apply a vertex relabeling; labels not in ``mapping`` stay put."""
-        return SimplicialComplex(
-            [mapping.get(v, v) for v in F] for F in self.facets
-        )
+        try:
+            get = mapping.get
+        except AttributeError:
+            raise MalformedFacetError(f"relabeled wants a dict of labels, got {mapping!r}") from None
+        return SimplicialComplex([get(v, v) for v in F] for F in self.facets)
 
     def canonical_facets(self) -> list:
         """Facets as sorted tuples, sorted; the canonical printed order."""
@@ -619,6 +647,11 @@ def validate_normal(K: SimplicialComplex) -> NormalityReport:
     Vertex links are classified; non-sphere links populate
     ``singular_vertices``.
     """
+    return _normality(_as_complex(K, "validate_normal"))
+
+
+def _normality(K: SimplicialComplex) -> NormalityReport:
+    """``validate_normal`` of ``K``, which is a complex."""
     if K.dimension != 3:
         raise DimensionError(
             f"validate_normal expects a 3-complex, got dimension {K.dimension}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import moves, reducer
-from .complexes import SimplicialComplex, normal_update, total_g2
+from .complexes import SimplicialComplex, total_g2
 from .defaults import DEFAULT_SEED
 from .errors import MoveError, PseudoformError, SpecError
 
@@ -238,21 +238,24 @@ _WALK_KINDS = (moves.BISTELLAR1, moves.BISTELLAR2, moves.EDGE_CONTRACT,
 
 
 def _scope_update(
-    K: SimplicialComplex, K2: SimplicialComplex, singular: dict, g2_cap: int
+    K: SimplicialComplex, K2: SimplicialComplex, rec: "moves.MoveRecord",
+    singular: dict, g2_cap: int,
 ) -> Optional[dict]:
-    """The singular map of ``K2``, or None when ``K2`` leaves the walk's
-    scope.
+    """The singular map of ``K2``, which the move ``rec`` made from ``K``,
+    or None when ``K2`` leaves the walk's scope.
 
-    ``K`` is in scope with singular map ``singular``, and only what the
-    move touched is rechecked (``normal_update``).  In scope means: total
-    g2 at most the cap, every component normal closed, and each component
-    with singular vertices in the reducer's scope for them
-    (``reducer._singular_out_of_scope``).  Components are formed only
-    when there are singular vertices.
+    ``K`` is in scope with singular map ``singular``.  The map of ``K2``
+    comes from ``moves.singular_after``: the kind's links rule reads it
+    off the record, and a fold, or an expansion at a singular vertex,
+    rechecks only what the move touched (``normal_update``).  In scope
+    means: total g2 at most the cap, every component normal closed, and
+    each component with singular vertices in the reducer's scope for
+    them (``reducer._singular_out_of_scope``).  Components are formed
+    only when there are singular vertices.
     """
     if total_g2(K2) > g2_cap:
         return None
-    sing = normal_update(K, K2, singular)
+    sing = moves.singular_after(K, K2, rec, singular)
     if sing:
         for comp in K2.connected_components():
             here = {v: cls for v, cls in sing.items() if v in comp.vertices}
@@ -297,7 +300,7 @@ def _gen_random(
                 K2, rec = move.construct(K, values)
             except PseudoformError:
                 continue
-            singular2 = _scope_update(K, K2, singular, g2_cap)
+            singular2 = _scope_update(K, K2, rec, singular, g2_cap)
             if singular2 is None:
                 continue
             K, singular = K2, singular2
@@ -325,6 +328,8 @@ def _gen_random(
 
 def generate(spec: GeneratorSpec) -> GeneratedComplex:
     """Build the complex a spec describes, with a replayable trace."""
+    if not isinstance(spec, GeneratorSpec):
+        raise SpecError(f"generate wants a GeneratorSpec, got {spec!r}")
     if spec.kind == BOUNDARY_SIMPLEX:
         K = boundary_simplex()
         return GeneratedComplex(spec, K, reducer._trace(K, [K], []))

@@ -28,11 +28,11 @@ so identical inputs give identical outputs; replay passes the recorded
 labels back in explicitly.
 
 Each kind is defined once, in :data:`MOVES`: its record schema, its
-constructor, its lazy site enumerator and, for a connected sum, the
-rule that gives the singular vertices of the result
-(:func:`singular_after`).  Replay, the command line and the random walk
-all dispatch through that table.  A kind's enumerator and its
-constructor call the same precondition function.
+constructor, its lazy site enumerator and, for every kind but the fold,
+the unfold and the handle, the rule that gives the singular vertices of
+the result (:func:`singular_after`).  Replay, the command line, the
+random walk and the reducer all dispatch through that table.  A kind's
+enumerator and its constructor call the same precondition function.
 """
 
 from __future__ import annotations
@@ -675,15 +675,19 @@ def _sum_links(p: dict, singular: dict) -> dict:
     lk(x) # lk(psi(x)) (``surfaces._sum_class``).  The targets of psi
     are gone; every other vertex keeps its link up to relabelling.
     """
-    psi = dict(p["psi"])
-    gone = psi.keys() | psi.values()
-    out = {v: cls for v, cls in singular.items() if v not in gone}
-    for x, w in psi.items():
-        if x in singular or w in singular:
-            cls = surfaces._sum_class(singular.get(x, surfaces.SPHERE_CLASS),
-                                      singular.get(w, surfaces.SPHERE_CLASS))
-            if cls.kind != surfaces.SPHERE:
-                out[x] = cls
+    out = singular
+    for x, w in p["psi"]:
+        out = _merged(out, (x, w), x)
+    return out
+
+
+def _merged(singular: dict, pair: tuple, w: int) -> dict:
+    """``singular`` with the two vertices of ``pair`` merged into ``w``,
+    whose link is the connected sum of theirs."""
+    out = {v: cls for v, cls in singular.items() if v not in pair}
+    cls = surfaces._sum_class(*(singular.get(x, surfaces.SPHERE_CLASS) for x in pair))
+    if cls.kind != surfaces.SPHERE:
+        out[w] = cls
     return out
 
 
@@ -1055,6 +1059,101 @@ def unsubdividable_vertices(K: SimplicialComplex) -> list:
 
 
 # ---------------------------------------------------------------------
+# links rules: the singular map after a move, read off its record
+# ---------------------------------------------------------------------
+#
+# Each rule is called on a complex whose components are all normal
+# closed, once the move's own check has passed.  A 3-complex is normal
+# closed component by component exactly when every vertex link is a
+# closed connected surface: an edge's link is then the link of a vertex
+# in a surface, a circle, and a triangle lies in two facets.  So a rule
+# proves that K2 is normal by showing that every vertex of a changed
+# facet gets a closed connected surface as its link.
+
+
+def _pachner_links(p: dict, singular: dict) -> dict:
+    """The singular map after a bistellar move or a facet subdivision or
+    unsubdivision: the map before it (Pachner, "PL homeomorphic
+    manifolds are equivalent by elementary shellings", 1991).
+
+    Each of these moves replaces a ball by a ball with the same
+    boundary, and its check has proved the face it brings in absent: the
+    apex edge uv of a 1-move, the apex triangle of a 2-move, the
+    surrounding tetrahedron of an unsubdivision; a subdivision brings
+    in a fresh vertex.  So the link of each vertex of the changed facets
+    that stays undergoes a 2-dimensional bistellar move whose new face
+    is absent from that link: a 1-move gives lk(u) the cone from v over
+    the triangle's boundary in place of the triangle, and each corner a
+    of the triangle the flip of the edge opposite a to uv; a 2-move and
+    an unsubdivision undo such steps, a subdivision cones a triangle of
+    each corner's link from the fresh vertex.  A closed surface stays a
+    closed surface of the same class.  A vertex that a move brings in or
+    takes away has a tetrahedron boundary, a sphere, as its link.
+    """
+    return dict(singular)
+
+
+def _contract_links(p: dict, singular: dict) -> dict:
+    """The singular map after an edge contraction: the endpoints u and v
+    leave it, and the fresh vertex w gets lk(u) # lk(v)
+    (``surfaces._sum_class``; Dey, Edelsbrunner, Guha and Nekhayev,
+    "Topology preserving edge contraction", 1999).
+
+    The check has proved that lk(uv) is a circle C and that the link
+    condition lk(u) & lk(v) = lk(uv) holds.  In lk(u) the closed star of
+    v is the cone over C, a disc, and so is the star of u in lk(v).
+    lk(w) is the two links with those discs taken out, glued along C,
+    and by the link condition they meet nowhere else: a connected sum.
+    At a vertex x of C, lk(x) undergoes the contraction of its edge uv,
+    and the link condition passes down to it: a face s in
+    lk(ux) & lk(vx) gives s + x in lk(u) & lk(v) = lk(uv), so s lies in
+    lk(uvx).  Contracting an edge of a closed surface under the link
+    condition keeps its class.  A vertex joined to both u and v lies in
+    lk(u) & lk(v) = lk(uv), on C, so every other vertex of the two stars
+    sees only u or v renamed to w, and keeps its link.
+    """
+    return _merged(singular, p["edge"], p["fresh"])
+
+
+def _two_facets_contract_links(p: dict, singular: dict) -> dict:
+    """The singular map after a two-facets contraction of u and v: both
+    leave it, and the fresh vertex gets lk(u) # lk(v).
+
+    The move is a bistellar 1-move at the one triangle t that the two
+    stars share, followed by the contraction of the new edge uv
+    (``contract_two_facets``).  The check has proved u and v not joined
+    and their stars meeting in t and its faces only, so t has the
+    cofacets u + t and v + t and the 1-move applies.  After it, lk(u) &
+    lk(v) is the boundary of t, which is lk(uv): the link condition
+    holds.  ``_pachner_links`` and then ``_contract_links`` give the map.
+    """
+    return _merged(singular, p["vertices"], p["fresh"])
+
+
+def _split_vertex_links(p: dict, singular: dict) -> Optional[dict]:
+    """The singular map after an edge expansion or a two-facets insertion
+    at a vertex x with a sphere link: the map before it.  At a singular
+    x the rule declines (None), and ``singular_after`` rechecks.
+
+    Both moves take x out and cone the two sides of a cut of lk(x) over
+    two fresh apexes.  The check has proved that the cut, along the
+    cycle or along the boundary of the missing triangle t, leaves two
+    sides, and on a sphere both are discs (Jordan-Schoenflies).  An
+    expansion closes each disc with the cone from the other apex over
+    the cycle, an insertion with the triangle t, so each apex gets a
+    sphere link.  At a vertex c of the cycle or of t, lk(c) loses the
+    star of x, a disc bounded by the circle lk(cx), and gains a disc
+    with the same boundary whose inner vertices are the fresh apexes:
+    their fans over the two arcs into which the cut splits that circle,
+    joined by the two triangles at the new edge (an expansion) or at the
+    edge of t opposite c (an insertion; that edge is absent from lk(c)
+    because t is no face).  So lk(c) keeps its class.  Every other
+    vertex of lk(x) sees only x renamed to an apex.
+    """
+    return None if p["vertex"] in singular else dict(singular)
+
+
+# ---------------------------------------------------------------------
 # the move table
 # ---------------------------------------------------------------------
 
@@ -1096,8 +1195,10 @@ class Move:
     made through the table.
     ``links(values, singular)``, when set, is the singular map of the
     result, read off the record's values and the map of the complex the
-    move starts from (see :func:`singular_after`).  Only ConnectedSum
-    has one.
+    move starts from, or None where the rule declines (see
+    :func:`singular_after`).  Every kind has one but EdgeFold,
+    EdgeUnfold and HandleAdd; EdgeExpand's and TwoFacetsInsert's
+    decline at a singular vertex.
     """
 
     params: tuple
@@ -1121,34 +1222,35 @@ MOVES = {
     BISTELLAR1: Move(
         (Param("triangle", INPUT, TRIANGLE), Param("edge", DERIVED, EDGE)),
         lambda K, p: bistellar_one(K, p["triangle"]),
-        _iter_bistellar_one_sites),
+        _iter_bistellar_one_sites, _pachner_links),
     BISTELLAR2: Move(
         (Param("edge", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE)),
         lambda K, p: bistellar_two(K, p["edge"]),
-        _iter_bistellar_two_sites),
+        _iter_bistellar_two_sites, _pachner_links),
     EDGE_CONTRACT: Move(
         (Param("edge", INPUT, EDGE), Param("fresh", FRESH, LABEL),
          Param("degree", DERIVED, LABEL), Param("homeomorphic", DERIVED, FLAG)),
         lambda K, p: contract_edge(K, p["edge"], fresh=p.get("fresh")),
-        _iter_contractible_edges),
+        _iter_contractible_edges, _contract_links),
     EDGE_EXPAND: Move(
         (Param("vertex", INPUT, LABEL), Param("cycle", INPUT, CYCLE),
          Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL),
          Param("u_side", INPUT, LABEL)),
         lambda K, p: expand_edge(
             K, p["vertex"], p["cycle"], p["u_side"], _apexes(p)),
-        _iter_link_cycle_sites),
+        _iter_link_cycle_sites, _split_vertex_links),
     TWO_FACETS_INSERT: Move(
         (Param("vertex", INPUT, LABEL), Param("triangle", INPUT, TRIANGLE),
          Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL)),
         lambda K, p: insert_two_facets(K, p["vertex"], p["triangle"], _apexes(p)),
-        _iter_insertion_sites),
+        _iter_insertion_sites, _split_vertex_links),
     TWO_FACETS_CONTRACT: Move(
         (Param("vertices", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE),
          Param("fresh", FRESH, LABEL)),
         lambda K, p: contract_two_facets(
             K, *p["vertices"], fresh=p.get("fresh")),
-        lambda K: (((u, v), t) for u, v, t in _iter_contraction_pair_sites(K))),
+        lambda K: (((u, v), t) for u, v, t in _iter_contraction_pair_sites(K)),
+        _two_facets_contract_links),
     CONNECTED_SUM: Move(
         _GLUING,
         lambda K, p: connected_sum_in(
@@ -1171,11 +1273,11 @@ MOVES = {
     FACET_SUBDIVIDE: Move(
         (Param("facet", INPUT, TETRA), Param("fresh", FRESH, LABEL)),
         lambda K, p: facet_subdivide(K, p["facet"], fresh=p.get("fresh")),
-        lambda K: ((F,) for F in K.canonical_facets())),
+        lambda K: ((F,) for F in K.canonical_facets()), _pachner_links),
     FACET_UNSUBDIVIDE: Move(
         (Param("vertex", INPUT, LABEL), Param("facet", DERIVED, TETRA)),
         lambda K, p: facet_unsubdivide(K, p["vertex"]),
-        _iter_unsubdividable_vertices),
+        _iter_unsubdividable_vertices, _pachner_links),
 }
 
 ALL_KINDS = tuple(MOVES)
@@ -1225,10 +1327,12 @@ def singular_after(
 
     Call it only once the move's own check has passed, on a ``K`` whose
     components are all normal closed.  A kind with a ``links`` rule
-    reads the map off the record and builds no link; every other kind
-    rechecks the faces the move touched (``normal_update``).
+    reads the map off the record and builds no link; each rule's
+    docstring argues why the check makes ``K2`` normal and what class
+    each vertex keeps or gets.  EdgeFold, EdgeUnfold and HandleAdd, and
+    a rule that declines, recheck the faces the move touched
+    (``normal_update``).
     """
     links = MOVES[record.kind].links
-    if links is None:
-        return normal_update(K, K2, singular)
-    return links(record.param_dict(), singular)
+    got = None if links is None else links(record.param_dict(), singular)
+    return normal_update(K, K2, singular) if got is None else got

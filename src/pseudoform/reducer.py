@@ -43,8 +43,8 @@ from .complexes import (
     NormalityReport,
     SimplicialComplex,
     _as_complex,
+    _normality,
     _vertex_link,
-    normal_update,
     total_g2,
     validate_normal,
 )
@@ -362,19 +362,21 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
 # ---------------------------------------------------------------------
 
 
-def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
+def _split_check(K: SimplicialComplex, quad: frozenset, every_corner: bool = True) -> tuple:
     """A missing tetrahedron every corner of which separates its link,
     and cutting along whose four triangles leaves exactly two sides of
     facets that share only ``quad``: those two sides.
 
     A corner ``x`` separates when the boundary of ``quad - {x}`` cuts
-    its link in two (``moves._link_sides``).  The facets are then cut
-    along the four triangles of ``quad``: joined across every other
-    triangle, they must fall into two sides.  A cut that leaves one
-    side means a handle, which needs g2 >= 10.
+    its link in two (``moves._link_sides``).  The error names every
+    corner that does not, or, without ``every_corner``, the first.  The
+    facets are then cut along the four triangles of ``quad``: joined
+    across every other triangle, they must fall into two sides.  A cut
+    that leaves one side means a handle, which needs g2 >= 10.
     """
     moves._missing_tetrahedron_check(K, quad)
-    moebius = [x for x in sorted(quad) if moves._link_sides(K, x, quad - {x}) is None]
+    one_sided = (x for x in sorted(quad) if moves._link_sides(K, x, quad - {x}) is None)
+    moebius = list(one_sided if every_corner else itertools.islice(one_sided, 1))
     if moebius:
         raise MoveError(
             f"corners {moebius} of {sorted(quad)} have one-sided "
@@ -410,8 +412,11 @@ def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
 
 def _iter_split_sites(K: SimplicialComplex) -> Iterator:
     """((tetra,), sides) for each missing tetrahedron ``_split_check``
-    accepts, lazily, in the order of ``missing_faces``."""
-    return moves._passing(_split_check, K, ((q,) for q in K.missing_faces(3)))
+    accepts, lazily, in the order of ``missing_faces``.  The refusals
+    are dropped, so each stops at its first one-sided corner."""
+    def check(K, quad):
+        return _split_check(K, quad, every_corner=False)
+    return moves._passing(check, K, ((q,) for q in K.missing_faces(3)))
 
 
 def split_at_missing_tetrahedron(
@@ -537,7 +542,7 @@ def _classify_component(
 ) -> str:
     """Admission check for one component; returns its class.
 
-    ``sing`` is the component's singular map, as ``normal_update``
+    ``sing`` is the component's singular map, as ``moves.singular_after``
     gives it: None when the component is not normal closed.
     """
     if sing is None or not K.is_connected():
@@ -659,9 +664,10 @@ def _apply_rule(
     rule: tuple, K: SimplicialComplex, sing: dict, first_label: int
 ) -> Optional[tuple]:
     """Apply ``rule`` at its first usable site, with fresh labels from
-    ``first_label`` on.  Returns the smaller complex, the forward record
-    that rebuilds ``K``, the site's inputs (the witness) and the next
-    unused label; None when no site is usable."""
+    ``first_label`` on.  Returns the smaller complex, the step's own
+    record, the forward record that rebuilds ``K``, the site's inputs
+    (the witness) and the next unused label; None when no site is
+    usable."""
     _rule_id, kind, keep = rule
     move = moves.MOVES[kind]
     for site in move.sites(K):
@@ -677,7 +683,7 @@ def _apply_rule(
         }
         after, rec = move.construct(K, {**values, **fresh})
         witness = site[0] if len(move.inputs) == 1 else tuple(values.values())
-        return after, _rebuild(K, after, rec), witness, next(labels)
+        return after, rec, _rebuild(K, after, rec), witness, next(labels)
     return None
 
 
@@ -686,8 +692,9 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
 
     The singular map (see ``_classify_component``) is carried through
     every step.  A split gives both halves theirs by ``_split_singular``,
-    which reads them off the split check; after a rule step,
-    ``normal_update`` rechecks only the faces the step touched.  Fresh
+    which reads them off the split check; a rule step takes its map from
+    ``moves.singular_after``, the kind's links rule or, for an unfold,
+    ``normal_update`` on the faces the step touched.  Fresh
     labels count up from ``next_label``, and each rule applied is
     appended to ``rule_log``.  Returns (seeds, forward
     records in replay order).
@@ -730,15 +737,15 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
                 break
         else:
             raise _Rejection(_STUCK[cls].format(g2=K.f_vector().g2))
-        K2, rec, witness, next_label = step
+        K2, rec, undo_rec, witness, next_label = step
         rule_log.append((tag, rule[0], witness))
-        sing2 = normal_update(K, K2, sing)
+        sing2 = moves.singular_after(K, K2, rec, sing)
         if sing2 is None:
             raise _Rejection(
                 "reduction step produced an invalid complex: "
                 f"{_components_all_normal(K2)}"
             )
-        undo.append((tag, rec))
+        undo.append((tag, undo_rec))
         stack.append((tag, K2, sing2, undo))
     return seeds, forward
 
@@ -872,7 +879,7 @@ def audit_multi_singular(
     subdivisions undone, separable connected sums split off).
     """
     facts: list = []
-    rep = validate_normal(_as_complex(K, "audit_multi_singular"))
+    rep = _normality(_as_complex(K, "audit_multi_singular"))
     if not rep.is_normal_closed:
         facts.append(f"not a normal closed pseudomanifold ({rep.summary()})")
         return AuditReport(False, tuple(facts), ())

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 from hypothesis import settings
 
-from pseudoform import generators as gen, io as pio, moves, reducer
+from pseudoform import generators as gen, io as pio, moves, reducer, surfaces
 
 # Property tests draw the same examples on every run, at a bounded cost
 # and with no per-example deadline.
@@ -69,9 +69,10 @@ def rp2_second_summand():
 # and a split; each patches one rule in with ``monkeypatch``.  On the
 # complex and trace of ``rp2_second_summand`` the gates must fail them.
 
-def _sum_rule(monkeypatch, links):
-    move = moves.MOVES[moves.CONNECTED_SUM]
-    monkeypatch.setitem(moves.MOVES, moves.CONNECTED_SUM, dataclasses.replace(move, links=links))
+def _rules(monkeypatch, kinds, links):
+    """Give each kind of ``kinds`` the links rule ``links``."""
+    for kind in kinds:
+        monkeypatch.setitem(moves.MOVES, kind, dataclasses.replace(moves.MOVES[kind], links=links))
 
 
 def sum_keeps_only_the_first_class(monkeypatch):
@@ -79,7 +80,7 @@ def sum_keeps_only_the_first_class(monkeypatch):
     def links(p, singular):
         targets = dict(p["psi"]).values()
         return {v: cls for v, cls in singular.items() if v not in targets}
-    _sum_rule(monkeypatch, links)
+    _rules(monkeypatch, (moves.CONNECTED_SUM,), links)
 
 
 def sum_keeps_the_targets(monkeypatch):
@@ -90,7 +91,7 @@ def sum_keeps_the_targets(monkeypatch):
         out = rule(p, singular)
         out.update((w, singular[w]) for w in dict(p["psi"]).values() if w in singular)
         return out
-    _sum_rule(monkeypatch, links)
+    _rules(monkeypatch, (moves.CONNECTED_SUM,), links)
 
 
 def split_swaps_the_rp2_side(monkeypatch):
@@ -111,6 +112,49 @@ def split_swaps_the_rp2_side(monkeypatch):
 
 LINKS_MUTANTS = (sum_keeps_only_the_first_class, sum_keeps_the_targets,
                  split_swaps_the_rp2_side)
+
+
+# Mutants of the rules of the other kinds.  The replay of fold walk 2
+# at budget 40 (``long_fold_walk(2)``) reaches each with a wrong map.
+
+def pachner_drops_an_rp2_class(monkeypatch):
+    """A bistellar move or a facet (un)subdivision drops one RP^2 vertex
+    from the map."""
+    def links(p, singular):
+        rp2 = [v for v, cls in singular.items() if cls.kind == surfaces.RP2]
+        return {v: cls for v, cls in singular.items() if v not in rp2[:1]}
+    _rules(monkeypatch, (moves.BISTELLAR1, moves.BISTELLAR2, moves.FACET_SUBDIVIDE,
+                         moves.FACET_UNSUBDIVIDE), links)
+
+
+def contraction_keeps_one_class(monkeypatch):
+    """The merged vertex of an edge contraction gets the class of the
+    second endpoint, not the sum of both."""
+    def links(p, singular):
+        u, v = p["edge"]
+        out = {x: cls for x, cls in singular.items() if x not in (u, v)}
+        if v in singular:
+            out[p["fresh"]] = singular[v]
+        return out
+    _rules(monkeypatch, (moves.EDGE_CONTRACT,), links)
+
+
+def expansion_never_declines(monkeypatch):
+    """An edge expansion keeps the map at a singular vertex too."""
+    _rules(monkeypatch, (moves.EDGE_EXPAND,), lambda p, singular: dict(singular))
+
+
+RULE_MUTANTS = (pachner_drops_an_rp2_class, contraction_keeps_one_class,
+                expansion_never_declines)
+
+
+def long_fold_walk(seed: int):
+    """The fold walk of the corpus spec run on to budget 40: after its
+    fold it makes Pachner moves, contractions and expansions next to the
+    projective-plane vertices."""
+    return gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, (
+        ("seed", seed), ("budget", 40), ("allow_fold", True), ("g2_cap", 4),
+    )))
 
 
 def fixture_text(name: str) -> str:

@@ -162,9 +162,27 @@ def test_relabeled_complex_is_isomorphic(perm):
     lambda: reducer.reduce_complex(5),
     lambda: reducer.audit_multi_singular(5),
     lambda: rigidity.complex_rigidity(5),
+    lambda: validate_normal(5),
 ], ids=["find_isomorphism-second", "find_isomorphism-first",
-        "reduce_complex", "audit_multi_singular", "complex_rigidity"])
+        "reduce_complex", "audit_multi_singular", "complex_rigidity", "validate_normal"])
 def test_an_argument_that_is_no_complex_is_a_package_error(call):
     with pytest.raises(PseudoformError) as ei:
         call()
     assert "wants a complex, got 5" in str(ei.value)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda K: SimplicialComplex(5), MalformedFacetError),
+    (lambda K: SimplicialComplex([5]), MalformedFacetError),
+    (lambda K: SimplicialComplex.from_facets(5), MalformedFacetError),
+    (lambda K: K.link(5), MalformedFacetError),
+    (lambda K: K.edge_degree(5), MalformedFacetError),
+    (lambda K: K.contains_face(5), MalformedFacetError),
+    (lambda K: K.faces("1"), DimensionError),
+    (lambda K: K.faces(1.5), DimensionError),
+    (lambda K: K.relabeled(5), MalformedFacetError),
+], ids=["SimplicialComplex", "SimplicialComplex-row", "from_facets", "link",
+        "edge_degree", "contains_face", "faces-text", "faces-float", "relabeled"])
+def test_an_argument_of_the_wrong_type_is_a_package_error(call, error):
+    with pytest.raises(error):
+        call(boundary_simplex())

@@ -1,11 +1,13 @@
 """The random walk's lazy site lists and its carried singular map.
 
 At each step the walk takes only the first site of every kind it may
-draw, and lists a kind in full only when it tries that kind; it checks
-each candidate with ``normal_update`` from the singular map it carries.
-The tests here compare both with the full computation at every step of
-a set of walks, and pin the traces of the benchmark's walks, so that a
-change in the walk's random draws shows.
+draw, and lists a kind in full only when it tries that kind; it gets
+each candidate's singular map from ``moves.singular_after``, the kind's
+links rule or ``normal_update``, from the map it carries.  The tests
+here compare both with the full computation (and each map with
+``normal_update``) at every step of a set of walks, and pin the traces
+of the benchmark's walks, so that a change in the walk's random draws
+shows.
 """
 
 import dataclasses
@@ -16,6 +18,8 @@ import pytest
 
 from pseudoform import complexes, generators as gen, moves, reducer
 from pseudoform.surfaces import RP2
+
+from test_local_revalidation import full_singular_map
 
 # sha256 of ``format_trace`` of the walk-corpus walks at budget 20:
 # sphere walks by seed (g2 cap 9), fold walks by seed (g2 cap 4).
@@ -135,11 +139,11 @@ def test_full_lists_cover_the_walk_kinds():
 def watched(monkeypatch):
     """Record every site list the walk opens (the complex, the sites it
     pulled, whether it reached the end), check each tried kind against
-    its full list, and check every candidate's scope verdict against
-    the oracle."""
+    its full list, and check every candidate's scope verdict and
+    singular map against the oracle and ``normal_update``."""
     opened = []
     latest = {}
-    counts = {"tried": 0, "candidates": 0}
+    counts = {"tried": 0, "candidates": 0, "maps": 0}
 
     def watch_sites(kind, sites):
         def wrapped(K):
@@ -167,15 +171,23 @@ def watched(monkeypatch):
             m, sites=watch_sites(kind, m.sites),
             construct=watch_construct(kind, m.construct)))
 
-    scope_update = gen._scope_update
+    scope_update, singular_after = gen._scope_update, moves.singular_after
 
-    def checked(K, K2, singular, g2_cap):
-        got = scope_update(K, K2, singular, g2_cap)
+    def checked(K, K2, rec, singular, g2_cap):
+        got = scope_update(K, K2, rec, singular, g2_cap)
         assert got == full_scope(K2, g2_cap)
         counts["candidates"] += 1
         return got
 
+    def checked_map(K, K2, rec, singular):
+        got = singular_after(K, K2, rec, singular)
+        assert got == complexes.normal_update(K, K2, singular)
+        assert got == full_singular_map(K2)
+        counts["maps"] += 1
+        return got
+
     monkeypatch.setattr(gen, "_scope_update", checked)
+    monkeypatch.setattr(moves, "singular_after", checked_map)
     return opened, counts
 
 
@@ -215,3 +227,4 @@ def test_lazy_walk_matches_full_lists_and_full_validation(
                 assert rec["pulled"] == want[:1]
     assert counts["tried"] >= len(g.trace.forward_moves)
     assert counts["candidates"] >= len(g.trace.forward_moves)
+    assert counts["maps"] >= len(g.trace.forward_moves)

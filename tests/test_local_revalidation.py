@@ -1,12 +1,15 @@
 """Local revalidation: the carried singular maps against the full check.
 
-Replay and the reducer recheck only the faces a move touched
-(``normal_update``), and a connected sum and a split read their maps
-off the step (``moves.singular_after``, ``reducer._split_singular``).
-The tests here compare those maps with ``validate_normal`` on every
-component, at every replay step and every reducer step and split half
-of the corpus, and ``normal_update`` on perturbed complexes where it
-must reject.  Mutants of the sum and split rules must fail the gate.
+Replay, the reducer and the random walk read each step's map off its
+record by the kind's links rule (``moves.singular_after``), and a split
+reads both halves' maps off the split check (``reducer._split_singular``);
+a fold, an unfold, a handle and an expansion at a singular vertex
+recheck only the faces the move touched (``normal_update``).  The tests
+here compare those maps with ``normal_update`` and with
+``validate_normal`` on every component, at every replay step and every
+reducer step and split half of the corpus, and ``normal_update`` on
+perturbed complexes where it must reject.  Mutants of the rules must
+fail the gate.
 """
 
 import itertools
@@ -18,8 +21,9 @@ from pseudoform import complexes, generators as gen, moves, reducer, surfaces
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import DimensionError, MoveError, TraceFormatError
 
-from conftest import (COMPLEX_FIXTURES, LINKS_MUTANTS, SPHERE_WALK_SEEDS, folded_spine,
-                      rp2_second_summand)
+from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, RULE_MUTANTS,
+                      SPHERE_WALK_SEEDS, folded_spine, long_fold_walk, rp2_second_summand,
+                      walk_spec)
 
 # 48 short walks, half of them allowed to fold, plus the two fold walks
 # that fold (at their twelfth move)
@@ -55,12 +59,12 @@ def full_singular_map(K):
 
 def install_checks(monkeypatch):
     """Make every singular map that replay and the reducer carry assert
-    agreement with the oracle: each ``moves.singular_after``, each
-    ``normal_update`` of the reducer and both halves of each answer of
+    agreement with the oracle: each ``moves.singular_after`` (which also
+    must agree with ``normal_update``) and both halves of each answer of
     ``reducer._split_singular``, as they are now.  Returns the list of
     checks, one per step and split half, each as (the record's kind, or
-    "update" or "split", whether the map gives a vertex of a facet the
-    step changed a class other than the sphere)."""
+    "split", whether the map gives a vertex of a facet the step changed
+    a class other than the sphere)."""
     calls = []
     singular_after = moves.singular_after
     split, split_singular = reducer._split, reducer._split_singular
@@ -74,12 +78,8 @@ def install_checks(monkeypatch):
 
     def checked(K, K2, rec, singular):
         got = singular_after(K, K2, rec, singular)
+        assert got == normal_update(K, K2, singular)
         check(rec.kind, K, K2, got)
-        return got
-
-    def checked_update(K, K2, singular):
-        got = normal_update(K, K2, singular)
-        check("update", K, K2, got)
         return got
 
     def recorded_split(K, *args):
@@ -95,7 +95,6 @@ def install_checks(monkeypatch):
         return got
 
     monkeypatch.setattr(moves, "singular_after", checked)
-    monkeypatch.setattr(reducer, "normal_update", checked_update)
     monkeypatch.setattr(reducer, "_split", recorded_split)
     monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return calls
@@ -159,6 +158,8 @@ def test_every_links_rule_answers_a_non_sphere_class(fx, walks, checked_updates)
     traces = [rp2_second_summand()[1]]
     traces += [reducer.reduce_complex(fx(name)).trace for name in ("folded_g2_3", "folded_g2_4")]
     traces += [g.trace for g in walks]
+    for g in map(long_fold_walk, (2, 14)):
+        traces += [g.trace, reducer.reduce_complex(g.complex).trace]
     del checked_updates[:]
     for trace in traces:
         reducer.replay(trace)
@@ -166,6 +167,15 @@ def test_every_links_rule_answers_a_non_sphere_class(fx, walks, checked_updates)
     ruled = [kind for kind, move in moves.MOVES.items() if move.links is not None]
     assert ruled
     assert [kind for kind in ruled if kind not in seen] == []
+
+
+@pytest.mark.parametrize("mutate", RULE_MUTANTS)
+def test_the_gate_fails_on_a_move_rule_mutant(mutate, monkeypatch):
+    trace = long_fold_walk(2).trace
+    mutate(monkeypatch)
+    install_checks(monkeypatch)
+    with pytest.raises(AssertionError):
+        reducer.replay(trace)
 
 
 @pytest.mark.parametrize("mutate", LINKS_MUTANTS)
@@ -302,6 +312,33 @@ def test_sums_and_splits_build_no_link_surface(monkeypatch):
     # the admission check classifies each vertex link once: 68 of the
     # 746 builds before
     assert len(builds) == len(staircase.vertices)
+
+
+def test_walks_recheck_only_folds_and_singular_expansions(monkeypatch):
+    # every other kind's links rule reads the map off the record;
+    # rechecking every step made 2,320 calls and 16,339 Surface builds
+    at, rechecks = [None], []
+    singular_after, update = moves.singular_after, moves.normal_update
+
+    def noting(K, K2, rec, singular):
+        at[0] = rec, singular
+        return singular_after(K, K2, rec, singular)
+
+    def counted(K, K2, singular):
+        rechecks.append(at[0])
+        return update(K, K2, singular)
+
+    monkeypatch.setattr(moves, "singular_after", noting)
+    monkeypatch.setattr(moves, "normal_update", counted)
+    for seed in SPHERE_WALK_SEEDS:
+        gen.generate(walk_spec(seed, False))
+    assert rechecks == []
+    for seed in FOLD_WALK_SEEDS:
+        gen.generate(walk_spec(seed, True))
+    assert rechecks
+    for rec, singular in rechecks:
+        assert rec.kind == moves.EDGE_FOLD or (
+            rec.kind == moves.EDGE_EXPAND and rec.get("vertex") in singular)
 
 
 def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):

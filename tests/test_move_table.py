@@ -246,11 +246,18 @@ def test_non_canonical_values_are_format_errors(value):
 # ----------------------------------------------------- the walk's fast path
 
 
+# A record of a kind without a links rule, for which
+# ``moves.singular_after`` rechecks with ``normal_update``.
+RECHECK = moves.MoveRecord(moves.HANDLE_ADD, (), 0)
+
+
 def _singular_in_scope(K, g2_cap):
     """Whether K has singular vertices; None when K leaves the walk's
     scope.  The full check: the walk's scope rule with every face of
-    ``K`` rechecked, as a move from the empty complex."""
-    sing = gen._scope_update(SimplicialComplex(()), K, {}, g2_cap)
+    ``K`` rechecked by ``normal_update``, as a move from the empty
+    complex."""
+    assert moves.MOVES[RECHECK.kind].links is None
+    sing = gen._scope_update(SimplicialComplex(()), K, RECHECK, {}, g2_cap)
     return None if sing is None else bool(sing)
 
 

@@ -161,7 +161,7 @@ def test_rule_step_is_undone_by_its_forward_record(rule_id, walk):
     first = K.fresh_label()
     step = reducer._apply_rule(rule, K, sing, first)
     assert step is not None
-    after, forward, witness, next_label = step
+    after, _rec, forward, witness, next_label = step
     assert moves.apply_record(after, forward) == K
     # the step shrinks: g2 drops, or stays while facets disappear
     assert (total_g2(after), len(after.facets)) < (total_g2(K), len(K.facets))

@@ -2,9 +2,10 @@
 
 import pytest
 
-from pseudoform import complexes, io, moves, reducer
+from pseudoform import complexes, generators, io, moves, reducer
 from pseudoform.complexes import SimplicialComplex
-from pseudoform.errors import MoveError, PseudoformError, ReplayError, TraceFormatError
+from pseudoform.errors import (MoveError, PseudoformError, ReplayError, SpecError,
+                               TraceFormatError)
 from pseudoform.generators import (
     boundary_simplex,
     cross_polytope,
@@ -355,6 +356,8 @@ def test_audit_summary_readable(fx):
     (lambda K: complexes.total_g2(None), PseudoformError),
     (lambda K: moves.apply_record(K, 5), MoveError),
     (lambda K: complexes.normal_update(K, 5, {}), PseudoformError),
+    (lambda K: complexes.validate_normal(5), PseudoformError),
+    (lambda K: generators.generate(5), SpecError),
 ])
 def test_replay_path_refuses_arguments_of_the_wrong_type(call, error):
     with pytest.raises(error):

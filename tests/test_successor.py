@@ -9,9 +9,9 @@ its facets in every cache it carries, that the change of total g2 read
 off those caches is the fresh one, and that the singular map carried
 from the step (``moves.singular_after``, and ``reducer._split_singular``
 for both halves of a split) agrees with ``validate_normal`` on every
-component.  Mutants that drop one patched edge or one component merge,
-or that give a connected sum or a split the wrong singular map, must
-fail the gate.
+component, and each step's also with ``normal_update``.  Mutants that
+drop one patched edge or one component merge, or that give a move or a
+split the wrong singular map, must fail the gate.
 
 A replay of staircase spheres of two sizes then counts the work per
 move, so that a return to quadratic replay fails without any timing.
@@ -25,8 +25,8 @@ from pseudoform import complexes, generators as gen, moves, reducer
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import MalformedFacetError
 
-from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, SPHERE_WALK_SEEDS,
-                      folded_spine, rp2_second_summand)
+from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, RULE_MUTANTS,
+                      SPHERE_WALK_SEEDS, folded_spine, long_fold_walk, rp2_second_summand)
 
 
 def _partition(comp):
@@ -125,8 +125,8 @@ def check_successor(K, K2, fresh):
 
 def install_gate(monkeypatch, successor):
     """Put every call of ``successor``, and every singular map that the
-    reducer and replay carry (each ``moves.singular_after``, each
-    ``normal_update`` of the reducer and both halves of each answer of
+    reducer and replay carry (each ``moves.singular_after``, which also
+    must agree with ``normal_update``, and both halves of each answer of
     ``reducer._split_singular``), as they are now, under the gate;
     returns the tally of checks, whose ``fresh`` builds are to be
     cleared between inputs."""
@@ -147,11 +147,7 @@ def install_gate(monkeypatch, successor):
 
     def checked(K, K2, rec, singular):
         got = singular_after(K, K2, rec, singular)
-        check(K2, got)
-        return got
-
-    def checked_update(K, K2, singular):
-        got = normal_update(K, K2, singular)
+        assert got == normal_update(K, K2, singular)
         check(K2, got)
         return got
 
@@ -168,7 +164,6 @@ def install_gate(monkeypatch, successor):
 
     monkeypatch.setattr(SimplicialComplex, "_successor", gated)
     monkeypatch.setattr(moves, "singular_after", checked)
-    monkeypatch.setattr(reducer, "normal_update", checked_update)
     monkeypatch.setattr(reducer, "_split", recorded_split)
     monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return tally
@@ -372,6 +367,15 @@ def test_the_gate_fails_on_a_links_mutant(mutate, monkeypatch):
     with pytest.raises(AssertionError):
         reducer.replay(trace)
         reducer.reduce_complex(K)
+
+
+@pytest.mark.parametrize("mutate", RULE_MUTANTS)
+def test_the_gate_fails_on_a_move_rule_mutant(mutate, monkeypatch):
+    trace = long_fold_walk(2).trace
+    mutate(monkeypatch)
+    install_gate(monkeypatch, SimplicialComplex._successor)
+    with pytest.raises(AssertionError):
+        reducer.replay(trace)
 
 
 # ------------------------------------------------ the operation-count guard
