@@ -308,11 +308,12 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
 
     Each state is patched from its parent by the move's constructor
     (``SimplicialComplex._successor``).  Its singular map comes from
-    ``moves.singular_after`` once the move's checks have passed: a
-    connected sum reads it off the record and the parent's map, which
-    is exact because every earlier state is normal, and every other
-    kind rechecks only the faces the move touched.  So a step costs
-    what it changes.
+    ``moves.singular_after`` once the move's checks have passed: the
+    kind's links rule reads it off the record and the parent's map,
+    which is exact because every earlier state is normal.  EdgeFold,
+    EdgeUnfold and HandleAdd, and an expansion at a singular vertex,
+    whose rule declines, go to ``normal_update``, which rechecks only
+    the faces the move touched.  So a step costs what it changes.
     """
     if not isinstance(trace, ConstructionTrace):
         raise ReplayError(f"replay wants a ConstructionTrace, got {trace!r}")
@@ -362,21 +363,19 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
 # ---------------------------------------------------------------------
 
 
-def _split_check(K: SimplicialComplex, quad: frozenset, every_corner: bool = True) -> tuple:
+def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
     """A missing tetrahedron every corner of which separates its link,
     and cutting along whose four triangles leaves exactly two sides of
     facets that share only ``quad``: those two sides.
 
     A corner ``x`` separates when the boundary of ``quad - {x}`` cuts
-    its link in two (``moves._link_sides``).  The error names every
-    corner that does not, or, without ``every_corner``, the first.  The
-    facets are then cut along the four triangles of ``quad``: joined
-    across every other triangle, they must fall into two sides.  A cut
-    that leaves one side means a handle, which needs g2 >= 10.
+    its link in two (``moves._link_sides``).  The facets are then cut
+    along the four triangles of ``quad``: joined across every other
+    triangle, they must fall into two sides.  A cut that leaves one
+    side means a handle, which needs g2 >= 10.
     """
     moves._missing_tetrahedron_check(K, quad)
-    one_sided = (x for x in sorted(quad) if moves._link_sides(K, x, quad - {x}) is None)
-    moebius = list(one_sided if every_corner else itertools.islice(one_sided, 1))
+    moebius = [x for x in sorted(quad) if moves._link_sides(K, x, quad - {x}) is None]
     if moebius:
         raise MoveError(
             f"corners {moebius} of {sorted(quad)} have one-sided "
@@ -412,11 +411,8 @@ def _split_check(K: SimplicialComplex, quad: frozenset, every_corner: bool = Tru
 
 def _iter_split_sites(K: SimplicialComplex) -> Iterator:
     """((tetra,), sides) for each missing tetrahedron ``_split_check``
-    accepts, lazily, in the order of ``missing_faces``.  The refusals
-    are dropped, so each stops at its first one-sided corner."""
-    def check(K, quad):
-        return _split_check(K, quad, every_corner=False)
-    return moves._passing(check, K, ((q,) for q in K.missing_faces(3)))
+    accepts, lazily, in the order of ``missing_faces``."""
+    return moves._passing(_split_check, K, ((q,) for q in K.missing_faces(3)))
 
 
 def split_at_missing_tetrahedron(
