@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from . import moves, reducer
-from .complexes import SimplicialComplex, total_g2
+from . import moves, reducer, surfaces
+from .complexes import SimplicialComplex, _link_class, total_g2
 from .defaults import DEFAULT_SEED
 from .errors import MoveError, PseudoformError, SpecError
 
@@ -238,24 +238,23 @@ _WALK_KINDS = (moves.BISTELLAR1, moves.BISTELLAR2, moves.EDGE_CONTRACT,
 
 
 def _scope_update(
-    K: SimplicialComplex, K2: SimplicialComplex, rec: "moves.MoveRecord",
-    singular: dict, g2_cap: int,
+    K: SimplicialComplex, K2: SimplicialComplex, rec: "moves.MoveRecord", g2_cap: int,
 ) -> Optional[dict]:
     """The singular map of ``K2``, which the move ``rec`` made from ``K``,
     or None when ``K2`` leaves the walk's scope.
 
-    ``K`` is in scope with singular map ``singular``.  The map of ``K2``
-    comes from ``moves.singular_after``: the kind's links rule reads it
-    off the record, and a fold, or an expansion at a singular vertex,
-    rechecks only what the move touched (``normal_update``).  In scope
-    means: total g2 at most the cap, every component normal closed, and
-    each component with singular vertices in the reducer's scope for
-    them (``reducer._singular_out_of_scope``).  Components are formed
-    only when there are singular vertices.
+    ``K`` is in scope and carries its map.  ``moves.singular_after``
+    gives the map of ``K2`` and stores it there: the kind's links rule
+    reads it off the record, and a fold, or an expansion at a singular
+    vertex, rechecks only what the move touched (``normal_update``).  In
+    scope means: total g2 at most the cap, every component normal
+    closed, and each component with singular vertices in the reducer's
+    scope for them (``reducer._singular_out_of_scope``).  Components are
+    formed only when there are singular vertices.
     """
     if total_g2(K2) > g2_cap:
         return None
-    sing = moves.singular_after(K, K2, rec, singular)
+    sing = moves.singular_after(K, K2, rec)
     if sing:
         for comp in K2.connected_components():
             here = {v: cls for v, cls in sing.items() if v in comp.vertices}
@@ -270,7 +269,7 @@ def _gen_random(
     budget = _count("budget", budget, 0, MAX_BUDGET)
     rng = random.Random(seed)
     K = boundary_simplex()
-    singular: dict = {}
+    K._cache["singular"] = {}  # a 4-simplex boundary has sphere links only
     seeds = [K]
     forward = []
     note = ""
@@ -283,7 +282,8 @@ def _gen_random(
         # non-empty kinds, the same choice from each list tried.
         started = {}
         for kind in _WALK_KINDS:
-            if kind == moves.EDGE_FOLD and (not allow_fold or singular):
+            if kind == moves.EDGE_FOLD and (not allow_fold or any(
+                    _link_class(K, v).kind != surfaces.SPHERE for v in K.vertices)):
                 continue  # folds are asked for, and start from spheres
             sites = iter(moves.MOVES[kind].sites(K))
             first = next(sites, None)
@@ -300,10 +300,9 @@ def _gen_random(
                 K2, rec = move.construct(K, values)
             except PseudoformError:
                 continue
-            singular2 = _scope_update(K, K2, rec, singular, g2_cap)
-            if singular2 is None:
+            if _scope_update(K, K2, rec, g2_cap) is None:
                 continue
-            K, singular = K2, singular2
+            K = K2
             forward.append((0, rec))
             progressed = True
             break

@@ -42,8 +42,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import (SimplicialComplex, _closure, _edge_circle, _vertex_link,
-                        _vertex_link_class, clean_face, normal_update, total_g2)
+from .complexes import (SimplicialComplex, _closure, _edge_circle, _link_class,
+                        _vertex_link, clean_face, normal_update, total_g2)
 from .errors import MissingFaceError, MoveError, NotSurfaceError, PseudoformError
 from . import surfaces
 from .surfaces import Surface, cycle_cut, missing_triangle_neighborhood
@@ -309,14 +309,12 @@ def contract_edge(
     n = K.edge_degree(e)
     _contract_edge_check(K, e)
     w = _fresh_one(K, fresh)
-
-    def sphere_link(x: int) -> bool:
+    homeo = False
+    for x in (u, v):
         try:
-            return _vertex_link_class(K, x).kind == surfaces.SPHERE
-        except PseudoformError:
-            return False
-
-    homeo = sphere_link(u) or sphere_link(v)
+            homeo = homeo or _link_class(K, x).kind == surfaces.SPHERE
+        except PseudoformError:  # a link that is no closed surface
+            pass
     star = {*_star_facets(K, u), *_star_facets(K, v)}
     K2 = K._successor(star, ((F - e) | {w} for F in star if not e <= F))
     rec = _record(
@@ -422,7 +420,7 @@ def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
         )
     star_facets = _star_facets(K, vertex)
     sides = _link_sides(K, vertex, t)
-    if sides is not None and _vertex_link_class(K, vertex).kind == surfaces.SPHERE:
+    if sides is not None and _link_class(K, vertex).kind == surfaces.SPHERE:
         return star_facets, sides
     report = missing_triangle_neighborhood(K, vertex, t)
     if not report.separates:
@@ -886,7 +884,7 @@ def _corner_links(K: SimplicialComplex, quad: frozenset) -> dict:
     _missing_tetrahedron_check(K, quad)
     links = {}
     for x in sorted(quad):
-        links[x] = _vertex_link_class(K, x)
+        links[x] = _link_class(K, x)
         for c in sorted(quad - {x}):
             if _edge_circle(K, frozenset((x, c))) is None:
                 raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
@@ -1194,11 +1192,11 @@ class Move:
     wrappers put on this module (a profiler, a tracer) see every move
     made through the table.
     ``links(values, singular)``, when set, is the singular map of the
-    result, read off the record's values and the map of the complex the
-    move starts from, or None where the rule declines (see
-    :func:`singular_after`).  Every kind has one but EdgeFold,
-    EdgeUnfold and HandleAdd; EdgeExpand's and TwoFacetsInsert's
-    decline at a singular vertex.
+    result, read off the record's values and the map that the complex
+    the move starts from carries, or None where the rule declines (see
+    :func:`singular_after`, which stores the map on the result).  Every
+    kind has one but EdgeFold, EdgeUnfold and HandleAdd; EdgeExpand's
+    and TwoFacetsInsert's decline at a singular vertex.
     """
 
     params: tuple
@@ -1319,20 +1317,25 @@ def apply_record(
 
 
 def singular_after(
-    K: SimplicialComplex, K2: SimplicialComplex, record: MoveRecord, singular: dict
+    K: SimplicialComplex, K2: SimplicialComplex, record: MoveRecord
 ) -> Optional[dict]:
     """The singular map of ``K2``, which the move ``record`` made from
-    ``K``, given the map ``singular`` of ``K``; None when some component
-    of ``K2`` is not normal closed.
+    ``K``; None when some component of ``K2`` is not normal closed.
 
-    Call it only once the move's own check has passed, on a ``K`` whose
-    components are all normal closed.  A kind with a ``links`` rule
-    reads the map off the record and builds no link; each rule's
-    docstring argues why the check makes ``K2`` normal and what class
-    each vertex keeps or gets.  EdgeFold, EdgeUnfold and HandleAdd, and
-    a rule that declines, recheck the faces the move touched
-    (``normal_update``).
+    Call it only once the move's own check has passed, on a ``K`` that
+    carries its map (``complexes._link_class``); a map returned is
+    stored on ``K2``.  A kind with a ``links`` rule reads the map off
+    the record and builds no link; each rule's docstring argues why the
+    check makes ``K2`` normal and what class each vertex keeps or gets.
+    EdgeFold, EdgeUnfold and HandleAdd, and a rule that declines,
+    recheck the faces the move touched (``normal_update``).
     """
+    singular = K._cache.get("singular")
+    if singular is None:
+        raise PseudoformError(f"singular_after wants a certified complex, got {K!r}")
     links = MOVES[record.kind].links
     got = None if links is None else links(record.param_dict(), singular)
-    return normal_update(K, K2, singular) if got is None else got
+    got = normal_update(K, K2, singular) if got is None else got
+    if got is not None:
+        K2._cache["singular"] = got
+    return got

@@ -40,9 +40,10 @@ from typing import Iterable, Iterator, Optional
 from . import moves
 from . import surfaces
 from .complexes import (
-    NormalityReport,
     SimplicialComplex,
     _as_complex,
+    _edge_circle,
+    _link_class,
     _normality,
     _vertex_link,
     total_g2,
@@ -307,13 +308,14 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
     that differs from the trace's claim.
 
     Each state is patched from its parent by the move's constructor
-    (``SimplicialComplex._successor``).  Its singular map comes from
-    ``moves.singular_after`` once the move's checks have passed: the
-    kind's links rule reads it off the record and the parent's map,
-    which is exact because every earlier state is normal.  EdgeFold,
-    EdgeUnfold and HandleAdd, and an expansion at a singular vertex,
-    whose rule declines, go to ``normal_update``, which rechecks only
-    the faces the move touched.  So a step costs what it changes.
+    (``SimplicialComplex._successor``).  The seeds' union carries the
+    empty singular map, and ``moves.singular_after`` stores each later
+    state's once the move's checks have passed: the kind's links rule
+    reads it off the record and the parent's map, exact because every
+    earlier state is normal.  EdgeFold, EdgeUnfold and HandleAdd, and an
+    expansion at a singular vertex, whose rule declines, go to
+    ``normal_update``, which rechecks only the faces the move touched.
+    So a step costs what it changes.
     """
     if not isinstance(trace, ConstructionTrace):
         raise ReplayError(f"replay wants a ConstructionTrace, got {trace!r}")
@@ -329,7 +331,7 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
     state = SimplicialComplex(
         F for seed in trace.seeds for F in seed.facets
     )
-    singular: dict = {}  # boundary 4-simplices have sphere links only
+    state._cache["singular"] = {}  # boundary 4-simplices have sphere links only
     for i, (_tag, rec) in enumerate(trace.forward_moves):
         try:
             after = moves.apply_record(state, rec)
@@ -337,14 +339,13 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
             raise ReplayError(
                 f"forward move {i} ({rec.kind}) failed: {e}", index=i
             ) from e
-        singular = moves.singular_after(state, after, rec, singular)
-        state = after
-        if singular is None:
+        if moves.singular_after(state, after, rec) is None:
             raise ReplayError(
                 f"state after move {i} ({rec.kind}) is not normal: "
-                f"{_components_all_normal(state)}",
+                f"{_components_all_normal(after)}",
                 index=i,
             )
+        state = after
     if _face_counts(state) != tuple(trace.claimed_fcounts):
         raise ReplayError(
             f"replayed face counts {_face_counts(state)} differ from "
@@ -369,18 +370,22 @@ def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
     facets that share only ``quad``: those two sides.
 
     A corner ``x`` separates when the boundary of ``quad - {x}`` cuts
-    its link in two (``moves._link_sides``).  The facets are then cut
-    along the four triangles of ``quad``: joined across every other
-    triangle, they must fall into two sides.  A cut that leaves one
-    side means a handle, which needs g2 >= 10.
+    its link in two (``moves._link_sides``).  A sphere corner
+    (``complexes._link_class``) is not cut: ``quad`` is no facet, so
+    that boundary bounds no triangle of the link, and it cuts a sphere
+    into two discs (Jordan-Schoenflies).  The facets are then cut along
+    the four triangles of ``quad``: joined across every other triangle,
+    they must fall into two sides.  A cut that leaves one side means a
+    handle, which needs g2 >= 10.
     """
     moves._missing_tetrahedron_check(K, quad)
-    moebius = [x for x in sorted(quad) if moves._link_sides(K, x, quad - {x}) is None]
-    if moebius:
+    nonsep = [x for x in sorted(quad) if _link_class(K, x).kind != surfaces.SPHERE
+              and moves._link_sides(K, x, quad - {x}) is None]
+    if nonsep:
         raise MoveError(
-            f"corners {moebius} of {sorted(quad)} have one-sided "
-            "neighborhoods; this tetrahedron witnesses a fold, not a sum",
-            details=tuple(moebius),
+            f"corners {nonsep} of {sorted(quad)} do not separate their "
+            "links; no connected sum was glued along this tetrahedron",
+            details=tuple(nonsep),
         )
     cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
 
@@ -453,7 +458,7 @@ def _split(
     copy of ``quad`` in the second relabelled from ``base`` on, and the
     record.  Each summand is patched from ``K``: the second rewrites
     only its facets at the corners of ``quad``.  ``_split_singular``
-    gives their singular maps."""
+    certifies their singular maps."""
     fresh = {x: base + i for i, x in enumerate(sorted(quad))}
     at_quad = {F for x in quad for F in K._facets_by_vertex()[x] if F in side_b}
     K1 = K._successor(side_b, (quad,))
@@ -467,11 +472,11 @@ def _split(
 
 
 def _split_singular(
-    K1: SimplicialComplex, rec: moves.MoveRecord, singular: dict,
-) -> tuple:
-    """The singular maps of the two halves ``_split`` made, the first
-    ``K1``, from the map of the split piece and the record that glues
-    them.
+    K: SimplicialComplex, K1: SimplicialComplex, K2: SimplicialComplex,
+    rec: moves.MoveRecord,
+) -> None:
+    """Store on the halves ``K1`` and ``K2`` of ``K`` their singular maps,
+    read off the map of ``K`` and the record that glues them.
 
     The split check has passed, so both halves are normal: the two sides
     share only the tetrahedron, and the boundary of the triangle
@@ -486,14 +491,17 @@ def _split_singular(
     """
     fresh = dict(rec.get("psi"))
     maps: tuple = ({}, {})
-    for v, cls in singular.items():
+    for v in K.vertices:
+        cls = _link_class(K, v)
+        if cls.kind == surfaces.SPHERE:
+            continue
         if v not in fresh:
             maps[v not in K1.vertices][v] = cls
         elif sum((-1) ** (len(f) - 1) for f in _vertex_link(K1, v).faces) == 2:
             maps[1][fresh[v]] = cls
         else:
             maps[0][v] = cls
-    return maps
+    K1._cache["singular"], K2._cache["singular"] = maps
 
 
 # ---------------------------------------------------------------------
@@ -529,22 +537,10 @@ class _Rejection(Exception):
         self.reason = reason
 
 
-def _singular_set(rep: NormalityReport) -> dict:
-    return {v: cls for v, cls in rep.singular_vertices}
-
-
-def _classify_component(
-    K: SimplicialComplex, sing: Optional[dict]
-) -> str:
-    """Admission check for one component; returns its class.
-
-    ``sing`` is the component's singular map, as ``moves.singular_after``
-    gives it: None when the component is not normal closed.
-    """
-    if sing is None or not K.is_connected():
-        raise _Rejection(
-            f"not a normal closed pseudomanifold: {validate_normal(K).summary()}"
-        )
+def _classify_component(K: SimplicialComplex) -> str:
+    """Admission check for a connected piece that carries its singular
+    map (``complexes._link_class``); returns its class."""
+    sing = {v: c for v in K.vertices if (c := _link_class(K, v)).kind != surfaces.SPHERE}
     if not sing:
         g2 = total_g2(K)  # K is connected
         if g2 > 9:
@@ -572,19 +568,6 @@ def _singular_out_of_scope(K: SimplicialComplex, sing: dict) -> Optional[str]:
     return None
 
 
-def _cycle_tuple(L: SimplicialComplex) -> tuple:
-    """The vertices of the circle ``L`` in order, from its least vertex
-    towards the smaller of that vertex's two neighbours.  The link of a
-    contracted edge is a circle: the contraction checks it."""
-    adj = L.adjacency
-    walk = [min(adj)]
-    nxt = min(adj[walk[0]])
-    while nxt != walk[0]:
-        walk.append(nxt)
-        (nxt,) = adj[nxt] - {walk[-2]}
-    return tuple(walk)
-
-
 # Each class's rules, in the order they are tried: the rule id, the
 # shrinking kind whose first usable site is taken, and a filter on its
 # sites.  A stacked piece (no singular vertex, g2 = 0) is a stacked
@@ -602,7 +585,7 @@ _RULES = {
         ("unfold-at-moebius-tetrahedron", moves.EDGE_UNFOLD, None),
         # an edge joining a singular vertex to a non-singular one
         ("contract-singular-incident-edge", moves.EDGE_CONTRACT,
-         lambda sing, site: (site[0][0] in sing) != (site[0][1] in sing)),
+         lambda K, site: [_link_class(K, x).kind for x in site[0]].count(surfaces.SPHERE) == 1),
     ),
 }
 
@@ -617,18 +600,27 @@ _STUCK = {
 }
 
 
+def _expansions(K: SimplicialComplex, p: dict) -> Iterator:
+    """The expansions that may undo the contraction ``p`` of ``K``, one per
+    side (it records no side), round the edge's link circle as its check
+    memoised it (``_edge_circle``): least vertex first, then the smaller
+    of that vertex's two neighbours."""
+    pos = _edge_circle(K, frozenset(p["edge"]))
+    ring = sorted(pos, key=pos.get)
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    cycle = tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
+    (u, v), w = p["edge"], p["fresh"]
+    return ((moves.EDGE_EXPAND, {"vertex": w, "cycle": cycle, "apex_u": u, "apex_v": v,
+                                 "u_side": side}) for side in (0, 1))
+
+
 # The forward moves that may undo each shrinking kind, as (kind, values)
 # made from the state before the step and the step's record.
 _UNDO = {
     moves.BISTELLAR2: lambda K, p: [
         (moves.BISTELLAR1, {"triangle": p["triangle"]})],
-    # both sides of the cut link: the contraction does not record which
-    # endpoint had which
-    moves.EDGE_CONTRACT: lambda K, p: (
-        (moves.EDGE_EXPAND, {
-            "vertex": p["fresh"], "cycle": _cycle_tuple(K.link(p["edge"])),
-            "apex_u": p["edge"][0], "apex_v": p["edge"][1], "u_side": side})
-        for side in (0, 1)),
+    moves.EDGE_CONTRACT: _expansions,
     moves.TWO_FACETS_INSERT: lambda K, p: [
         (moves.TWO_FACETS_CONTRACT, {
             "vertices": (p["apex_u"], p["apex_v"]), "fresh": p["vertex"]})],
@@ -656,9 +648,7 @@ def _rebuild(
                      f"the state before {rec.kind}")
 
 
-def _apply_rule(
-    rule: tuple, K: SimplicialComplex, sing: dict, first_label: int
-) -> Optional[tuple]:
+def _apply_rule(rule: tuple, K: SimplicialComplex, first_label: int) -> Optional[tuple]:
     """Apply ``rule`` at its first usable site, with fresh labels from
     ``first_label`` on.  Returns the smaller complex, the step's own
     record, the forward record that rebuilds ``K``, the site's inputs
@@ -667,7 +657,7 @@ def _apply_rule(
     _rule_id, kind, keep = rule
     move = moves.MOVES[kind]
     for site in move.sites(K):
-        if keep is not None and not keep(sing, site):
+        if keep is not None and not keep(K, site):
             continue
         values = dict(zip(move.inputs, site))
         # the move's fresh keys take the next unused labels, in order
@@ -684,32 +674,32 @@ def _apply_rule(
 
 
 def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]":
-    """Reduce (tag, component, singular map) triples to seeds.
+    """Reduce (tag, component) pairs to seeds.
 
-    The singular map (see ``_classify_component``) is carried through
-    every step.  A split gives both halves theirs by ``_split_singular``,
-    which reads them off the split check; a rule step takes its map from
+    Every piece carries its certified singular map (see
+    ``complexes._link_class``), which the checks and rules read.  A
+    split stores both halves' maps by ``_split_singular``, which reads
+    them off the split check; a rule step's map is stored by
     ``moves.singular_after``, the kind's links rule or, for an unfold,
-    ``normal_update`` on the faces the step touched.  Fresh
-    labels count up from ``next_label``, and each rule applied is
-    appended to ``rule_log``.  Returns (seeds, forward
-    records in replay order).
+    ``normal_update`` on the faces the step touched.  Fresh labels
+    count up from ``next_label``, and each rule applied is appended to
+    ``rule_log``.  Returns (seeds, forward records in replay order).
     """
     seeds: list = []
     forward: list = []
-    # The stack holds pieces still to reduce, as (tag, K, sing, records
+    # The stack holds pieces still to reduce, as (tag, K, records
     # undoing the steps taken on K so far), and, as a list, the records
     # a split piece owes the trace once both halves are reduced.  The
     # first half lies on top, so pieces reduce, and take their labels,
     # in depth-first order.
-    stack: list = [(tag, K, sing, []) for tag, K, sing in reversed(pieces)]
+    stack: list = [(tag, K, []) for tag, K in reversed(pieces)]
     while stack:
         top = stack.pop()
         if isinstance(top, list):
             forward += top
             continue
-        tag, K, sing, undo = top
-        cls = _classify_component(K, sing)
+        tag, K, undo = top
+        cls = _classify_component(K)
         if _is_simplex_boundary(K):
             seeds.append(K)
             forward += reversed(undo)
@@ -718,31 +708,30 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
         if split is not None:
             (quad,), sides = split
             K1, K2, rec = _split(K, quad, *sides, next_label)
-            sing1, sing2 = _split_singular(K1, rec, sing)
+            _split_singular(K, K1, K2, rec)
             next_label += 4
             rule_log.append((tag, "split-at-missing-tetrahedron", tuple(sorted(quad))))
             stack += [
                 [(tag, rec), *reversed(undo)],
-                (tag, K2, sing2, []),
-                (tag, K1, sing1, []),
+                (tag, K2, []),
+                (tag, K1, []),
             ]
             continue
         for rule in _RULES[cls]:
-            step = _apply_rule(rule, K, sing, next_label)
+            step = _apply_rule(rule, K, next_label)
             if step is not None:
                 break
         else:
             raise _Rejection(_STUCK[cls].format(g2=K.f_vector().g2))
         K2, rec, undo_rec, witness, next_label = step
         rule_log.append((tag, rule[0], witness))
-        sing2 = moves.singular_after(K, K2, rec, sing)
-        if sing2 is None:
+        if moves.singular_after(K, K2, rec) is None:
             raise _Rejection(
                 "reduction step produced an invalid complex: "
                 f"{_components_all_normal(K2)}"
             )
         undo.append((tag, undo_rec))
-        stack.append((tag, K2, sing2, undo))
+        stack.append((tag, K2, undo))
     return seeds, forward
 
 
@@ -762,21 +751,18 @@ def reduce_complex(K: SimplicialComplex) -> ReduceReport:
         )
     try:
         classes = []
-        sings = []
         for comp in components:
             rep = validate_normal(comp)
-            sing = _singular_set(rep) if rep.is_normal_closed else None
-            classes.append(_classify_component(comp, sing))
-            sings.append(sing)
+            if not rep.is_normal_closed:
+                raise _Rejection(f"not a normal closed pseudomanifold: {rep.summary()}")
+            comp._cache["singular"] = dict(rep.singular_vertices)
+            classes.append(_classify_component(comp))
     except _Rejection as e:
         return ReduceReport(CLASS_REJECTED, e.reason, None, ())
 
     rule_log: list = []
     try:
-        seeds, forward = _reduce(
-            [(tag, *piece) for tag, piece in enumerate(zip(components, sings))],
-            K.fresh_label(), rule_log,
-        )
+        seeds, forward = _reduce(list(enumerate(components)), K.fresh_label(), rule_log)
     except _Rejection as e:
         return ReduceReport(CLASS_REJECTED, e.reason, None, tuple(rule_log))
 
@@ -840,15 +826,15 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
             try:
                 sides = _split_check(K, quad)
             except MoveError as e:
-                # the corner check names the one-sided corners; the
-                # cut's errors name none
+                # the corner check names the non-separating corners;
+                # the cut's errors name none
                 if e.details is None:
                     _note(facts, f"unsplittable missing tetrahedron: {e}")
                 elif len(e.details) < 4:
                     _note(
                         facts,
                         f"missing tetrahedron {sorted(quad)} mixes separating "
-                        "and one-sided corners",
+                        "and non-separating corners",
                     )
                 continue
             K1, K2, _rec = _split(K, quad, *sides, K.fresh_label())
@@ -879,7 +865,7 @@ def audit_multi_singular(
     if not rep.is_normal_closed:
         facts.append(f"not a normal closed pseudomanifold ({rep.summary()})")
         return AuditReport(False, tuple(facts), ())
-    sing = _singular_set(rep)
+    sing = dict(rep.singular_vertices)
     g2 = K.f_vector().g2
     non_rp2 = sorted(v for v, cls in sing.items() if cls.kind != RP2)
     if g2 != 4:
@@ -894,7 +880,7 @@ def audit_multi_singular(
 
     K = _strip_to_reduced_form(K, facts)
     rep = validate_normal(K)
-    sing = set(_singular_set(rep))
+    sing = set(dict(rep.singular_vertices))
     nonsing = sorted(K.vertices - sing)
     violations: list = []
 

@@ -98,15 +98,14 @@ def split_swaps_the_rp2_side(monkeypatch):
     """An RP^2 corner keeps its class in the half that gets the sphere."""
     split_singular = reducer._split_singular
 
-    def swapped(K1, rec, singular):
-        m1, m2 = split_singular(K1, rec, singular)
+    def swapped(K, K1, K2, rec):
+        split_singular(K, K1, K2, rec)
+        m1, m2 = K1._cache["singular"], K2._cache["singular"]
         for x, w in rec.get("psi"):
-            if x in singular:
-                if x in m1:
-                    m2[w] = m1.pop(x)
-                else:
-                    m1[x] = m2.pop(w)
-        return m1, m2
+            if x in m1:
+                m2[w] = m1.pop(x)
+            elif w in m2:
+                m1[x] = m2.pop(w)
     monkeypatch.setattr(reducer, "_split_singular", swapped)
 
 

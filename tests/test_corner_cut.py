@@ -193,7 +193,7 @@ MUTANTS = {
                       "_edge_circle(K, frozenset((x, c))) is None", "False"),
     "sides swapped": (surfaces, "_cut_sides", "i0 = comp[", "i0 = 1 - comp["),
     "no sphere test": (moves, "_insert_check",
-                       "sides is not None and _vertex_link_class(K, vertex).kind == "
+                       "sides is not None and _link_class(K, vertex).kind == "
                        "surfaces.SPHERE", "sides is not None"),
 }
 

@@ -173,15 +173,16 @@ def watched(monkeypatch):
 
     scope_update, singular_after = gen._scope_update, moves.singular_after
 
-    def checked(K, K2, rec, singular, g2_cap):
-        got = scope_update(K, K2, rec, singular, g2_cap)
+    def checked(K, K2, rec, g2_cap):
+        got = scope_update(K, K2, rec, g2_cap)
         assert got == full_scope(K2, g2_cap)
         counts["candidates"] += 1
         return got
 
-    def checked_map(K, K2, rec, singular):
-        got = singular_after(K, K2, rec, singular)
-        assert got == complexes.normal_update(K, K2, singular)
+    def checked_map(K, K2, rec):
+        before = K._cache["singular"]
+        got = singular_after(K, K2, rec)
+        assert got == complexes.normal_update(K, K2, before)
         assert got == full_singular_map(K2)
         counts["maps"] += 1
         return got

@@ -182,9 +182,9 @@ def test_link_answers_agree_on_every_walk_step(walks, monkeypatch):
     seen = []
     scope_update = gen._scope_update
 
-    def watched(K, K2, rec, singular, g2_cap):
+    def watched(K, K2, rec, g2_cap):
         seen.append((K, K2))
-        return scope_update(K, K2, rec, singular, g2_cap)
+        return scope_update(K, K2, rec, g2_cap)
 
     monkeypatch.setattr(gen, "_scope_update", watched)
     for seed, fold in walks:

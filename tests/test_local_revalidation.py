@@ -1,29 +1,35 @@
-"""Local revalidation: the carried singular maps against the full check.
+"""Local revalidation: the certified singular maps against the full check.
 
 Replay, the reducer and the random walk read each step's map off its
 record by the kind's links rule (``moves.singular_after``), and a split
 reads both halves' maps off the split check (``reducer._split_singular``);
 a fold, an unfold, a handle and an expansion at a singular vertex
-recheck only the faces the move touched (``normal_update``).  The tests
-here compare those maps with ``normal_update`` and with
-``validate_normal`` on every component, at every replay step and every
-reducer step and split half of the corpus, and ``normal_update`` on
-perturbed complexes where it must reject.  Mutants of the rules must
-fail the gate.
+recheck only the faces the move touched (``normal_update``).  Each map
+is stored on the complex it describes, and the move checks read it
+through ``complexes._link_class``.  The tests here compare those maps
+with ``normal_update`` and with ``validate_normal`` on every component,
+and ``_link_class`` with the full classification, at every replay step
+and every reducer step and split half of the corpus, and
+``normal_update`` on perturbed complexes where it must reject.  Mutants
+of the rules and of the readers must fail the gates.
 """
 
+import inspect
 import itertools
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pseudoform import complexes, generators as gen, moves, reducer, surfaces
 from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
-from pseudoform.errors import DimensionError, MoveError, TraceFormatError
+from pseudoform.errors import DimensionError, MoveError, PseudoformError, TraceFormatError
 
 from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, RULE_MUTANTS,
                       SPHERE_WALK_SEEDS, folded_spine, long_fold_walk, rp2_second_summand,
                       walk_spec)
+from test_split_check import split_sites
 
 # 48 short walks, half of them allowed to fold, plus the two fold walks
 # that fold (at their twelfth move)
@@ -58,44 +64,47 @@ def full_singular_map(K):
 
 
 def install_checks(monkeypatch):
-    """Make every singular map that replay and the reducer carry assert
-    agreement with the oracle: each ``moves.singular_after`` (which also
-    must agree with ``normal_update``) and both halves of each answer of
-    ``reducer._split_singular``, as they are now.  Returns the list of
-    checks, one per step and split half, each as (the record's kind, or
-    "split", whether the map gives a vertex of a facet the step changed
-    a class other than the sphere)."""
+    """Make every singular map that replay and the reducer certify
+    assert agreement with the oracle: each ``moves.singular_after``
+    (which also must agree with ``normal_update``) and both halves of
+    each ``reducer._split_singular``, as they are now.  Each certified
+    state must also answer ``complexes._link_class`` as the full
+    ``_vertex_link_class`` does at every vertex of the facets the step
+    changed, and each split's four corners must separate their links
+    (``moves._link_sides``).  Returns the list of checks, one per step
+    and split half, each as (the record's kind, or "split", whether the
+    map gives a vertex of a facet the step changed a class other than
+    the sphere)."""
     calls = []
-    singular_after = moves.singular_after
-    split, split_singular = reducer._split, reducer._split_singular
-    split_of = {}  # record -> (piece, first half, second half)
+    singular_after, split_singular = moves.singular_after, reducer._split_singular
 
     def check(kind, K, K2, got):
         # the map of ``K`` is the seeds' {}, the admission pass's full
         # check or an earlier checked result
         assert got == full_singular_map(K2)
+        changed = {v for F in K.facets ^ K2.facets for v in F} & K2.vertices
+        for v in sorted(changed):
+            assert complexes._link_class(K2, v) == complexes._vertex_link_class(K2, v)
         calls.append((kind, bool(got) and any(v in got for F in K2.facets - K.facets for v in F)))
 
-    def checked(K, K2, rec, singular):
-        got = singular_after(K, K2, rec, singular)
-        assert got == normal_update(K, K2, singular)
+    def checked(K, K2, rec):
+        before = K._cache["singular"]
+        got = singular_after(K, K2, rec)
+        assert got == normal_update(K, K2, before)
         check(rec.kind, K, K2, got)
         return got
 
-    def recorded_split(K, *args):
-        K1, K2, rec = split(K, *args)
-        split_of[id(rec)] = K, K1, K2
-        return K1, K2, rec
-
-    def checked_split(K1, rec, singular):
-        got = split_singular(K1, rec, singular)
-        K, *halves = split_of.pop(id(rec))
-        for half, sing in zip(halves, got):
-            check("split", K, half, sing)
-        return got
+    def checked_split(K, K1, K2, rec):
+        # the split check passed every corner, a certified sphere without
+        # a cut; the full cut must separate each
+        quad = frozenset(rec.get("sigma1"))
+        for x in quad:
+            assert moves._link_sides(K, x, quad - {x}) is not None
+        split_singular(K, K1, K2, rec)
+        for half in (K1, K2):
+            check("split", K, half, half._cache["singular"])
 
     monkeypatch.setattr(moves, "singular_after", checked)
-    monkeypatch.setattr(reducer, "_split", recorded_split)
     monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return calls
 
@@ -139,6 +148,18 @@ def test_walks_agree_with_full_validation(walks, checked_updates):
         folds += g.trace.counts()[2]
         _reduce_and_replay(g.complex, checked_updates)
     assert folds == 2
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_corpus_walks_agree_with_full_validation(fold, checked_updates):
+    # the benchmark's corpus walks, generated afresh under the gate, so
+    # that each certified candidate is checked too; the session's walks
+    # are never built under a patch
+    for seed in FOLD_WALK_SEEDS if fold else SPHERE_WALK_SEEDS:
+        del checked_updates[:]
+        g = gen.generate(walk_spec(seed, fold))
+        assert len(checked_updates) >= len(g.trace.forward_moves)
+        _reduce_and_replay(g.complex, checked_updates)
 
 
 def test_rp2_second_summand_agrees_with_full_validation(checked_updates):
@@ -190,6 +211,44 @@ def test_the_gate_fails_on_a_links_mutant(mutate, monkeypatch):
         reducer.reduce_complex(K)
 
 
+# Mutants of the readers of the certified map.  Each patches the code
+# in with ``monkeypatch``, so no complex it certifies outlives its test.
+
+def link_class_answers_sphere(monkeypatch):
+    """``_link_class`` calls every vertex of a certified complex a sphere."""
+    link_class = complexes._link_class
+
+    def mutant(K, v):
+        return surfaces.SPHERE_CLASS if "singular" in K._cache else link_class(K, v)
+    for module in (complexes, gen, moves, reducer):
+        monkeypatch.setattr(module, "_link_class", mutant)
+
+
+def split_check_cuts_no_corner(monkeypatch):
+    """``_split_check`` passes every corner without cutting its link."""
+    source = textwrap.dedent(inspect.getsource(reducer._split_check))
+    old = "moves._link_sides(K, x, quad - {x}) is None"
+    assert source.count(old) == 1
+    namespace = dict(vars(reducer))
+    exec(compile(source.replace(old, "False"), reducer.__file__, "exec"), namespace)
+    monkeypatch.setattr(reducer, "_split_check", namespace["_split_check"])
+
+
+@pytest.mark.parametrize("mutate", [link_class_answers_sphere, split_check_cuts_no_corner])
+def test_the_gates_fail_on_a_reader_mutant(mutate, fx, monkeypatch):
+    # the class mutant fails at replay's fold, whose changed facets hold
+    # both RP^2 vertices; the corner mutant passes every split the
+    # reductions make (the cut along the tetrahedron refuses a fold's
+    # witness anyway), and fails the reference scan, whose refusal names
+    # the corners that do not separate
+    trace = long_fold_walk(2).trace
+    mutate(monkeypatch)
+    install_checks(monkeypatch)
+    with pytest.raises(AssertionError):
+        reducer.replay(trace)
+        split_sites(fx("folded_g2_3"))
+
+
 # --------------------------------------------------- the rejecting path
 
 
@@ -227,6 +286,18 @@ def test_perturbations_reach_both_verdicts():
     assert normal_update(K, K2, {}) == {}
     F = _folded_spine(6)
     assert set(normal_update(gen.spine_path_sphere(6), F, {})) == {0, 1}
+
+
+def test_singular_after_wants_a_certified_complex():
+    # only a complex whose map a trusted step stored gives a map on
+    K = gen.cross_polytope()
+    K2, rec = moves.bistellar_one(K, moves.bistellar_one_sites(K)[0][0])
+    with pytest.raises(PseudoformError, match="certified"):
+        moves.singular_after(K, K2, rec)
+    assert "singular" not in K2._cache
+    K._cache["singular"] = {}
+    assert moves.singular_after(K, K2, rec) == {}
+    assert complexes._link_class(K2, min(K2.vertices)) == surfaces.SPHERE_CLASS
 
 
 # ------------------------------------------------------------- total_g2
@@ -314,15 +385,48 @@ def test_sums_and_splits_build_no_link_surface(monkeypatch):
     assert len(builds) == len(staircase.vertices)
 
 
+def test_move_checks_read_the_certified_classes(monkeypatch):
+    # the walk's and the reducer's move checks read each class off the
+    # certified map: generating the corpus walks classified 1,899 links
+    # in the insertion check and 358 in the contraction's flag before,
+    # and reducing staircase_sphere(64) cut 252 corner links
+    checks = {"_insert_check", "contract_edge", "_corner_links"}
+    callers, cuts = [], []
+    vertex_link_class, link_sides = complexes._vertex_link_class, moves._link_sides
+
+    def classified(K, v):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names & checks)
+        return vertex_link_class(K, v)
+
+    def cut(*args):
+        cuts.append(args)
+        return link_sides(*args)
+
+    for module in (complexes, gen, moves, reducer):
+        monkeypatch.setattr(module, "_vertex_link_class", classified, raising=False)
+    monkeypatch.setattr(moves, "_link_sides", cut)
+    for seed, fold in [(s, False) for s in SPHERE_WALK_SEEDS] + [(s, True) for s in FOLD_WALK_SEEDS]:
+        gen.generate(walk_spec(seed, fold))
+    assert len(callers) == 20  # normal_update after a fold or a singular expansion
+    assert [names for names in callers if names] == []
+    del cuts[:]
+    assert reducer.reduce_complex(gen.staircase_sphere(64)).accepted
+    assert cuts == []
+
+
 def test_walks_recheck_only_folds_and_singular_expansions(monkeypatch):
     # every other kind's links rule reads the map off the record;
     # rechecking every step made 2,320 calls and 16,339 Surface builds
     at, rechecks = [None], []
     singular_after, update = moves.singular_after, moves.normal_update
 
-    def noting(K, K2, rec, singular):
-        at[0] = rec, singular
-        return singular_after(K, K2, rec, singular)
+    def noting(K, K2, rec):
+        at[0] = rec, K._cache["singular"]
+        return singular_after(K, K2, rec)
 
     def counted(K, K2, singular):
         rechecks.append(at[0])

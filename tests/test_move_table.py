@@ -257,7 +257,9 @@ def _singular_in_scope(K, g2_cap):
     ``K`` rechecked by ``normal_update``, as a move from the empty
     complex."""
     assert moves.MOVES[RECHECK.kind].links is None
-    sing = gen._scope_update(SimplicialComplex(()), K, RECHECK, {}, g2_cap)
+    empty = SimplicialComplex(())
+    empty._cache["singular"] = {}
+    sing = gen._scope_update(empty, K, RECHECK, g2_cap)
     return None if sing is None else bool(sing)
 
 

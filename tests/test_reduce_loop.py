@@ -156,10 +156,10 @@ def test_every_rule_has_a_step_test():
 def test_rule_step_is_undone_by_its_forward_record(rule_id, walk):
     K = walk(*reversed(RULE_INPUTS[rule_id])).complex
     sing = dict(complexes.validate_normal(K).singular_vertices)
-    cls = reducer._classify_component(K, sing)
+    cls = reducer._classify_component(K)
     (rule,) = [r for r in reducer._RULES[cls] if r[0] == rule_id]
     first = K.fresh_label()
-    step = reducer._apply_rule(rule, K, sing, first)
+    step = reducer._apply_rule(rule, K, first)
     assert step is not None
     after, _rec, forward, witness, next_label = step
     assert moves.apply_record(after, forward) == K

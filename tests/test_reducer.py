@@ -63,7 +63,7 @@ def test_split_rejects_moebius_corners(fx):
         with pytest.raises(MoveError) as ei:
             reducer.split_at_missing_tetrahedron(F, q)
         msg = str(ei.value)
-        assert "one-sided" in msg and "fold" in msg
+        assert "do not separate their links" in msg
 
 
 # ----------------------------------------------------------------- traces

@@ -34,3 +34,21 @@ def test_demo_runs(demo):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # the package has no runtime dependencies: importing the CLI loads
+    # no module outside the standard library and the package itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys; before = set(sys.modules); import pseudoform.cli; "
+             "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "pseudoform.cli" in loaded
+    outside = [name for name in loaded if name.partition(".")[0] not in
+               sys.stdlib_module_names | {"pseudoform"}]
+    assert outside == []

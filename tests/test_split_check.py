@@ -48,15 +48,15 @@ AUDIT_PINNED = {
     ),
     "folded_g2_3": (
         "ad4157b24e74f83cb8b105255cfe5393835304af6652a565f35060f0a8461de2",
-        "af0ad29371e83b4507f6bb444f4322575ef3ed1a512a2f63b0c8f6aa5f72942d",
+        "d65f0f7855c49aa2ded4306f7cfcec1e4656c61755bac96c3a6a0e29c0f463ee",
     ),
     "folded_g2_4": (
         "92a75d3691de0eeba06627a787ce4339c18c66c1320312e31735017c6df028b1",
-        "4902f54481a8b3d04f9078d42aa546b32426231aef968eca024f82359cb93922",
+        "9daef7ebc75b5885d843ad6ca310488d239624f5f0e20f2b7d8fce9c331c1e48",
     ),
     "double_fold_g2_6": (
         "f894ed28da572f0207cf26419737602559f7c244f3a8138a3992ddeebba791f2",
-        "2d3645ce1eb3f3d2b8bcd68fdf37b021925b391f64364c7817320ac39a96bcaa",
+        "8445951b66f40c02cc74219f45997df0f994ffe2d706f082421999b51746eda6",
     ),
     "foldwalk0": (
         "bfd548af722a8cb9b222b4c975930addc8c95d7d4354dda2226937dc92cff8b0",
@@ -68,7 +68,7 @@ AUDIT_PINNED = {
     ),
     "foldwalk2": (
         "92a75d3691de0eeba06627a787ce4339c18c66c1320312e31735017c6df028b1",
-        "afc763c40baa92d5bdb8345570abfc6385beb1ad50b0c0b52636a79013709eca",
+        "6ab754764af3150e997c949ea141c5e9383831c652e88ff76a321724ef1e9b73",
     ),
     "foldwalk3": (
         "67e593ed6db661986a31dad3052288cc8c9d84d7a40960552a9dcbc5418bdcc7",
@@ -116,7 +116,7 @@ AUDIT_PINNED = {
     ),
     "foldwalk14": (
         "92a75d3691de0eeba06627a787ce4339c18c66c1320312e31735017c6df028b1",
-        "8d4567a3e49e78430506c93cdf6a7e1eb0461bfa2d942c06f4e97329136cca4f",
+        "3f6d2f5524bf53c4a6964fbbc97ad7f2832c9481b58025b8a1b99509b198e8ae",
     ),
     "foldwalk15": (
         "17fa8aadaf94f78f40e16d12617a865c44d3b32276adc013696932d230d73f0d",
@@ -180,7 +180,7 @@ def test_audit_output_is_pinned(fx, walk):
         facts.update(reports[1].facts)
     assert got == AUDIT_PINNED
     # the pin covers both facts the split check's errors give the audit
-    assert any("mixes separating and one-sided corners" in f for f in facts)
+    assert any("mixes separating and non-separating corners" in f for f in facts)
     assert any(f.startswith("unsplittable missing tetrahedron") for f in facts)
 
 
@@ -198,12 +198,12 @@ def reference_split(K, quad, fresh_base=None):
     check, then the cut and the build."""
     moves._missing_tetrahedron_check(K, quad)
     reports = corner_reports(K, quad)
-    moebius = [x for x in sorted(quad) if not reports[x].separates]
-    if moebius:
+    nonsep = [x for x in sorted(quad) if not reports[x].separates]
+    if nonsep:
         raise MoveError(
-            f"corners {moebius} of {sorted(quad)} have one-sided "
-            "neighborhoods; this tetrahedron witnesses a fold, not a sum",
-            details=tuple(moebius),
+            f"corners {nonsep} of {sorted(quad)} do not separate their "
+            "links; no connected sum was glued along this tetrahedron",
+            details=tuple(nonsep),
         )
     cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
 

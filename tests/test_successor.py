@@ -131,9 +131,7 @@ def install_gate(monkeypatch, successor):
     returns the tally of checks, whose ``fresh`` builds are to be
     cleared between inputs."""
     tally = {"successors": 0, "carried": 0, "updates": 0, "fresh": Fresh()}
-    singular_after = moves.singular_after
-    split, split_singular = reducer._split, reducer._split_singular
-    halves_of = {}  # record -> the two halves
+    singular_after, split_singular = moves.singular_after, reducer._split_singular
 
     def gated(self, removed, added):
         K2 = successor(self, removed, added)
@@ -145,26 +143,20 @@ def install_gate(monkeypatch, successor):
         assert got == tally["fresh"].singular_map(K2)
         tally["updates"] += 1
 
-    def checked(K, K2, rec, singular):
-        got = singular_after(K, K2, rec, singular)
-        assert got == normal_update(K, K2, singular)
+    def checked(K, K2, rec):
+        before = K._cache["singular"]
+        got = singular_after(K, K2, rec)
+        assert got == normal_update(K, K2, before)
         check(K2, got)
         return got
 
-    def recorded_split(*args):
-        K1, K2, rec = split(*args)
-        halves_of[id(rec)] = K1, K2
-        return K1, K2, rec
-
-    def checked_split(K1, rec, singular):
-        got = split_singular(K1, rec, singular)
-        for half, sing in zip(halves_of.pop(id(rec)), got):
-            check(half, sing)
-        return got
+    def checked_split(K, K1, K2, rec):
+        split_singular(K, K1, K2, rec)
+        for half in (K1, K2):
+            check(half, half._cache["singular"])
 
     monkeypatch.setattr(SimplicialComplex, "_successor", gated)
     monkeypatch.setattr(moves, "singular_after", checked)
-    monkeypatch.setattr(reducer, "_split", recorded_split)
     monkeypatch.setattr(reducer, "_split_singular", checked_split)
     return tally
 
