@@ -1,8 +1,9 @@
 """Triangulated normal 3-pseudomanifolds.
 
 Core objects live in :mod:`pseudoform.complexes` (complexes, face
-vectors, validation), :mod:`pseudoform.surfaces` (vertex links and
-cycle cuts), :mod:`pseudoform.moves` (local and gluing operations),
+vectors, validation), :mod:`pseudoform.surfaces` (vertex links as
+closed surfaces, and the cut of one along a cycle),
+:mod:`pseudoform.moves` (local and gluing operations),
 :mod:`pseudoform.rigidity` (graph rigidity certificates),
 :mod:`pseudoform.reducer` (decomposition into boundary 4-simplices
 with replayable traces) and :mod:`pseudoform.generators`.

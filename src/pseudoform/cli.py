@@ -428,9 +428,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except _WriteFailed as e:
         return _fail(f"cannot write {e}", MALFORMED)
+    except BrokenPipeError:
+        # the reader is gone (``| head``): drop what is buffered, or exiting fails too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("cannot write standard output: broken pipe", MALFORMED)
     except OSError as e:
         return _fail(f"cannot read {e.filename}", MALFORMED)
     except (PseudoformError, ValueError) as e:

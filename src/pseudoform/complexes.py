@@ -637,12 +637,18 @@ def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
     return surfaces.Surface(frozenset(F - {v} for F in at_v if len(F) > 1)).classify()
 
 
+def _singular_map(K: SimplicialComplex) -> Optional[dict]:
+    """The certified map in ``K._cache["singular"]``, each singular vertex
+    -> its link class, which a trusted step stores once it has proved every
+    component of ``K`` normal closed; None when ``K`` carries none."""
+    return K._cache.get("singular")
+
+
 def _link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
-    """The class of the link of ``v`` as ``K._cache["singular"]`` gives it:
-    the map a trusted step stores once it has proved every component of
-    ``K`` normal closed, with a sphere for a vertex it leaves out.
+    """The class of the link of ``v`` as the certified map gives it
+    (``_singular_map``), with a sphere for a vertex it leaves out.
     Without the map, or for a label not in ``K``: ``_vertex_link_class``."""
-    singular = K._cache.get("singular")
+    singular = _singular_map(K)
     if singular is None or v not in K.vertices:
         return _vertex_link_class(K, v)
     return singular.get(v, surfaces.SPHERE_CLASS)

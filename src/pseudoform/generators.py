@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from . import moves, reducer, surfaces
-from .complexes import SimplicialComplex, _link_class, total_g2
+from . import moves, reducer
+from .complexes import SimplicialComplex, _singular_map, total_g2
 from .defaults import DEFAULT_SEED
 from .errors import MoveError, PseudoformError, SpecError
 
@@ -32,11 +32,16 @@ took 2.5 to 7.3 s of CPU on a 2-core Xeon host (four seeds, with and
 without folds); a larger budget is refused before the walk starts."""
 
 
-def _count(name: str, value, least: int, most: int) -> int:
-    """``value`` checked as a count: an int from ``least`` to ``most``."""
+def _integer(name: str, value) -> int:
+    """``value`` checked as an int, which a bool is not."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise SpecError(f"{name} must be an integer, got {value!r}")
-    if not least <= value <= most:
+    return value
+
+
+def _count(name: str, value, least: int, most: int) -> int:
+    """``value`` checked as a count: an int from ``least`` to ``most``."""
+    if not least <= _integer(name, value) <= most:
         raise SpecError(f"{name} must be from {least} to {most}, got {value}")
     return value
 
@@ -267,6 +272,9 @@ def _gen_random(
     seed: int, budget: int, allow_fold: bool, g2_cap: int
 ) -> GeneratedComplex:
     budget = _count("budget", budget, 0, MAX_BUDGET)
+    seed, g2_cap = _integer("seed", seed), _integer("g2_cap", g2_cap)
+    if not isinstance(allow_fold, bool):
+        raise SpecError(f"allow_fold must be true or false, got {allow_fold!r}")
     rng = random.Random(seed)
     K = boundary_simplex()
     K._cache["singular"] = {}  # a 4-simplex boundary has sphere links only
@@ -282,8 +290,7 @@ def _gen_random(
         # non-empty kinds, the same choice from each list tried.
         started = {}
         for kind in _WALK_KINDS:
-            if kind == moves.EDGE_FOLD and (not allow_fold or any(
-                    _link_class(K, v).kind != surfaces.SPHERE for v in K.vertices)):
+            if kind == moves.EDGE_FOLD and (not allow_fold or _singular_map(K)):
                 continue  # folds are asked for, and start from spheres
             sites = iter(moves.MOVES[kind].sites(K))
             first = next(sites, None)

@@ -42,11 +42,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import (SimplicialComplex, _closure, _edge_circle, _link_class,
+from .complexes import (SimplicialComplex, _closure, _edge_circle, _link_class, _singular_map,
                         _vertex_link, clean_face, normal_update, total_g2)
-from .errors import MissingFaceError, MoveError, NotSurfaceError, PseudoformError
+from .errors import CycleError, MissingFaceError, MoveError, NotSurfaceError, PseudoformError
 from . import surfaces
-from .surfaces import Surface, cycle_cut, missing_triangle_neighborhood
 
 BISTELLAR1 = "Bistellar1"
 BISTELLAR2 = "Bistellar2"
@@ -143,11 +142,24 @@ def _star_facets(K: SimplicialComplex, vertex: int) -> list:
     return cof
 
 
-def _link_sides(K: SimplicialComplex, vertex: int, t: frozenset) -> Optional[tuple]:
-    """The two sides into which the boundary of the triangle ``t`` cuts
-    the link of ``vertex`` (``surfaces._cut_sides``), or None."""
+def _link_sides(K: SimplicialComplex, vertex: int, cycle) -> Optional[tuple]:
+    """The two sides into which ``cycle``, link vertices in cyclic order,
+    cuts the link of ``vertex`` (``surfaces._cut_sides``), or None.  The
+    vertices of a triangle, in any order, are its boundary cycle."""
+    cyc = tuple(cycle)
+    ring = [frozenset(e) for e in zip(cyc, cyc[1:] + cyc[:1])]
     link = [F - {vertex} for F in K._cofacets(frozenset((vertex,)))]
-    return surfaces._cut_sides(link, surfaces._edges_of(t))
+    return surfaces._cut_sides(link, ring)
+
+
+def _unpinched(K: SimplicialComplex, vertex: int, cycle) -> None:
+    """:class:`NotSurfaceError` when the link of ``vertex`` is pinched at a
+    vertex ``c`` of ``cycle``: the link of the edge ``vertex c`` is no single
+    circle.  A certified complex (``_singular_map``) is normal: none is."""
+    if _singular_map(K) is None:
+        for c in cycle:
+            if _edge_circle(K, frozenset((vertex, c))) is None:
+                raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
 
 
 def _passing(check: Callable, K: SimplicialComplex, candidates) -> Iterable:
@@ -348,10 +360,12 @@ def expand_edge(
 ) -> "tuple[SimplicialComplex, MoveRecord]":
     """Expand a vertex into an edge along a separating link cycle.
 
-    ``cycle`` must be a vertex-simple cycle in the link of ``vertex``
-    that separates it.  The star of ``vertex`` is replaced by a ring of
-    ``n`` facets around the new edge, and each side of the cut link is
-    coned over one of the two new apexes.  ``u_side`` picks which
+    The link of ``vertex`` must be a closed surface (its class,
+    ``complexes._link_class``), and ``cycle`` a vertex-simple cycle in
+    it, at none of whose vertices the link is pinched, that cuts it in
+    two (``_link_sides``).  The star of ``vertex`` is replaced by a ring
+    of ``n`` facets around the new edge, and each side of the cut link
+    is coned over one of the two new apexes.  ``u_side`` picks which
     canonical side the first apex cones (the side containing the
     smallest triangle is side 0).  When one side is a Moebius strip the
     apex over it inherits the non-sphere link; the apex over the disc
@@ -362,22 +376,20 @@ def expand_edge(
     if u_side not in (0, 1):
         raise MoveError(f"u_side must be 0 or 1, got {u_side}")
     star_facets = _star_facets(K, vertex)
-    report = cycle_cut(Surface(frozenset(F - {vertex} for F in star_facets)), cycle)
-    if not report.separates:
-        raise MoveError(
-            f"cycle {tuple(cycle)} does not separate the link of {vertex} "
-            f"({report.neighborhood})",
-            details=report,
-        )
+    link = _link_class(K, vertex)
+    cyc = _link_cycle(K, vertex, cycle)
+    _unpinched(K, vertex, cyc)
+    sides = _link_sides(K, vertex, cyc)
+    if sides is None:
+        raise MoveError(f"cycle {cyc} does not separate the link of {vertex}", details=link)
     apex_u, apex_v = _fresh_pair(K, apexes)
 
-    cyc = tuple(cycle)
     n = len(cyc)
     ring = [
         frozenset((apex_u, apex_v, cyc[i], cyc[(i + 1) % n])) for i in range(n)
     ]
-    cone_u = [t | {apex_u} for t in report.sides[u_side]]
-    cone_v = [t | {apex_v} for t in report.sides[1 - u_side]]
+    cone_u = [t | {apex_u} for t in sides[u_side]]
+    cone_v = [t | {apex_v} for t in sides[1 - u_side]]
     K2 = K._successor(star_facets, ring + cone_u + cone_v)
     rec = _record(
         EDGE_EXPAND,
@@ -389,6 +401,28 @@ def expand_edge(
         u_side=u_side,
     )
     return K2, rec
+
+
+def _link_cycle(K: SimplicialComplex, vertex: int, cycle) -> tuple:
+    """``cycle`` as a tuple: three or more distinct vertices of the link
+    of ``vertex``, each two consecutive ones (wrapping around) an edge
+    of it; :class:`CycleError` otherwise."""
+    try:
+        cyc = tuple(cycle)
+        distinct = len(set(cyc))
+    except TypeError:
+        raise CycleError(f"cycle must be a sequence of labels, got {cycle!r}") from None
+    if len(cyc) < 3:
+        raise CycleError(f"cycle must have at least three vertices, got {cyc}")
+    if distinct != len(cyc):
+        raise CycleError(f"cycle revisits a vertex: {cyc}")
+    for c in cyc:
+        if c == vertex or not K._cofacets(frozenset((vertex, c))):
+            raise CycleError(f"cycle vertex {c} is not in the surface")
+    for e in map(frozenset, zip(cyc, cyc[1:] + cyc[:1])):
+        if not K._cofacets(e | {vertex}):
+            raise CycleError(f"consecutive cycle vertices {tuple(sorted(e))} are not an edge")
+    return cyc
 
 
 def _iter_link_cycle_sites(K: SimplicialComplex) -> Iterator:
@@ -407,9 +441,11 @@ def _iter_link_cycle_sites(K: SimplicialComplex) -> Iterator:
 
 def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
     """The star of ``vertex`` and the two discs into which ``t``'s
-    boundary cuts its link.  On a sphere link every such cut gives two
-    discs (Jordan-Schoenflies), and two discs glue to a sphere.  Off a
-    sphere the full cut words the refusal, or passes a pinched link."""
+    boundary cuts its link (``_link_sides``).  On a sphere link every
+    such cut gives two discs (Jordan-Schoenflies), and two discs glue to
+    a sphere.  Off a sphere (``_link_class`` refuses a link that is no
+    closed surface) ``t``'s edges must lie in the link, which must not
+    be pinched at ``t`` (``_unpinched``), and both sides must be discs."""
     if len(t) != 3:
         raise MoveError(f"expected a triangle, got {sorted(t)}")
     if _face((vertex,)) <= t:
@@ -420,22 +456,26 @@ def _insert_check(K: SimplicialComplex, vertex: int, t: frozenset) -> tuple:
         )
     star_facets = _star_facets(K, vertex)
     sides = _link_sides(K, vertex, t)
-    if sides is not None and _link_class(K, vertex).kind == surfaces.SPHERE:
+    link = _link_class(K, vertex)
+    if sides is not None and link.kind == surfaces.SPHERE:
         return star_facets, sides
-    report = missing_triangle_neighborhood(K, vertex, t)
-    if not report.separates:
+    for e in surfaces._edges_of(t):
+        if not K._cofacets(e | {vertex}):
+            raise CycleError(f"edge {tuple(sorted(e))} of the triangle is not in the link "
+                             f"of {vertex}")
+    _unpinched(K, vertex, sorted(t))
+    if sides is None:
         raise MoveError(
             f"boundary of {sorted(t)} does not separate the link of {vertex}",
-            details=report,
+            details=link,
         )
-    not_discs = [d for d in report.side_descriptions if d != "disc"]
-    if not_discs:
+    pieces = tuple(map(surfaces._describe_piece, sides))
+    if pieces != ("disc", "disc"):
         raise MoveError(
-            f"cut sides of the link of {vertex} are not both discs: "
-            f"{report.side_descriptions}",
-            details=report,
+            f"cut sides of the link of {vertex} are not both discs: {pieces}",
+            details=pieces,
         )
-    return star_facets, report.sides
+    return star_facets, sides
 
 
 def insert_two_facets(
@@ -885,9 +925,7 @@ def _corner_links(K: SimplicialComplex, quad: frozenset) -> dict:
     links = {}
     for x in sorted(quad):
         links[x] = _link_class(K, x)
-        for c in sorted(quad - {x}):
-            if _edge_circle(K, frozenset((x, c))) is None:
-                raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
+        _unpinched(K, x, sorted(quad - {x}))
     return links
 
 
@@ -1330,7 +1368,7 @@ def singular_after(
     EdgeFold, EdgeUnfold and HandleAdd, and a rule that declines,
     recheck the faces the move touched (``normal_update``).
     """
-    singular = K._cache.get("singular")
+    singular = _singular_map(K)
     if singular is None:
         raise PseudoformError(f"singular_after wants a certified complex, got {K!r}")
     links = MOVES[record.kind].links

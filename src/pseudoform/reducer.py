@@ -45,6 +45,7 @@ from .complexes import (
     _edge_circle,
     _link_class,
     _normality,
+    _singular_map,
     _vertex_link,
     total_g2,
     validate_normal,
@@ -491,10 +492,7 @@ def _split_singular(
     """
     fresh = dict(rec.get("psi"))
     maps: tuple = ({}, {})
-    for v in K.vertices:
-        cls = _link_class(K, v)
-        if cls.kind == surfaces.SPHERE:
-            continue
+    for v, cls in _singular_map(K).items():
         if v not in fresh:
             maps[v not in K1.vertices][v] = cls
         elif sum((-1) ** (len(f) - 1) for f in _vertex_link(K1, v).faces) == 2:
@@ -539,8 +537,8 @@ class _Rejection(Exception):
 
 def _classify_component(K: SimplicialComplex) -> str:
     """Admission check for a connected piece that carries its singular
-    map (``complexes._link_class``); returns its class."""
-    sing = {v: c for v in K.vertices if (c := _link_class(K, v)).kind != surfaces.SPHERE}
+    map (``complexes._singular_map``); returns its class."""
+    sing = _singular_map(K)
     if not sing:
         g2 = total_g2(K)  # K is connected
         if g2 > 9:

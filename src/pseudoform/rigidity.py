@@ -100,8 +100,10 @@ def rigidity_rank(
     """
     if not isinstance(dim, int) or dim < 1:
         raise DimensionError(f"ambient dimension must be at least 1, got {dim!r}")
-    if not isinstance(trials, int):
+    if not isinstance(trials, int) or isinstance(trials, bool):
         raise DimensionError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise DimensionError(f"trials must be at least 1, got {trials}")
     try:
         vs = sorted(set(vertices))
     except TypeError:
@@ -122,7 +124,7 @@ def rigidity_rank(
 
     rng = Random(seed)
     best = 0
-    for used in range(1, max(1, trials) + 1):
+    for used in range(1, trials + 1):
         coords = [[rng.randrange(DEFAULT_PRIME) for _ in range(dim)] for _ in vs]
         best = max(best, _rank(coords, pairs, dim))
         if best == ceiling:

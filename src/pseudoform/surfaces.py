@@ -1,36 +1,32 @@
-"""Closed triangulated surfaces and combinatorial cutting.
+"""Closed triangulated surfaces and cutting one along a cycle.
 
 Vertex links of the 3-complexes studied here are closed surfaces; this
 module classifies them (Euler characteristic plus an orientability
-sweep over the dual graph) and implements cutting a surface along a
-vertex-simple cycle.  Cutting is the workhorse behind several move
-preconditions: a missing triangle in a link either separates the link
-(annulus neighbourhood) or sits one-sidedly in it (Moebius
-neighbourhood), and the two cases trigger different decompositions.
+sweep over the dual graph).
 
-Every cut is a component count (``_component_ids``).  Separation is
-decided in one place, ``_cut_sides``: the sides are the components of
-the triangles joined across every edge but the cut ones.  The boundary
-circles a cut opens are read off the two arcs of triangles at each
-cycle vertex, joined across the edges there but the cycle's.
+The moves ask one local question of a link: does a cycle cut it in
+two, and what are the two sides?  ``_cut_sides`` is the one answer:
+the sides are the components of the triangles joined across every edge
+but the cut ones, a component count (``_component_ids``).  Edge
+expansion, two-facets insertion, the unfold and the split read it, and
+``_describe_piece`` says what a side is (a disc, a Moebius strip or
+other).  In a projective plane a cycle that leaves one side is
+one-sided: its neighbourhood is a Moebius strip.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import CycleError, NotSurfaceError
+from .errors import NotSurfaceError
 
 SPHERE = "Sphere"
 RP2 = "RP2"
 TORUS = "Torus"
 KLEIN = "Klein"
 OTHER = "Other"
-
-ANNULUS = "Annulus"
-MOEBIUS = "Moebius"
 
 
 @dataclass(frozen=True)
@@ -155,133 +151,6 @@ def surface_g2(S) -> int:
     if not isinstance(S, Surface):
         S = Surface(S)
     return S.g2
-
-
-# ---------------------------------------------------------------------
-# cutting along a cycle
-# ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CutReport:
-    """Outcome of cutting a surface along a vertex-simple cycle.
-
-    ``neighborhood`` is ``"Annulus"`` when the cut opens two boundary
-    circles (two-sided cycle) and ``"Moebius"`` when it opens one
-    (one-sided cycle).  When the cycle separates, ``sides`` holds the
-    two triangle sets (original labels) in canonical order - side 0
-    contains the lexicographically smallest triangle - and
-    ``side_descriptions`` describes each side (``disc``,
-    ``moebius-strip`` or ``other``) in the same order.
-    """
-
-    cycle: tuple
-    is_cycle_in_surface: bool
-    separates: bool
-    neighborhood: str
-    components_after_cut: int
-    n_boundary_circles: int
-    side_descriptions: tuple
-    sides: tuple
-
-    def summary(self) -> str:
-        out = f"cycle {self.cycle}: {self.neighborhood}"
-        if self.separates:
-            out += f", separates into {'+'.join(self.side_descriptions)}"
-        else:
-            out += ", does not separate"
-        return out
-
-
-def cycle_cut(S: Surface, cycle: Sequence[int]) -> CutReport:
-    """Cut a closed surface along a vertex-simple cycle.
-
-    ``cycle`` lists distinct vertices in cyclic order; every
-    consecutive pair (wrapping around) must be an edge of ``S``.  A
-    cycle of length three bounding an actual triangle is allowed; the
-    triangle then forms one side by itself.
-    """
-    if not isinstance(S, Surface):
-        S = Surface(S)
-    try:
-        cyc = tuple(cycle)
-        distinct = len(set(cyc))
-    except TypeError:
-        raise CycleError(f"cycle must be a sequence of labels, got {cycle!r}") from None
-    n = len(cyc)
-    if n < 3:
-        raise CycleError(f"cycle must have at least three vertices, got {cyc}")
-    if distinct != n:
-        raise CycleError(f"cycle revisits a vertex: {cyc}")
-    for v in cyc:
-        if v not in S.vertices:
-            raise CycleError(f"cycle vertex {v} is not in the surface")
-    ring = [frozenset(e) for e in zip(cyc, cyc[1:] + cyc[:1])]
-    for e in ring:
-        if e not in S.edges:
-            raise CycleError(
-                f"consecutive cycle vertices {tuple(sorted(e))} are not an edge"
-            )
-
-    prevnext = {cyc[i]: (cyc[i - 1], cyc[(i + 1) % n]) for i in range(n)}
-
-    # Local side assignment: the triangles at each cycle vertex c fall
-    # into arcs, joined across the link vertices of c other than its two
-    # cycle neighbours.  The fan is one cycle exactly when there are two
-    # arcs and the two triangles at a cycle edge lie in different arcs.
-    arc_of: dict = {}
-    for c in cyc:
-        fan = [t for t in S.triangles if c in t]
-        ends = {c, *prevnext[c]}
-        arc = arc_of[c] = _component_ids(fan, lambda t: t - ends)
-        p = prevnext[c][0]
-        if max(arc.values()) != 1 or len({arc[t] for t in fan if p in t}) != 2:
-            raise NotSurfaceError(f"triangle fan around vertex {c} is not a single cycle")
-
-    # The cut opens each cycle edge into two rim edges, one per triangle
-    # at it, between the arcs that triangle lies in at the two ends.
-    circles = _count_components(
-        ((c, arc_of[c][t]), (d, arc_of[d][t])) for c, d in ring for t in arc_of[c] if d in t
-    )
-    # Each piece of the cut holds a rim circle, so there are at most two,
-    # and one copy of each cycle vertex, so it keeps the original labels.
-    sides = _cut_sides(S.triangles, ring) or ()
-    return CutReport(
-        cycle=cyc,
-        is_cycle_in_surface=True,
-        separates=bool(sides),
-        neighborhood=ANNULUS if circles == 2 else MOEBIUS,
-        components_after_cut=2 if sides else 1,
-        n_boundary_circles=circles,
-        side_descriptions=tuple(_describe_piece(g) for g in sides),
-        sides=sides,
-    )
-
-
-def missing_triangle_neighborhood(K, v: int, triangle: Iterable[int]) -> CutReport:
-    """Cut the link of ``v`` along the boundary of a missing triangle.
-
-    ``triangle`` must have its three edges in the link of ``v`` while
-    not being a triangle of that link itself.  ``K`` is a 3-complex,
-    whose facets at ``v`` give the link.
-    """
-    try:
-        t = frozenset(triangle)
-    except TypeError:
-        raise CycleError(f"expected a triangle of labels, got {triangle!r}") from None
-    if len(t) != 3:
-        raise CycleError(f"not a triangle: {sorted(triangle)}")
-    S = Surface(frozenset(K._link_cells(frozenset((v,)))))
-    if t in S.triangles:
-        raise CycleError(
-            f"triangle {sorted(t)} is a face of the link of {v}, not missing"
-        )
-    for e in _edges_of(t):
-        if e not in S.edges:
-            raise CycleError(
-                f"edge {tuple(sorted(e))} of the triangle is not in the link of {v}"
-            )
-    return cycle_cut(S, tuple(sorted(t)))
 
 
 # ---------------------------------------------------------------------

@@ -31,9 +31,10 @@ from pseudoform.generators import (
     spine_path_sphere,
     staircase_sphere,
 )
-from pseudoform.surfaces import MOEBIUS, RP2, missing_triangle_neighborhood
+from pseudoform.surfaces import RP2
 
 from conftest import COMPLEX_FIXTURES
+from test_component_cut import MOEBIUS, reference_neighborhood
 
 
 @contextmanager
@@ -401,8 +402,7 @@ def _moebius_corners(K, quad):
     return sum(
         1
         for v in sorted(quad)
-        if missing_triangle_neighborhood(K, v, quad - {v}).neighborhood
-        == MOEBIUS
+        if reference_neighborhood(K, v, quad - {v}).neighborhood == MOEBIUS
     )
 
 

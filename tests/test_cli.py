@@ -1,8 +1,11 @@
 """End-to-end command-line behavior, run in-process."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -234,6 +237,13 @@ def test_rigidity_rejects_surface_file(capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_rigidity_refuses_fewer_than_one_trial(capsys, trials):
+    code, out, err = run(capsys, "rigidity", path("boundary4simplex"), "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"malformed input: trials must be at least 1, got {trials}\n"
+
+
 # stdout and exit code of `rigidity` and `rigidity --json` on every
 # complex fixture, recorded before the rank became a sparse pass.
 RIGIDITY_OUTPUT = {
@@ -416,3 +426,20 @@ def test_malformed_facet_file(capsys, tmp_path):
     code, _out, err = run(capsys, "fvector", str(p))
     assert code == 2
     assert "malformed" in err
+
+
+def test_a_closed_output_pipe_is_a_write_failure():
+    # as ``pseudoform gen ... --json | head -c 10``: the output is larger
+    # than the pipe holds, so writing it meets the closed read end
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(FIXTURES.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pseudoform.cli", "gen", "StackedSphere(1000)", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.read(10) == b'{"f": [100'
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert err == "cannot write standard output: broken pipe\n"

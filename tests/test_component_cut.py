@@ -1,17 +1,21 @@
-"""``cycle_cut`` finds each cycle vertex's two arcs as components: a
-differential test against the fan walk it replaced.
+"""The package's one link cut against the fan walk it replaced.
 
-The reference below is the earlier ``cycle_cut``, which walked the
-triangle fan around each cycle vertex in cyclic order and sliced it at
-the two cycle edges.  Both must give an equal :class:`CutReport`, or
-raise the same exception class with the same message, on every
-3-cycle and every edge-link cycle of every vertex link of the fixtures
-and the benchmark's walk corpus, and on pinched spheres, whose pinch
-vertex has a fan of two cycles.
+The package cuts the link of a vertex along a cycle in two steps:
+``moves._unpinched`` refuses a link pinched at a cycle vertex, and
+``moves._link_sides`` reads the two sides off ``surfaces._cut_sides``.
+The reference below is the earlier full cut, which walked the triangle
+fan around each cycle vertex in cyclic order, sliced it at the two
+cycle edges, glued the sliced triangles into a cut complex and counted
+its components and boundary circles into a :class:`CutReport`.  On
+every 3-cycle and every edge-link cycle of every vertex link of the
+fixtures and the benchmark's walk corpus, and on pinched spheres, whose
+pinch vertex has a fan of two cycles, both must give the same sides
+(none when the cycle does not separate), or raise the same exception
+class with the same message.  Each surface is cut as the link of the
+apex of its cone, a complex that carries no certified map.
 
-The reference's cut complex and ``_boundary_edges`` were deleted from
-``cycle_cut``, which now reads its sides off ``_cut_sides`` and its
-boundary circles off the arcs; the reference keeps them.
+The report type and its neighbourhood names live here only: the
+package words its refusals from the link's class and the sides.
 
 The public split classifies each corner link before the star cut
 decides the split, so that a complex that is not normal is refused as
@@ -22,28 +26,50 @@ pinned.
 import hashlib
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
-from pseudoform import generators as gen, reducer
+from pseudoform import generators as gen, moves, reducer
 from pseudoform.complexes import SimplicialComplex
-from pseudoform.errors import NotSurfaceError, PseudoformError
+from pseudoform.errors import CycleError, NotSurfaceError, PseudoformError
 from pseudoform.surfaces import (
-    ANNULUS,
-    MOEBIUS,
-    CutReport,
     Surface,
     _component_ids,
     _count_components,
     _describe_piece,
     _edges_of,
-    cycle_cut,
 )
 
 from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS
 
 
 # ---------------------------------------------------------- the reference
+
+ANNULUS = "Annulus"
+MOEBIUS = "Moebius"
+
+
+@dataclass(frozen=True)
+class CutReport:
+    """Outcome of cutting a surface along a vertex-simple cycle.
+
+    ``neighborhood`` is ``"Annulus"`` when the cut opens two boundary
+    circles (two-sided cycle) and ``"Moebius"`` when it opens one
+    (one-sided cycle).  When the cycle separates, ``sides`` holds the
+    two triangle sets in canonical order - side 0 contains the
+    lexicographically smallest triangle - and ``side_descriptions``
+    describes each side in the same order.
+    """
+
+    cycle: tuple
+    is_cycle_in_surface: bool
+    separates: bool
+    neighborhood: str
+    components_after_cut: int
+    n_boundary_circles: int
+    side_descriptions: tuple
+    sides: tuple
 
 
 def _boundary_edges(triangles) -> list:
@@ -135,6 +161,19 @@ def reference_cycle_cut(S, cyc):
     )
 
 
+def reference_neighborhood(K, v, t):
+    """The full cut of the link of ``v`` along the boundary of the
+    missing triangle ``t``."""
+    S = Surface(frozenset(K._link_cells(frozenset((v,)))))
+    if t in S.triangles:
+        raise CycleError(f"triangle {sorted(t)} is a face of the link of {v}, not missing")
+    for e in _edges_of(t):
+        if e not in S.edges:
+            raise CycleError(
+                f"edge {tuple(sorted(e))} of the triangle is not in the link of {v}")
+    return reference_cycle_cut(S, tuple(sorted(t)))
+
+
 # ------------------------------------------------------------- the cycles
 
 
@@ -173,19 +212,32 @@ def all_cycles(S):
         cyc for c in sorted(S.vertices) for cyc in link_cycles(S, c)]
 
 
-def _outcome(cut, S, cyc):
+def cone(S):
+    """The cone over ``S`` and its apex, whose link is ``S``."""
+    apex = max(S.vertices) + 1
+    return SimplicialComplex(t | {apex} for t in S.triangles), apex
+
+
+def _outcome(cut, *args):
     try:
-        return cut(S, cyc)
+        return cut(*args)
     except PseudoformError as e:
-        return (type(e).__name__, str(e))
+        return ("raised", type(e).__name__, str(e))
+
+
+def package_sides(K, v, cyc):
+    """The package's cut of the link of ``v`` along ``cyc``."""
+    moves._unpinched(K, v, cyc)
+    return moves._link_sides(K, v, cyc) or ()
 
 
 def compare_cuts(S) -> "tuple[int, int]":
     """The number of cycles of ``S`` compared and of fan errors."""
     cycles = all_cycles(S)
-    got = [_outcome(cycle_cut, S, cyc) for cyc in cycles]
-    assert got == [_outcome(reference_cycle_cut, S, cyc) for cyc in cycles]
-    return len(got), sum(isinstance(g, tuple) for g in got)
+    K, apex = cone(S)
+    got = [_outcome(package_sides, K, apex, cyc) for cyc in cycles]
+    assert got == [_outcome(lambda: reference_cycle_cut(S, cyc).sides) for cyc in cycles]
+    return len(got), sum(g[:1] == ("raised",) for g in got)
 
 
 def vertex_links(K):

@@ -1,50 +1,47 @@
 """The move checks decide each link cut from its sides and the link
 class: a differential test against the full cuts they replaced.
 
-Two-facets insertion and edge unfolding each ask how a 3-cycle cuts a
-vertex link.  They now read the answer off ``surfaces._cut_sides`` and
-the class of the link.  The references below are the checks as they
-were before, which cut each link in full and read ``CutReport``
-fields; their cut is the fan walk of ``tests/test_component_cut.py``,
-so it shares no code with the new one.  On every candidate both must
-give the same return value, or raise the same exception class with the
-same message and details.  The unfold check refuses a complex that is
-not normal as the public split does, through ``moves._corner_links``.
+Edge expansion, two-facets insertion and edge unfolding each ask how a
+cycle cuts a vertex link.  They now read the answer off
+``surfaces._cut_sides`` and the class of the link.  The references
+below are the checks as they were before, which cut each link in full
+and read ``CutReport`` fields; their cut is the fan walk of
+``tests/test_component_cut.py``, so it shares no code with the new
+one.  On every candidate both must give the same return value, or
+raise the same exception class with the same message and details.  The
+refusals' details are the link's class where a cut does not separate
+and the sides' descriptions where they are not both discs; an
+expansion's refusal no longer names the cycle's neighbourhood.  The
+unfold check refuses a complex that is not normal as the public split
+does, through ``moves._corner_links``.
 
 The candidates are every 3-cycle of every vertex link (insertion) and
 every missing tetrahedron (unfold), on the fixtures, both ladders,
 every state of the benchmark's walk corpus, the non-normal complexes of
 ``tests/test_component_cut.py`` and a complex with two torus links.
-Four mutants of the new checks must each fail the gate.
+An expansion's candidates are every 3-cycle and every edge-link cycle
+of every vertex link, with either side first, on the same groups (each
+walk at its last state) and on the cones over pinched spheres.  Six
+mutants of the new checks must each fail the gates.
 """
 
 import inspect
+import re
 import textwrap
 
 import pytest
 
 from pseudoform import generators as gen, moves, surfaces
-from pseudoform.complexes import SimplicialComplex, _vertex_link
-from pseudoform.errors import CycleError, MoveError, PseudoformError
+from pseudoform.complexes import SimplicialComplex, _vertex_link, _vertex_link_class
+from pseudoform.errors import MoveError, NotSurfaceError, PseudoformError
 
 from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS
-from test_component_cut import not_normal_corpus, reference_cycle_cut
+from test_component_cut import (ANNULUS, MOEBIUS, cone, link_cycles, not_normal_corpus,
+                                pinched_links, reference_cycle_cut, reference_neighborhood)
 from test_split_check import _folded_spine
 
 
 # ---------------------------------------------------------- the references
-
-
-def reference_neighborhood(K, v, t):
-    """``missing_triangle_neighborhood`` with the fan-walk cut."""
-    S = surfaces.Surface(frozenset(K._link_cells(frozenset((v,)))))
-    if t in S.triangles:
-        raise CycleError(f"triangle {sorted(t)} is a face of the link of {v}, not missing")
-    for e in surfaces._edges_of(t):
-        if e not in S.edges:
-            raise CycleError(
-                f"edge {tuple(sorted(e))} of the triangle is not in the link of {v}")
-    return reference_cycle_cut(S, tuple(sorted(t)))
 
 
 def reference_insert_check(K, vertex, t):
@@ -60,15 +57,40 @@ def reference_insert_check(K, vertex, t):
     if not report.separates:
         raise MoveError(
             f"boundary of {sorted(t)} does not separate the link of {vertex}",
-            details=report,
+            details=_vertex_link_class(K, vertex),
         )
     if any(d != "disc" for d in report.side_descriptions):
         raise MoveError(
             f"cut sides of the link of {vertex} are not both discs: "
             f"{report.side_descriptions}",
-            details=report,
+            details=report.side_descriptions,
         )
     return star_facets, report.sides
+
+
+def reference_expansions(K, vertex, S, cycle) -> dict:
+    """The edge expansions of ``K`` along ``cycle`` that took their sides
+    from the full cut of ``S``, the link of ``vertex``: each ``u_side``
+    -> the facets after it and its record."""
+    report = reference_cycle_cut(S, cycle)
+    if not report.separates:
+        raise MoveError(
+            f"cycle {cycle} does not separate the link of {vertex} "
+            f"({report.neighborhood})",
+            details=S.classify(),
+        )
+    apex_u, apex_v = K.fresh_label(), K.fresh_label() + 1
+    n = len(cycle)
+    kept = K.facets - set(moves._star_facets(K, vertex))
+    ring = {frozenset((apex_u, apex_v, cycle[i], cycle[(i + 1) % n])) for i in range(n)}
+    out = {}
+    for u_side in (0, 1):
+        cones = {t | {apex_u} for t in report.sides[u_side]}
+        cones |= {t | {apex_v} for t in report.sides[1 - u_side]}
+        out[u_side] = (kept | ring | cones, moves._record(
+            moves.EDGE_EXPAND, n - 3, vertex=vertex, cycle=cycle, apex_u=apex_u,
+            apex_v=apex_v, u_side=u_side))
+    return out
 
 
 def reference_corner_reports(K, quad):
@@ -81,7 +103,7 @@ def reference_unfold_check(K, quad):
     """The unfold check that read the corner pattern off the full cuts."""
     moves._missing_tetrahedron_check(K, quad)
     reports = reference_corner_reports(K, quad)
-    moeb = tuple(x for x in sorted(quad) if reports[x].neighborhood == surfaces.MOEBIUS)
+    moeb = tuple(x for x in sorted(quad) if reports[x].neighborhood == MOEBIUS)
     seps = tuple(x for x in sorted(quad) if reports[x].separates)
     if len(moeb) != 2 or len(seps) != 2:
         raise MoveError(
@@ -120,6 +142,38 @@ def mismatches(K) -> list:
     for q in K.missing_faces(3):
         if outcome(moves._unfold_check, K, q) != outcome(reference_unfold_check, K, q):
             out.append(("unfold", tuple(sorted(q))))
+    return out
+
+
+def _expanded(K, vertex, cycle, u_side):
+    K2, rec = moves.expand_edge(K, vertex, cycle, u_side)
+    return K2.facets, rec
+
+
+def expansion_mismatches(K) -> list:
+    """The candidates of ``K`` on which ``expand_edge`` and the reference
+    differ: every 3-cycle of every vertex link and, where that link is a
+    surface, the link of each of its vertices, with ``u_side`` 0 and 1.
+    The reference's refusal loses its neighbourhood, which the package
+    no longer words."""
+    out = []
+    for v in sorted(K.vertices):
+        cycles = list(_vertex_link(K, v).cycles)
+        try:
+            S = surfaces.Surface(K._link_cells(frozenset((v,))))
+        except NotSurfaceError as e:
+            S, refused = None, ("NotSurfaceError", str(e), None)
+        else:
+            cycles += [cyc for c in sorted(S.vertices) for cyc in link_cycles(S, c)]
+        for cyc in cycles:
+            want = refused if S is None else outcome(reference_expansions, K, v, S, cyc)
+            if not isinstance(want, dict):  # a refusal, the same at either side
+                name, message, details = want
+                message = re.sub(r" \((Annulus|Moebius)\)$", "", message)
+                want = dict.fromkeys((0, 1), (name, message, details))
+            for u_side in (0, 1):
+                if outcome(_expanded, K, v, cyc, u_side) != want[u_side]:
+                    out.append((v, cyc, u_side))
     return out
 
 
@@ -170,6 +224,29 @@ def test_checks_match_the_full_cut(group, fx, walk):
         assert mismatches(K) == []
 
 
+# The expansion gate's groups: those above, each walk at its last state,
+# which carries the walk's certified map, and the cones over pinched
+# spheres.  Every state of every walk would be about 240,000 cycles,
+# each expanded at both sides, and take several minutes.
+EXPANSION_GROUPS = {
+    **CORPUS_GROUPS,
+    "foldwalks": lambda fx, walk: [walk(s, True).complex for s in FOLD_WALK_SEEDS],
+    "pinched": lambda fx, walk: [
+        cone(S)[0] for n in range(5, 17) for S in pinched_links(n)],
+}
+for _lo in range(SPHERE_WALK_SEEDS.start, SPHERE_WALK_SEEDS.stop, 25):
+    EXPANSION_GROUPS[f"walks{_lo}"] = (lambda fx, walk, lo=_lo: [
+        walk(s, False).complex for s in range(lo, lo + 25)])
+
+
+@pytest.mark.parametrize("group", sorted(EXPANSION_GROUPS))
+def test_expansion_matches_the_full_cut(group, fx, walk):
+    corpus = EXPANSION_GROUPS[group](fx, walk)
+    assert corpus
+    for K in corpus:
+        assert expansion_mismatches(K) == []
+
+
 def test_torus_corners_neither_separate_nor_fold():
     quad = frozenset((5, 6, 7, 8))
     assert TORUS_LINKS.missing_faces(3) == [quad]
@@ -178,7 +255,7 @@ def test_torus_corners_neither_separate_nor_fold():
     reports = reference_corner_reports(TORUS_LINKS, quad)
     for x in (7, 8):
         assert moves._link_sides(TORUS_LINKS, x, quad - {x}) is None
-        assert reports[x].neighborhood == surfaces.ANNULUS
+        assert reports[x].neighborhood == ANNULUS
     with pytest.raises(MoveError, match="does not witness a fold"):
         moves.edge_unfold(TORUS_LINKS, quad)
 
@@ -189,12 +266,16 @@ def test_torus_corners_neither_separate_nor_fold():
 MUTANTS = {
     "no RP2 test": (moves, "_unfold_check",
                     "not sides[x] and links[x].kind == surfaces.RP2", "not sides[x]"),
-    "no pinch test": (moves, "_corner_links",
-                      "_edge_circle(K, frozenset((x, c))) is None", "False"),
+    "no pinch test": (moves, "_unpinched",
+                      "_edge_circle(K, frozenset((vertex, c))) is None", "False"),
+    "no pinch test at insertion": (moves, "_insert_check",
+                                   "_unpinched(K, vertex, sorted(t))", "None"),
+    "no pinch test at expansion": (moves, "expand_edge",
+                                   "_unpinched(K, vertex, cyc)", "None"),
     "sides swapped": (surfaces, "_cut_sides", "i0 = comp[", "i0 = 1 - comp["),
     "no sphere test": (moves, "_insert_check",
-                       "sides is not None and _link_class(K, vertex).kind == "
-                       "surfaces.SPHERE", "sides is not None"),
+                       "sides is not None and link.kind == surfaces.SPHERE",
+                       "sides is not None"),
 }
 
 
@@ -207,4 +288,4 @@ def test_the_gate_fails_on_a_mutant(name, fx, walk, monkeypatch):
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     monkeypatch.setattr(module, func, namespace[func])
     corpus = [TORUS_LINKS, fx("folded_g2_3"), *not_normal_corpus(walk)]
-    assert any(mismatches(K) for K in corpus)
+    assert any(mismatches(K) or expansion_mismatches(K) for K in corpus)

@@ -224,3 +224,27 @@ def test_random_walk_with_folds_reaches_singular():
 def test_generate_unknown_kind_raises():
     with pytest.raises(ValueError):
         gen.generate(gen.GeneratorSpec("Mystery", ()))
+
+
+@pytest.mark.parametrize("params, text", [
+    ((("budget", 5),), "seed must be an integer, got None"),
+    ((("seed", 1), ("budget", 5), ("allow_fold", False), ("g2_cap", "9")),
+     "g2_cap must be an integer, got '9'"),
+    ((("seed", True), ("budget", 5), ("allow_fold", False), ("g2_cap", 9)),
+     "seed must be an integer, got True"),
+])
+def test_walk_parameters_are_checked(params, text):
+    with pytest.raises(SpecError) as info:
+        gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, params))
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("RandomMoves(allow_fold=7)", "allow_fold must be true or false, got 7"),
+    ("RandomMoves(g2_cap=true)", "g2_cap must be an integer, got True"),
+    ("RandomMoves(seed=false)", "seed must be an integer, got False"),
+])
+def test_parsed_walk_parameters_of_the_wrong_kind_are_refused(text, message):
+    with pytest.raises(SpecError) as info:
+        gen.generate(gen.parse_generator_spec(text))
+    assert str(info.value) == message

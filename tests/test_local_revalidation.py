@@ -220,8 +220,18 @@ def link_class_answers_sphere(monkeypatch):
 
     def mutant(K, v):
         return surfaces.SPHERE_CLASS if "singular" in K._cache else link_class(K, v)
-    for module in (complexes, gen, moves, reducer):
+    for module in (complexes, moves, reducer):
         monkeypatch.setattr(module, "_link_class", mutant)
+
+
+def singular_map_reads_empty(monkeypatch):
+    """``_singular_map`` gives every certified complex an empty map."""
+    singular_map = complexes._singular_map
+
+    def mutant(K):
+        return None if singular_map(K) is None else {}
+    for module in (complexes, gen, moves, reducer):
+        monkeypatch.setattr(module, "_singular_map", mutant)
 
 
 def split_check_cuts_no_corner(monkeypatch):
@@ -234,9 +244,10 @@ def split_check_cuts_no_corner(monkeypatch):
     monkeypatch.setattr(reducer, "_split_check", namespace["_split_check"])
 
 
-@pytest.mark.parametrize("mutate", [link_class_answers_sphere, split_check_cuts_no_corner])
+@pytest.mark.parametrize("mutate", [link_class_answers_sphere, singular_map_reads_empty,
+                                    split_check_cuts_no_corner])
 def test_the_gates_fail_on_a_reader_mutant(mutate, fx, monkeypatch):
-    # the class mutant fails at replay's fold, whose changed facets hold
+    # the class and map mutants fail at replay's fold, whose changed facets hold
     # both RP^2 vertices; the corner mutant passes every split the
     # reductions make (the cut along the tetrahedron refuses a fold's
     # witness anyway), and fails the reference scan, whose refusal names
@@ -329,24 +340,6 @@ def test_total_g2_wants_a_3_complex():
 # ------------------------------------------- the split cuts no vertex link
 
 
-def test_split_cuts_no_vertex_link(monkeypatch):
-    # the reducer decides every split by the star cut along the missing
-    # tetrahedron's triangles, corners included
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    original = surfaces.cycle_cut
-    monkeypatch.setattr(surfaces, "cycle_cut", counted)
-    monkeypatch.setattr(moves, "cycle_cut", counted)
-    report = reducer.reduce_complex(gen.staircase_sphere(12))
-    assert report.accepted
-    assert report.trace.counts()[0] == 12
-    assert calls == []
-
-
 def _surface_builds(monkeypatch):
     """Record, for each ``surfaces.Surface`` built from now on, the kind
     of the move replay is at (None before the first)."""
@@ -364,6 +357,18 @@ def _surface_builds(monkeypatch):
     monkeypatch.setattr(surfaces.Surface, "__init__", counted)
     monkeypatch.setattr(moves, "apply_record", starting)
     return builds
+
+
+def test_split_cuts_no_vertex_link(monkeypatch):
+    # the reducer decides every split by the star cut along the missing
+    # tetrahedron's triangles, corners included: the only link Surfaces
+    # are the admission check's, one per vertex
+    K = gen.staircase_sphere(12)
+    builds = _surface_builds(monkeypatch)
+    report = reducer.reduce_complex(K)
+    assert report.accepted
+    assert report.trace.counts()[0] == 12
+    assert len(builds) == len(K.vertices)
 
 
 def test_sums_and_splits_build_no_link_surface(monkeypatch):
@@ -409,9 +414,13 @@ def test_move_checks_read_the_certified_classes(monkeypatch):
     for module in (complexes, gen, moves, reducer):
         monkeypatch.setattr(module, "_vertex_link_class", classified, raising=False)
     monkeypatch.setattr(moves, "_link_sides", cut)
+    builds = _surface_builds(monkeypatch)
     for seed, fold in [(s, False) for s in SPHERE_WALK_SEEDS] + [(s, True) for s in FOLD_WALK_SEEDS]:
         gen.generate(walk_spec(seed, fold))
     assert len(callers) == 20  # normal_update after a fold or a singular expansion
+    # and no other link Surface: the expansions' whole-link cuts and the
+    # insertions' refusals built 672 more before
+    assert len(builds) == 20
     assert [names for names in callers if names] == []
     del cuts[:]
     assert reducer.reduce_complex(gen.staircase_sphere(64)).accepted
@@ -446,22 +455,30 @@ def test_walks_recheck_only_folds_and_singular_expansions(monkeypatch):
 
 
 def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):
-    # both decide from the sides of the cut link and its class; the full
-    # cut only words a refusal on a link that is not a sphere
-    calls = []
+    # both decide from the sides of the cut link and its class, read off
+    # the certified map: reducing builds link Surfaces only in the
+    # admission check, one per vertex, and in the recheck after the
+    # unfold, and listing the walks' insertion sites builds none
+    K = _folded_spine(32)
+    finals = [walk(seed, False).complex for seed in SPHERE_WALK_SEEDS]
+    builds, rechecks = _surface_builds(monkeypatch), []
+    update = moves.normal_update
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def noting(*args):
+        before = len(builds)
+        got = update(*args)
+        rechecks.append(len(builds) - before)
+        return got
 
-    original = moves.missing_triangle_neighborhood
-    monkeypatch.setattr(moves, "missing_triangle_neighborhood", counted)
-    report = reducer.reduce_complex(_folded_spine(32))
+    monkeypatch.setattr(moves, "normal_update", noting)
+    report = reducer.reduce_complex(K)
     assert report.accepted
     assert report.trace.counts()[2] == 1
-    finals = [walk(seed, False).complex for seed in SPHERE_WALK_SEEDS]
+    assert len(rechecks) == 1
+    assert len(builds) - rechecks[0] == len(K.vertices)
+    del builds[:]
     assert sum(len(moves.insertion_sites(K)) for K in finals) == 339
-    assert calls == []
+    assert builds == []
 
 
 # ------------------------------------------------ two-facets contraction

@@ -5,6 +5,7 @@ import pytest
 from pseudoform import moves
 from pseudoform.complexes import (
     SimplicialComplex,
+    _vertex_link,
     are_isomorphic,
     total_g2,
     validate_normal,
@@ -104,6 +105,45 @@ def test_fresh_labels_not_a_pair_are_move_errors(given, SB, fx):
 def test_expand_with_no_label_cycle_is_a_cycle_error(cycle, SB):
     with pytest.raises(CycleError):
         moves.expand_edge(SB, 5, cycle)
+
+
+@pytest.mark.parametrize("cycle, text", [
+    ((2, 4), "cycle must have at least three vertices, got (2, 4)"),
+    ((2, 4, 2, 6), "cycle revisits a vertex: (2, 4, 2, 6)"),
+    ((2, 4, 9), "cycle vertex 9 is not in the surface"),
+    ((0, 2, 4), "cycle vertex 0 is not in the surface"),
+    ((2, 3, 4), "consecutive cycle vertices (2, 3) are not an edge"),
+    ([[1], 2, 3], "cycle must be a sequence of labels, got [[1], 2, 3]"),
+], ids=["too short", "revisiting", "off the link", "the vertex", "not an edge", "not labels"])
+def test_expand_edge_refuses_cycles_off_the_link(cycle, text):
+    # the link of 0 in the cross-polytope is the octahedron on 2..7,
+    # with 2 and 3 antipodal
+    with pytest.raises(CycleError) as ei:
+        moves.expand_edge(cross_polytope(), 0, cycle)
+    assert str(ei.value) == text
+
+
+def test_insert_two_facets_refuses_a_triangle_off_the_link():
+    with pytest.raises(CycleError) as ei:
+        moves.insert_two_facets(cross_polytope(), 0, (2, 3, 4))
+    assert str(ei.value) == "edge (2, 3) of the triangle is not in the link of 0"
+
+
+def test_a_cut_that_does_not_separate_gives_the_link_class(fx):
+    F = fx("folded_g2_3")
+    rp2 = dict(validate_normal(F).singular_vertices)
+    v = min(rp2)
+    t = next(t for t in _vertex_link(F, v).holes
+             if not F.contains_face(t) and moves._link_sides(F, v, t) is None)
+    cyc = tuple(sorted(t))
+    with pytest.raises(MoveError) as ei:
+        moves.expand_edge(F, v, cyc)
+    assert str(ei.value) == f"cycle {cyc} does not separate the link of {v}"
+    assert ei.value.details == rp2[v]
+    with pytest.raises(MoveError) as ei:
+        moves.insert_two_facets(F, v, cyc)
+    assert str(ei.value) == f"boundary of {list(cyc)} does not separate the link of {v}"
+    assert ei.value.details == rp2[v]
 
 
 # ---------------- two-facets moves ----------------

@@ -86,6 +86,12 @@ def test_trials_as_text_raises():
         rigidity.rigidity_rank(range(6), [(0, 1)], trials="3")
 
 
+@pytest.mark.parametrize("trials", [0, -1, True])
+def test_trials_below_one_or_a_bool_raise(trials):
+    with pytest.raises(DimensionError, match="trials must be"):
+        rigidity.rigidity_rank(range(6), [(0, 1)], trials=trials)
+
+
 def test_fractional_dimension_raises():
     with pytest.raises(DimensionError):
         rigidity.rigidity_rank(range(6), [(0, 1)], dim=2.5)

@@ -1,12 +1,18 @@
-"""The demos run, and the fixture recipes rebuild the committed files."""
+"""The demos run, the fixture recipes rebuild the committed files, and
+the README names only what the package defines."""
 
+import importlib
 import importlib.util
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 
 import pytest
 
+import pseudoform
 from pseudoform import io as pio
 
 from conftest import FIXTURES
@@ -52,3 +58,39 @@ def test_the_cli_imports_only_the_standard_library():
     outside = [name for name in loaded if name.partition(".")[0] not in
                sys.stdlib_module_names | {"pseudoform"}]
     assert outside == []
+
+
+# A backticked snake_case name, with an optional module before a dot.
+README_NAME = re.compile(r"`(?:([a-z]+)\.)?(_?[a-z][a-z0-9_]*)`")
+
+
+def package_names():
+    """The package's modules by name, every attribute of one, and every
+    parameter of a function, class or method the package defines."""
+    modules = {"pseudoform": pseudoform}
+    for info in pkgutil.iter_modules(pseudoform.__path__):
+        modules[info.name] = importlib.import_module(f"pseudoform.{info.name}")
+    attributes, parameters = set(), set()
+    for module in modules.values():
+        attributes.update(vars(module))
+        for obj in vars(module).values():
+            if not getattr(obj, "__module__", "").startswith("pseudoform"):
+                continue
+            members = [obj] + (list(vars(obj).values()) if inspect.isclass(obj) else [])
+            for member in filter(callable, members):
+                try:
+                    parameters.update(inspect.signature(member).parameters)
+                except (TypeError, ValueError):
+                    pass
+    return modules, attributes, parameters
+
+
+def test_the_readme_names_only_what_the_package_defines():
+    modules, attributes, parameters = package_names()
+    names = {(module, name) for module, name in
+             README_NAME.findall((ROOT / "README.md").read_text()) if "_" in name}
+    assert len(names) > 20
+    stale = [(module, name) for module, name in sorted(names)
+             if not (hasattr(modules[module], name) if module in modules
+                     else name in attributes | parameters)]
+    assert stale == []

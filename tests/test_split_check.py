@@ -17,6 +17,7 @@ from pseudoform.complexes import SimplicialComplex
 from pseudoform.errors import MoveError
 
 from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS
+from test_component_cut import reference_neighborhood
 
 # sha256 of the audit's (applicable, facts, violations), force off and
 # on, for the fixtures, fold walks 0-15 (budget 20, g2 cap 4) and the
@@ -190,7 +191,7 @@ def test_audit_output_is_pinned(fx, walk):
 def corner_reports(K, quad):
     """Each corner of a missing tetrahedron with the full cut of its
     link along the opposite triangle."""
-    return {x: surfaces.missing_triangle_neighborhood(K, x, quad - {x}) for x in sorted(quad)}
+    return {x: reference_neighborhood(K, x, quad - {x}) for x in sorted(quad)}
 
 
 def reference_split(K, quad, fresh_base=None):

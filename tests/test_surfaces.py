@@ -2,17 +2,16 @@ import itertools
 
 import pytest
 
+from pseudoform import moves
 from pseudoform.errors import CycleError, NotSurfaceError
 from pseudoform.surfaces import (
-    ANNULUS,
-    MOEBIUS,
     RP2,
     SPHERE,
     TORUS,
     Surface,
+    _cut_sides,
+    _describe_piece,
     classify_surface,
-    cycle_cut,
-    missing_triangle_neighborhood,
     surface_g2,
 )
 
@@ -64,23 +63,23 @@ def test_not_a_surface():
         Surface(TETRA + [(5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)])
 
 
+def ring(cycle):
+    """The edges of a cycle of vertices, wrapping around."""
+    return [frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])]
+
+
 def test_equator_cut_gives_two_discs():
     S = Surface(octahedron())
-    rep = cycle_cut(S, (2, 4, 3, 5))
-    assert rep.is_cycle_in_surface
-    assert rep.separates
-    assert rep.neighborhood == ANNULUS
-    assert rep.components_after_cut == 2
-    assert rep.n_boundary_circles == 2
-    assert rep.side_descriptions == ("disc", "disc")
+    sides = _cut_sides(S.triangles, ring((2, 4, 3, 5)))
+    assert tuple(map(_describe_piece, sides)) == ("disc", "disc")
     star0 = frozenset(frozenset(t) for t in octahedron() if 0 in t)
-    assert star0 in rep.sides
+    assert star0 in sides
 
 
 def test_face_triangle_cut():
-    rep = cycle_cut(Surface(TETRA), (0, 1, 2))
-    assert rep.separates
-    assert frozenset([frozenset((0, 1, 2))]) in rep.sides
+    sides = _cut_sides(Surface(TETRA).triangles, ring((0, 1, 2)))
+    assert sides[0] == frozenset([frozenset((0, 1, 2))])
+    assert _describe_piece(sides[1]) == "disc"
 
 
 def test_one_sided_cycle_in_projective_plane(rp2_surface):
@@ -88,45 +87,31 @@ def test_one_sided_cycle_in_projective_plane(rp2_surface):
         t for t in itertools.combinations(sorted(rp2_surface.vertices), 3)
         if frozenset(t) not in rp2_surface.triangles
     )
-    rep = cycle_cut(rp2_surface, empty)
-    assert not rep.separates
-    assert rep.neighborhood == MOEBIUS
-    assert rep.n_boundary_circles == 1
-    assert rep.components_after_cut == 1
+    assert _cut_sides(rp2_surface.triangles, ring(empty)) is None
+    # its neighbourhood, the triangles that meet it, is a Moebius strip
+    near = [t for t in rp2_surface.triangles if len(t & frozenset(empty)) >= 2]
+    assert _describe_piece(near) == "moebius-strip"
 
 
-def test_cycle_errors():
-    S = Surface(octahedron())
-    with pytest.raises(CycleError):
-        cycle_cut(S, (0, 2))
-    with pytest.raises(CycleError):
-        cycle_cut(S, (0, 1, 2))  # 0 and 1 are antipodal, not an edge
-    with pytest.raises(CycleError):
-        cycle_cut(S, (0, 2, 0, 3))
-    with pytest.raises(CycleError):
-        cycle_cut(S, (0, 2, 9))
-
-
-def test_missing_triangle_neighborhood_on_fold(fx):
+def test_fold_corners_do_not_separate_in_pairs(fx):
+    # a corner whose link the opposite triangle does not separate has an
+    # RP^2 link, in which that triangle's boundary is one-sided
     K = fx("folded_g2_3")
     quad = next(iter(K.missing_faces(3)))
-    kinds = []
-    for x in sorted(quad):
-        rep = missing_triangle_neighborhood(K, x, quad - {x})
-        kinds.append(rep.neighborhood)
-    assert kinds.count(MOEBIUS) in (0, 2, 4)
+    cut = [moves._link_sides(K, x, quad - {x}) for x in sorted(quad)]
+    assert cut.count(None) in (0, 2, 4)
 
 
 def test_sphere_missing_tetra_corners_all_separate(fx):
     # Sphere links only contain two-sided cycles, so every corner of a
-    # missing tetrahedron in a stacked sphere has an annulus collar.
+    # missing tetrahedron in a stacked sphere cuts its link into two discs.
     K = fx("foldable_sphere")
     quads = K.missing_faces(3)
     assert quads, "block interfaces should be missing tetrahedra"
     for quad in quads:
         for x in sorted(quad):
-            rep = missing_triangle_neighborhood(K, x, quad - {x})
-            assert rep.separates and rep.neighborhood == ANNULUS
+            sides = moves._link_sides(K, x, quad - {x})
+            assert tuple(map(_describe_piece, sides)) == ("disc", "disc")
 
 
 @pytest.mark.parametrize("call, error", [
@@ -136,9 +121,9 @@ def test_sphere_missing_tetra_corners_all_separate(fx):
     (lambda K: Surface([(1, "a", 2)]), NotSurfaceError),
     (lambda K: classify_surface(None), NotSurfaceError),
     (lambda K: surface_g2(5), NotSurfaceError),
-    (lambda K: cycle_cut(5, (1, 2, 3)), NotSurfaceError),
-    (lambda K: missing_triangle_neighborhood(K, 0, 5), CycleError),
-    (lambda K: missing_triangle_neighborhood(K, 0, [[1], 2, 3]), CycleError),
+    (lambda K: classify_surface([(1, 2)]), NotSurfaceError),
+    (lambda K: moves.expand_edge(K, 0, 5), CycleError),
+    (lambda K: moves.expand_edge(K, 0, [[1], 2, 3]), CycleError),
 ])
 def test_arguments_that_are_not_triangles_are_refused(fx, call, error):
     with pytest.raises(error):
