@@ -202,6 +202,8 @@ class SimplicialComplex:
             if got is None:
                 if dim == self.dimension:
                     got = self.facets
+                elif dim == 1:
+                    got = frozenset(self._edge_counts())
                 else:
                     got = frozenset(
                         frozenset(c)
@@ -226,6 +228,8 @@ class SimplicialComplex:
             f = frozenset(face)
         except TypeError:
             raise _not_a_face(face) from None
+        if len(f) == 2:
+            return f in self._edge_counts()
         return bool(self._cofacets(f))
 
     def _facets_by_vertex(self) -> dict:
@@ -411,7 +415,7 @@ class SimplicialComplex:
         adj = self._cache.get("adjacency")
         if adj is None:
             adj = {v: set() for v in self.vertices}
-            for e in self.faces(1):
+            for e in self._edge_counts():
                 a, b = e
                 adj[a].add(b)
                 adj[b].add(a)
@@ -422,7 +426,7 @@ class SimplicialComplex:
     def neighbors(self, v: int) -> frozenset:
         try:
             return self.adjacency[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise MissingFaceError(f"vertex {v} is not in the complex") from None
 
     def _components(self) -> dict:
@@ -572,7 +576,7 @@ class NormalityReport:
         return "NotNormal: " + ("; ".join(parts) if parts else "see report")
 
 
-_VertexLink = namedtuple("_VertexLink", "faces cycles holes")
+_VertexLink = namedtuple("_VertexLink", "edges cycles holes")
 
 
 def _closure(cells) -> set:
@@ -582,21 +586,24 @@ def _closure(cells) -> set:
 
 
 def _vertex_link(K: SimplicialComplex, v: int) -> _VertexLink:
-    """The link of ``v`` read off the facets at ``v``, memoised per
-    complex: its nonempty faces and its 3-cycles (triples of pairwise
-    joined vertices), as sorted tuples, the 3-cycles sorted, and its
-    missing triangles (the 3-cycles that are not faces, as frozensets)."""
+    """The link of ``v`` read off its triangles ``F - {v}``, one per facet
+    ``F`` at ``v``, memoised per complex: its edges and its 3-cycles
+    (triples of pairwise joined vertices), as sorted tuples, the 3-cycles
+    sorted, and its missing triangles (the 3-cycles that span no link
+    triangle, as frozensets).  No face closure is built."""
     memo = K._cache.setdefault("vertex_links", {})
     got = memo.get(v)
     if got is None:
-        faces = _closure(K._link_cells(frozenset((v,))))
+        cells = K._link_cells(frozenset((v,)))
+        edges = {e for c in map(sorted, cells) for e in itertools.combinations(c, 2)}
         up: dict = {}  # each link vertex to its larger link neighbours
-        for a, b in (f for f in faces if len(f) == 2):
+        for a, b in edges:
             up.setdefault(a, set()).add(b)
         cycles = tuple((a, b, c) for a in sorted(up) for b in sorted(up[a])
                        for c in sorted(up[a] & up.get(b, set())))
-        holes = [frozenset(c) for c in cycles if c not in faces]
-        got = memo[v] = _VertexLink(faces, cycles, holes)
+        spanned = set(cells)  # the link triangles of a 3-complex
+        holes = [h for h in map(frozenset, cycles) if h not in spanned]
+        got = memo[v] = _VertexLink(edges, cycles, holes)
     return got
 
 
@@ -631,10 +638,16 @@ def _edge_circle(K: SimplicialComplex, e: frozenset) -> Optional[dict]:
 
 
 def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
-    """Classification of the link of ``v``, read off the facets at ``v``;
-    raises :class:`PseudoformError` when it is not a closed connected surface."""
-    at_v = K._facets_by_vertex().get(v, ())
-    return surfaces.Surface(frozenset(F - {v} for F in at_v if len(F) > 1)).classify()
+    """Classification of the link of ``v``, read off the facets at ``v``
+    and memoised per complex; raises :class:`PseudoformError` when it is
+    not a closed connected surface (that refusal is not memoised)."""
+    memo = K._cache.setdefault("link_classes", {})
+    got = memo.get(v)
+    if got is None:
+        at_v = K._facets_by_vertex().get(v, ())
+        surface = surfaces.Surface(frozenset(F - {v} for F in at_v if len(F) > 1))
+        got = memo[v] = surface.classify()
+    return got
 
 
 def _singular_map(K: SimplicialComplex) -> Optional[dict]:

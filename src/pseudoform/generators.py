@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import moves, reducer
-from .complexes import SimplicialComplex, _singular_map, total_g2
+from .complexes import SimplicialComplex, _as_complex, _singular_map, total_g2
 from .defaults import DEFAULT_SEED
 from .errors import MoveError, PseudoformError, SpecError
 
@@ -48,6 +48,7 @@ def _count(name: str, value, least: int, most: int) -> int:
 
 def boundary_simplex(base: int = 0) -> SimplicialComplex:
     """The boundary of a 4-simplex on labels base..base+4."""
+    base = _integer("base", base)
     return SimplicialComplex.from_facets(
         itertools.combinations(range(base, base + 5), 4)
     )
@@ -94,23 +95,23 @@ def cross_polytope() -> SimplicialComplex:
 
 def admissible_folds(K: SimplicialComplex) -> list:
     """All admissible folds as (sigma1, sigma2, psi-pairs), sorted."""
-    return list(moves.fold_sites(K))
+    return list(moves.fold_sites(_as_complex(K, "admissible_folds")))
 
 
 def find_admissible_fold(K: SimplicialComplex) -> Optional[tuple]:
     """Lexicographically first admissible fold, or None."""
-    return next(moves.fold_sites(K), None)
+    return next(moves.fold_sites(_as_complex(K, "find_admissible_fold")), None)
 
 
 def admissible_handles(K: SimplicialComplex) -> list:
     """All admissible handles, sorted: two facets of one component glued
     by a map that moves every vertex to graph distance at least 3."""
-    return list(moves.handle_sites(K))
+    return list(moves.handle_sites(_as_complex(K, "admissible_handles")))
 
 
 def find_admissible_handle(K: SimplicialComplex) -> Optional[tuple]:
     """Lexicographically first admissible handle, or None."""
-    return next(moves.handle_sites(K), None)
+    return next(moves.handle_sites(_as_complex(K, "find_admissible_handle")), None)
 
 
 # ---------------------------------------------------------------------

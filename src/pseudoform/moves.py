@@ -42,8 +42,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .complexes import (SimplicialComplex, _closure, _edge_circle, _link_class, _singular_map,
-                        _vertex_link, clean_face, normal_update, total_g2)
+from .complexes import (SimplicialComplex, _as_complex, _closure, _edge_circle, _link_class,
+                        _singular_map, _vertex_link, clean_face, normal_update, total_g2)
 from .errors import CycleError, MissingFaceError, MoveError, NotSurfaceError, PseudoformError
 from . import surfaces
 
@@ -182,14 +182,14 @@ def _passing(check: Callable, K: SimplicialComplex, candidates) -> Iterable:
 
 
 def _bistellar_two_check(K: SimplicialComplex, e: frozenset) -> tuple:
-    """The three facets around ``e`` and their missing apex triangle."""
-    cof = K._cofacets(e)
-    if not cof:
+    """The three facets around ``e`` and their missing apex triangle.
+    The degree is read off the edge index."""
+    n = K._edge_counts().get(e)
+    if not n:
         raise MissingFaceError(f"edge {sorted(e)} is not in the complex")
-    if len(cof) != 3:
-        raise MoveError(
-            f"edge {sorted(e)} has degree {len(cof)}, need 3", details=len(cof)
-        )
+    if n != 3:
+        raise MoveError(f"edge {sorted(e)} has degree {n}, need 3", details=n)
+    cof = K._cofacets(e)
     # three distinct facets through e: their apexes span a triangle
     # exactly when there are three of them
     apex = frozenset(v for F in cof for v in F) - e
@@ -258,14 +258,14 @@ def bistellar_one(
 
 
 def _iter_bistellar_two_sites(K: SimplicialComplex) -> Iterator:
-    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
+    edges = ((e,) for e in sorted(K._edge_counts(), key=sorted))
     for (e,), (_cof, apex) in _passing(_bistellar_two_check, K, edges):
         yield tuple(sorted(e)), tuple(sorted(apex))
 
 
 def bistellar_two_sites(K: SimplicialComplex) -> list:
     """Degree-3 edges whose apex triangle is missing, sorted."""
-    return list(_iter_bistellar_two_sites(K))
+    return list(_iter_bistellar_two_sites(_as_complex(K, "bistellar_two_sites")))
 
 
 def _iter_bistellar_one_sites(K: SimplicialComplex) -> Iterator:
@@ -276,7 +276,7 @@ def _iter_bistellar_one_sites(K: SimplicialComplex) -> Iterator:
 
 def bistellar_one_sites(K: SimplicialComplex) -> list:
     """Triangles in two facets whose apexes are not adjacent, sorted."""
-    return list(_iter_bistellar_one_sites(K))
+    return list(_iter_bistellar_one_sites(_as_complex(K, "bistellar_one_sites")))
 
 
 # ---------------------------------------------------------------------
@@ -284,16 +284,70 @@ def bistellar_one_sites(K: SimplicialComplex) -> list:
 # ---------------------------------------------------------------------
 
 
+def _no_extra_vertex(K: SimplicialComplex, u: int, v: int, pos: dict) -> bool:
+    """Stage 1: the common neighbours of u and v are the circle's vertices."""
+    adj = K.adjacency
+    return adj[u] & adj[v] == pos.keys()
+
+
+def _no_common_triangle(K: SimplicialComplex, u: int, v: int, pos: dict) -> bool:
+    """Stage 2: no link triangle ``F - {u}`` of u is one of v, that is
+    ``(F - {u}) | {v}`` is no facet."""
+    facets = K.facets
+    return not any((F - {u}) | {v} in facets for F in K._facets_by_vertex()[u])
+
+
+def _no_common_chord(K: SimplicialComplex, u: int, v: int, pos: dict) -> bool:
+    """Stage 3: no chord of the circle (two of its vertices that are not
+    consecutive) is a link edge of both u and v."""
+    n = len(pos)
+    if n == 3:
+        return True
+    at = K._facets_by_vertex()
+
+    def chords(x):
+        return {frozenset((a, b)) for F in at[x] for a, b in itertools.combinations(F - {x}, 2)
+                if a in pos and b in pos and (pos[a] - pos[b]) % n not in (1, n - 1)}
+
+    return not chords(u) & chords(v)
+
+
+_LINK_STAGES = (_no_extra_vertex, _no_common_triangle, _no_common_chord)
+
+
+def _link_condition(K: SimplicialComplex, e: frozenset, pos: dict) -> bool:
+    """Whether the links of the endpoints u and v of ``e`` meet exactly in
+    lk(e), the circle ``pos`` (``_edge_circle``): lk(u) & lk(v) = lk(uv)
+    (Dey, Edelsbrunner, Guha and Nekhayev, "Topology preserving edge
+    contraction", 1999).  Read off the adjacency and the facets at u and
+    v, with no face closure, by the stages of ``_LINK_STAGES`` in turn.
+
+    lk(uv) lies in both links and holds no triangle.  After stage 1 every
+    common face lies on the circle's vertices; stage 2 rules out a common
+    triangle, and the common edges off lk(uv) are the chords of stage 3.
+    """
+    u, v = sorted(e)
+    return all(stage(K, u, v, pos) for stage in _LINK_STAGES)
+
+
+def _common_link_faces(K: SimplicialComplex, u: int, v: int) -> set:
+    """The faces the links of ``u`` and ``v`` share, as sorted tuples,
+    from their face closures; only a refusal lists them."""
+    return _closure(K._link_cells(frozenset((u,)))) & _closure(K._link_cells(frozenset((v,))))
+
+
 def _contract_edge_check(K: SimplicialComplex, e: frozenset) -> None:
     """The link of ``e`` is a circle, and the link condition holds: the
-    endpoint links meet exactly in lk(e)."""
+    endpoint links meet exactly in lk(e) (``_link_condition``).  Only a
+    refusal lists the extra common faces, from the face closures of the
+    two endpoint links."""
     u, v = sorted(e)
     cells = K._link_cells(e)
-    if _edge_circle(K, e) is None:
+    pos = _edge_circle(K, e)
+    if pos is None:
         raise MoveError(f"link of edge ({u}, {v}) is not a circle")
-    common = _vertex_link(K, u).faces & _vertex_link(K, v).faces
-    extra = sorted(common - _closure(cells))
-    if extra:
+    if not _link_condition(K, e, pos):
+        extra = sorted(_common_link_faces(K, u, v) - _closure(cells))
         raise MoveError(
             f"link condition fails at edge ({u}, {v}): "
             f"extra common faces {[tuple(sorted(f)) for f in extra]}",
@@ -341,14 +395,18 @@ def contract_edge(
 
 
 def _iter_contractible_edges(K: SimplicialComplex) -> Iterator:
-    edges = ((e,) for e in sorted(K.faces(1), key=sorted))
-    for (e,), _ in _passing(_contract_edge_check, K, edges):
-        yield tuple(sorted(e)), len(K._cofacets(e))
+    """The edges ``_contract_edge_check`` accepts, decided by the same
+    circle and ``_link_condition`` without wording a refusal."""
+    counts = K._edge_counts()
+    for e in sorted(counts, key=sorted):
+        pos = _edge_circle(K, e)
+        if pos is not None and _link_condition(K, e, pos):
+            yield tuple(sorted(e)), counts[e]
 
 
 def contractible_edges(K: SimplicialComplex) -> list:
     """Edges satisfying the link condition, as (edge, degree), sorted."""
-    return list(_iter_contractible_edges(K))
+    return list(_iter_contractible_edges(_as_complex(K, "contractible_edges")))
 
 
 def expand_edge(
@@ -523,27 +581,42 @@ def insertion_sites(K: SimplicialComplex) -> list:
 
     The candidates at a vertex are the missing triangles of its link.
     """
-    return list(_iter_insertion_sites(K))
+    return list(_iter_insertion_sites(_as_complex(K, "insertion_sites")))
+
+
+def _shared_triangle(K: SimplicialComplex, u: int, v: int) -> Optional[frozenset]:
+    """The one triangle ``t`` in which the closed stars of the vertices
+    ``u`` and ``v``, not joined by an edge, meet, together with its
+    faces only; None when they meet otherwise.  They meet in
+    lk(u) & lk(v), so exactly when u and v have the three common
+    neighbours ``t`` and both ``t | {u}`` and ``t | {v}`` are facets."""
+    adj = K.adjacency
+    t = adj[u] & adj[v]
+    if len(t) == 3 and t | {u} in K.facets and t | {v} in K.facets:
+        return t
+    return None
 
 
 def _contract_two_facets_check(K: SimplicialComplex, u: int, v: int) -> tuple:
-    """The one triangle in which the stars of ``u`` and ``v`` meet, the
-    facets of the two stars, and the boundary triangles of their union,
-    which must avoid ``u`` and ``v``."""
+    """The one triangle in which the stars of ``u`` and ``v`` meet
+    (``_shared_triangle``), the facets of the two stars, and the
+    boundary triangles of their union, which must avoid ``u`` and ``v``.
+    Only a refusal of the triangle lists what the stars share, from the
+    face closures of the two links."""
     ball = _star_facets(K, u) + _star_facets(K, v)
     if K.contains_face((u, v)):
         raise MoveError(f"vertices {u}, {v} are joined by an edge", details=(u, v))
-    # u and v are not adjacent, so their closed stars meet in lk(u) & lk(v)
-    common = _vertex_link(K, u).faces & _vertex_link(K, v).faces
-    tri = sorted((f for f in common if len(f) == 3), key=sorted)
-    if len(tri) != 1:
-        raise MoveError(
-            f"stars of {u} and {v} meet in {len(tri)} triangles, need exactly 1",
-            details=tuple(tuple(sorted(f)) for f in tri),
-        )
-    t = frozenset(tri[0])
-    stray = sorted((f for f in common if not t.issuperset(f)), key=sorted)
-    if stray:
+    t = _shared_triangle(K, u, v)
+    if t is None:
+        # u and v are not adjacent, so their closed stars meet in lk(u) & lk(v)
+        common = _common_link_faces(K, u, v)
+        tri = sorted((f for f in common if len(f) == 3), key=sorted)
+        if len(tri) != 1:
+            raise MoveError(
+                f"stars of {u} and {v} meet in {len(tri)} triangles, need exactly 1",
+                details=tuple(tuple(sorted(f)) for f in tri),
+            )
+        stray = sorted((f for f in common if not set(tri[0]).issuperset(f)), key=sorted)
         raise MoveError(
             f"stars of {u} and {v} meet outside one triangle: "
             f"{[tuple(sorted(f)) for f in stray]}",
@@ -590,21 +663,31 @@ def contract_two_facets(
 
 
 def _iter_contraction_pair_sites(K: SimplicialComplex) -> Iterator:
+    """Each pair ``contract_two_facets`` accepts, lazily, per vertex u in
+    label order: the vertices v > u at distance two from u, in label
+    order, whose stars meet in one triangle (``_shared_triangle``) and
+    form a ball."""
     adj = K.adjacency
-    apexes = (sorted(x for F in K._cofacets(t) for x in F - t) for t in K.faces(2))
-    pairs = {(u, v) for a in apexes for u, v in itertools.combinations(a, 2)
-             if v not in adj[u]}
-    for (u, v), (t, *_) in _passing(_contract_two_facets_check, K, sorted(pairs)):
-        yield u, v, tuple(sorted(t))
+    for u in sorted(adj):
+        near = frozenset().union(*map(adj.get, adj[u])) - adj[u]
+        candidates = ((u, v) for v in sorted(near) if v > u
+                      and _shared_triangle(K, u, v) is not None)
+        for (_, v), (t, *_) in _passing(_contract_two_facets_check, K, candidates):
+            yield u, v, tuple(sorted(t))
 
 
 def contraction_pair_sites(K: SimplicialComplex) -> list:
     """Vertex pairs admitting a two-facets contraction, sorted.
 
     Two stars can share a triangle only when their centres are the
-    apexes of the two facets at it, so those pairs are the candidates.
+    apexes of the two facets at it, so the pairs are these apexes: per
+    vertex u, the vertices v > u across the triangles of u's star that
+    are not adjacent to u.  Among the vertices at distance two from u,
+    ``_shared_triangle`` finds them from the adjacency and the facet
+    index; only they go on to the ball check, and no link closure is
+    built unless a refusal is worded.
     """
-    return list(_iter_contraction_pair_sites(K))
+    return list(_iter_contraction_pair_sites(_as_complex(K, "contraction_pair_sites")))
 
 
 # ---------------------------------------------------------------------
@@ -978,7 +1061,7 @@ def _iter_unfold_sites(K: SimplicialComplex) -> Iterator:
 
 def detect_unfold(K: SimplicialComplex) -> Optional[UnfoldSite]:
     """The first site of ``_iter_unfold_sites``, or None."""
-    site = next(_iter_unfold_sites(K), None)
+    site = next(_iter_unfold_sites(_as_complex(K, "detect_unfold")), None)
     return None if site is None else UnfoldSite(*site)
 
 
@@ -1091,7 +1174,7 @@ def _iter_unsubdividable_vertices(K: SimplicialComplex) -> Iterator:
 
 def unsubdividable_vertices(K: SimplicialComplex) -> list:
     """Degree-4 vertices whose surrounding tetrahedron is missing."""
-    return list(_iter_unsubdividable_vertices(K))
+    return list(_iter_unsubdividable_vertices(_as_complex(K, "unsubdividable_vertices")))
 
 
 # ---------------------------------------------------------------------

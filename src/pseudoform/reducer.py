@@ -495,7 +495,9 @@ def _split_singular(
     for v, cls in _singular_map(K).items():
         if v not in fresh:
             maps[v not in K1.vertices][v] = cls
-        elif sum((-1) ** (len(f) - 1) for f in _vertex_link(K1, v).faces) == 2:
+            continue
+        link = K1._link_cells(frozenset((v,)))  # its triangles
+        if len(frozenset().union(*link)) - len(_vertex_link(K1, v).edges) + len(link) == 2:
             maps[1][fresh[v]] = cls
         else:
             maps[0][v] = cls

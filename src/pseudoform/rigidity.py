@@ -155,7 +155,8 @@ def _link_surface_g2(K: SimplicialComplex, v: int) -> int:
 
 def external_link_edges(K: SimplicialComplex, v: int) -> list:
     """Edges of K with both endpoints in lk(v) that are not link edges."""
-    lk, lv = _vertex_link(K, v).faces, K.neighbors(v)
+    lv = _as_complex(K, "external_link_edges").neighbors(v)
+    lk = _vertex_link(K, v).edges
     return sorted((e for e in K.faces(1) if e <= lv and tuple(sorted(e)) not in lk),
                   key=sorted)
 

@@ -10,17 +10,20 @@ Each pair must agree on every candidate: the same return value, or the
 same exception class, message and details.  The inputs are every state
 and every candidate complex of the benchmark's walk corpus, every
 fixture, both ladders up to 16 blocks and a non-normal complex.
+Mutants that drop one stage of the staged link condition, or the facet
+test of the two-facets pair filter, must fail that comparison, and
+generating the walks must build no face closure of a link.
 """
 
 import itertools
 
 import pytest
 
-from pseudoform import generators as gen, moves
+from pseudoform import complexes, generators as gen, moves
 from pseudoform.complexes import SimplicialComplex, _link_connected, _vertex_link
 from pseudoform.errors import MissingFaceError, MoveError, PseudoformError
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS, walk_spec
 
 
 # ---------------------------------------------------------- the references
@@ -130,9 +133,13 @@ def passing(check, K, candidates):
 
 def assert_link_answers_agree(K):
     """Every link question the walk asks of ``K``, both ways."""
+    contractible = []
     for e in sorted(K.faces(1), key=sorted):
-        assert outcome(moves._contract_edge_check, K, e) == outcome(
-            ref_contract_edge_check, K, e), sorted(e)
+        want = outcome(ref_contract_edge_check, K, e)
+        assert outcome(moves._contract_edge_check, K, e) == want, sorted(e)
+        if want[0] == "returned":
+            contractible.append((tuple(sorted(e)), len(K._cofacets(e))))
+    assert moves.contractible_edges(K) == contractible
     pairs = ref_contraction_pair_candidates(K)
     for u, v in pairs:
         got = outcome(moves._contract_two_facets_check, K, u, v)
@@ -162,23 +169,15 @@ def assert_edge_tests_agree(K, K2):
 # ---------------------------------------------------------- the inputs
 
 
-def _walk_spec(seed, fold):
-    return gen.GeneratorSpec(gen.RANDOM_MOVES, (
-        ("seed", seed), ("budget", 20), ("allow_fold", fold),
-        ("g2_cap", 4 if fold else 9),
-    ))
-
-
 # The benchmark's walk corpus: sphere walks 100-199, fold walks 0-15,
 # in groups of ten walks.
 WALK_GROUPS = [[(s, False) for s in range(lo, lo + 10)] for lo in range(100, 200, 10)]
 WALK_GROUPS += [[(s, True) for s in range(8)], [(s, True) for s in range(8, 16)]]
 
 
-@pytest.mark.parametrize("walks", WALK_GROUPS, ids=lambda w: f"{w[0][0]}-{w[-1][0]}"
-                         + ("-fold" if w[0][1] else ""))
-def test_link_answers_agree_on_every_walk_step(walks, monkeypatch):
-    """Every state a walk visits and every candidate complex it tries."""
+def walk_steps(seed, fold, monkeypatch):
+    """The (state, candidate complex) pairs of one corpus walk: every
+    state it visits with every complex it tries from there."""
     seen = []
     scope_update = gen._scope_update
 
@@ -186,16 +185,77 @@ def test_link_answers_agree_on_every_walk_step(walks, monkeypatch):
         seen.append((K, K2))
         return scope_update(K, K2, rec, g2_cap)
 
-    monkeypatch.setattr(gen, "_scope_update", watched)
+    with monkeypatch.context() as m:
+        m.setattr(gen, "_scope_update", watched)
+        gen.generate(walk_spec(seed, fold))
+    assert seen
+    return seen
+
+
+@pytest.mark.parametrize("walks", WALK_GROUPS, ids=lambda w: f"{w[0][0]}-{w[-1][0]}"
+                         + ("-fold" if w[0][1] else ""))
+def test_link_answers_agree_on_every_walk_step(walks, monkeypatch):
+    """Every state a walk visits and every candidate complex it tries."""
     for seed, fold in walks:
-        del seen[:]
-        gen.generate(_walk_spec(seed, fold))
-        assert seen
+        seen = walk_steps(seed, fold, monkeypatch)
         states = {id(K): K for K, _ in seen}
         for K in states.values():
             assert_link_answers_agree(K)
         for K, K2 in seen:
             assert_edge_tests_agree(K, K2)
+
+
+# Mutants of the staged answers: the link condition without one of its
+# stages (``moves._LINK_STAGES``), and the two-facets pair filter
+# without its facet test.  The gate must fail each of them on the first
+# walk group, which holds edges that only one stage refuses, for each
+# stage, and pairs that only the facet test refuses.
+
+def _without_stage(i):
+    def mutant(monkeypatch):
+        stages = moves._LINK_STAGES
+        monkeypatch.setattr(moves, "_LINK_STAGES", stages[:i] + stages[i + 1:])
+    mutant.__name__ = f"link_condition_without_stage_{i + 1}"
+    return mutant
+
+
+def pair_filter_without_facet_test(monkeypatch):
+    """Three common neighbours pass, whether or not they span a facet with each centre."""
+    def shared(K, u, v):
+        t = K.adjacency[u] & K.adjacency[v]
+        return t if len(t) == 3 else None
+    monkeypatch.setattr(moves, "_shared_triangle", shared)
+
+
+STAGE_MUTANTS = (*map(_without_stage, range(3)), pair_filter_without_facet_test)
+
+
+@pytest.mark.parametrize("mutant", STAGE_MUTANTS, ids=lambda m: m.__name__)
+def test_the_gate_fails_each_mutant_of_the_staged_answers(mutant, monkeypatch):
+    states = {id(K): K for seed, fold in WALK_GROUPS[0]
+              for K, _ in walk_steps(seed, fold, monkeypatch)}
+    mutant(monkeypatch)
+    with pytest.raises(AssertionError):
+        for K in states.values():
+            assert_link_answers_agree(K)
+
+
+def test_walks_build_no_link_closure(monkeypatch):
+    # the probes decide from the facet and edge index, and no refusal
+    # reaches a caller: generating the corpus walks built 30,724 face
+    # closures of links before
+    calls = []
+    closure = complexes._closure
+
+    def counted(cells):
+        calls.append(cells)
+        return closure(cells)
+
+    for module in (complexes, moves):
+        monkeypatch.setattr(module, "_closure", counted)
+    for seed, fold in [(s, False) for s in SPHERE_WALK_SEEDS] + [(s, True) for s in FOLD_WALK_SEEDS]:
+        gen.generate(walk_spec(seed, fold))
+    assert calls == []
 
 
 def _folded_spine(n):

@@ -481,6 +481,19 @@ def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):
     assert builds == []
 
 
+def test_expansions_at_one_vertex_classify_its_link_once(monkeypatch):
+    # a complex that carries no certified map memoises each link class,
+    # so a second expansion at the same vertex builds no link Surface
+    # (each call built one before)
+    K = SimplicialComplex(gen.staircase_sphere(4).facets)
+    assert complexes._singular_map(K) is None
+    (v, c1), (_, c2) = itertools.islice(moves._iter_link_cycle_sites(K), 2)
+    builds = _surface_builds(monkeypatch)
+    for cycle in (c1, c2):
+        moves.expand_edge(K, v, cycle)
+    assert len(builds) == 1
+
+
 # ------------------------------------------------ two-facets contraction
 
 

@@ -283,6 +283,8 @@ def test_non_package_error_in_surface_propagates(fx, monkeypatch):
     CP = fx("cross_polytope")
     host, _ = moves.bistellar_one(CP, moves.bistellar_one_sites(CP)[0][0])
     assert moves.insertion_sites(host)
+    # each complex memoises its link classes: the calls get cold copies
+    CP, host = (SimplicialComplex(K.facets) for K in (CP, host))
     monkeypatch.setattr(surfaces.Surface, "__init__", boom)
     for call in (
         lambda: complexes.validate_normal(CP),

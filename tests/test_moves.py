@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pseudoform import moves
+from pseudoform import generators, moves, rigidity
 from pseudoform.complexes import (
     SimplicialComplex,
     _vertex_link,
@@ -10,7 +10,7 @@ from pseudoform.complexes import (
     total_g2,
     validate_normal,
 )
-from pseudoform.errors import CycleError, MissingFaceError, MoveError
+from pseudoform.errors import CycleError, MissingFaceError, MoveError, PseudoformError
 from pseudoform.generators import (
     boundary_simplex,
     cross_polytope,
@@ -350,6 +350,27 @@ def test_contraction_pair_sites():
 def test_faces_that_are_not_labels_are_move_errors(call):
     with pytest.raises(MoveError, match="expected a face"):
         call(staircase_sphere(3))
+
+
+# site enumerators and finders given no complex, and a base or a
+# vertex that is no label
+@pytest.mark.parametrize("call", [
+    *(lambda f=f: f("not a complex") for f in (
+        moves.bistellar_one_sites, moves.bistellar_two_sites, moves.contractible_edges,
+        moves.contraction_pair_sites, moves.insertion_sites,
+        moves.unsubdividable_vertices, moves.detect_unfold,
+        generators.admissible_folds, generators.admissible_handles,
+        generators.find_admissible_fold, generators.find_admissible_handle)),
+    lambda: boundary_simplex(base=None),
+    lambda: rigidity.external_link_edges(boundary_simplex(), [1, 2]),
+], ids=["bistellar_one_sites", "bistellar_two_sites", "contractible_edges",
+        "contraction_pair_sites", "insertion_sites", "unsubdividable_vertices",
+        "detect_unfold", "admissible_folds", "admissible_handles",
+        "find_admissible_fold", "find_admissible_handle", "boundary_simplex",
+        "external_link_edges"])
+def test_arguments_of_the_wrong_type_raise_pseudoform_errors(call):
+    with pytest.raises(PseudoformError):
+        call()
 
 
 GLUINGS = {
