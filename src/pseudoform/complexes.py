@@ -48,6 +48,15 @@ def _not_a_face(face) -> MalformedFacetError:
     return MalformedFacetError(f"expected a face as an iterable of labels, got {face!r}")
 
 
+def _as_face(face) -> frozenset:
+    """``face`` as a frozenset; :class:`MalformedFacetError` if it is no
+    iterable of hashable labels."""
+    try:
+        return frozenset(face)
+    except TypeError:
+        raise _not_a_face(face) from None
+
+
 def clean_face(vertices: Iterable[int]) -> Face:
     """Validate and freeze one face given as an iterable of labels.
 
@@ -224,10 +233,7 @@ class SimplicialComplex:
         return self.faces(2)
 
     def contains_face(self, face: Iterable[int]) -> bool:
-        try:
-            f = frozenset(face)
-        except TypeError:
-            raise _not_a_face(face) from None
+        f = _as_face(face)
         if len(f) == 2:
             return f in self._edge_counts()
         return bool(self._cofacets(f))
@@ -339,7 +345,7 @@ class SimplicialComplex:
 
     def star(self, face: Iterable[int]) -> "SimplicialComplex":
         """Subcomplex generated by all facets containing ``face``."""
-        f = frozenset(face)
+        f = _as_face(face)
         return SimplicialComplex(cell | f for cell in self._link_cells(f))
 
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
@@ -348,10 +354,7 @@ class SimplicialComplex:
         The link of a vertex in a 3-complex is a 2-complex, the link of
         an edge a graph, the link of a facet the empty complex.
         """
-        try:
-            f = frozenset(face)
-        except TypeError:
-            raise _not_a_face(face) from None
+        f = _as_face(face)
         got = self._link_memo.get(f)
         if got is None:
             got = SimplicialComplex(c for c in self._link_cells(f) if c)
@@ -377,10 +380,7 @@ class SimplicialComplex:
         Equals the number of facets around the edge whenever that link
         is a single cycle (the closed, normal case).
         """
-        try:
-            e = frozenset(edge)
-        except TypeError:
-            raise _not_a_face(edge) from None
+        e = _as_face(edge)
         if len(e) != 2:
             raise DimensionError(f"edge_degree wants an edge, got {sorted(e)}")
         cof = self._cofacets(e)

@@ -337,6 +337,9 @@ def generate(spec: GeneratorSpec) -> GeneratedComplex:
     """Build the complex a spec describes, with a replayable trace."""
     if not isinstance(spec, GeneratorSpec):
         raise SpecError(f"generate wants a GeneratorSpec, got {spec!r}")
+    if not isinstance(spec.params, tuple) or not all(
+            isinstance(p, tuple) and len(p) == 2 for p in spec.params):
+        raise SpecError(f"spec parameters must be (key, value) pairs, got {spec.params!r}")
     if spec.kind == BOUNDARY_SIMPLEX:
         K = boundary_simplex()
         return GeneratedComplex(spec, K, reducer._trace(K, [K], []))

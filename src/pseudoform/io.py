@@ -13,13 +13,15 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Union
 
-from .complexes import SimplicialComplex
-from .errors import FileReadError, MalformedFacetError
+from .complexes import SimplicialComplex, clean_face
+from .errors import FileReadError, MalformedFacetError, PseudoformError
 from .surfaces import Surface
 
 
 def parse_facets(text: str) -> "list[tuple]":
     """Parse facet lines; returns a list of sorted label tuples."""
+    if not isinstance(text, str):
+        raise MalformedFacetError(f"expected facet lines as text, got {text!r}")
     out = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -52,7 +54,9 @@ def parse_facets(text: str) -> "list[tuple]":
 
 
 def format_facets(facets: Iterable[Iterable[int]]) -> str:
-    rows = sorted(tuple(sorted(f)) for f in facets)
+    if not isinstance(facets, Iterable):
+        raise MalformedFacetError(f"expected facets as an iterable of faces, got {facets!r}")
+    rows = sorted(tuple(sorted(clean_face(f))) for f in facets)
     return "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
 
 
@@ -74,12 +78,20 @@ def parse_surface(text: str) -> Surface:
     return Surface(rows)
 
 
+def _path(path) -> Path:
+    """``path``, a str or an ``os.PathLike``, as a Path; otherwise a
+    :class:`PseudoformError`."""
+    if not isinstance(path, str) and not hasattr(path, "__fspath__"):
+        raise PseudoformError(f"expected a file path, got {path!r}")
+    return Path(path)
+
+
 def _read(path: Union[str, Path]) -> str:
     """The text of the file at ``path``; :class:`FileReadError` (an
     ``OSError`` too) when it cannot be read, and
     :class:`MalformedFacetError` when it is not text."""
     try:
-        return Path(path).read_text()
+        return _path(path).read_text()
     except OSError as e:
         raise FileReadError(e.errno, e.strerror, e.filename) from None
     except UnicodeDecodeError as e:
@@ -95,4 +107,4 @@ def load_surface(path: Union[str, Path]) -> Surface:
 
 
 def save_facets(path: Union[str, Path], facets: Iterable[Iterable[int]]) -> None:
-    Path(path).write_text(format_facets(facets))
+    _path(path).write_text(format_facets(facets))

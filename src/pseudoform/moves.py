@@ -762,7 +762,7 @@ def connected_sum(
     ``K2``); the identified facet disappears.  g2 of the result is the
     sum of the parts.
     """
-    if K1.vertices & K2.vertices:
+    if _as_complex(K1, "connected_sum").vertices & _as_complex(K2, "connected_sum").vertices:
         raise MoveError(
             f"label spaces overlap: {sorted(K1.vertices & K2.vertices)}"
         )
@@ -867,6 +867,8 @@ def handle_sites(K: SimplicialComplex) -> Iterator:
     """Admissible handles as (sigma1, sigma2, psi-pairs), lazily, sorted.
     Only maps sending every corner to distance at least 3 are checked;
     facets sharing a vertex have none, and are skipped."""
+    K = _as_complex(K, "handle_sites")
+
     def candidates():
         for s1, s2 in itertools.combinations(K.canonical_facets(), 2):
             if not set(s1) & set(s2):
@@ -875,8 +877,8 @@ def handle_sites(K: SimplicialComplex) -> Iterator:
                     if far.issuperset(zip(s1, image)):
                         yield s1, s2, dict(zip(s1, image))
 
-    for (s1, s2, psi), _ in _passing(_handle_check, K, candidates()):
-        yield s1, s2, tuple(sorted(psi.items()))
+    return ((s1, s2, tuple(sorted(psi.items())))
+            for (s1, s2, psi), _ in _passing(_handle_check, K, candidates()))
 
 
 def _edge_fold_check(
@@ -958,6 +960,8 @@ def fold_sites(K: SimplicialComplex) -> Iterator:
     whose circle test reads the matching against the cyclic order of
     the link of uv, so listing folds builds no complex.
     """
+    K = _as_complex(K, "fold_sites")
+
     def candidates():
         facets = K.canonical_facets()
         at_edge: dict = {}
@@ -976,8 +980,8 @@ def fold_sites(K: SimplicialComplex) -> Iterator:
             for r2 in (rest2, rest2[::-1]):
                 yield s1, s2, dict(zip(shared + rest1, shared + r2))
 
-    for (s1, s2, psi), _ in _passing(_edge_fold_check, K, candidates()):
-        yield (s1, s2, tuple(sorted(psi.items())))
+    return ((s1, s2, tuple(sorted(psi.items())))
+            for (s1, s2, psi), _ in _passing(_edge_fold_check, K, candidates()))
 
 
 # ---------------------------------------------------------------------
@@ -1402,6 +1406,32 @@ MOVES = {
 ALL_KINDS = tuple(MOVES)
 
 
+def _has_shape(value, shape) -> bool:
+    """Whether a record value has a schema shape: a label or a flag is an
+    int (a bool is one), a cycle a tuple of three or more ints, and any
+    other shape a tuple of values of its shapes."""
+    if shape is int or shape is bool:
+        return isinstance(value, int)
+    if not isinstance(value, tuple):
+        return False
+    if shape == CYCLE:
+        return len(value) >= 3 and all(isinstance(x, int) for x in value)
+    return len(value) == len(shape) and all(map(_has_shape, value, shape))
+
+
+def _fits(record) -> bool:
+    """Whether ``record`` is a MoveRecord of a known kind that follows its
+    schema: the (key, value) pairs in schema order, each value of its
+    key's shape, and an integer g2 delta."""
+    if not isinstance(record, MoveRecord) or record.kind not in ALL_KINDS:
+        return False
+    schema, params = MOVES[record.kind].params, record.params
+    return (isinstance(params, tuple) and len(params) == len(schema)
+            and isinstance(record.g2_delta, int)
+            and all(isinstance(kv, tuple) and len(kv) == 2 and kv[0] == p.key
+                    and _has_shape(kv[1], p.shape) for kv, p in zip(params, schema)))
+
+
 def apply_record(
     K: SimplicialComplex, record: MoveRecord
 ) -> SimplicialComplex:
@@ -1419,11 +1449,9 @@ def apply_record(
     """
     if not isinstance(K, SimplicialComplex) or not isinstance(record, MoveRecord):
         raise MoveError(f"apply_record wants a complex and a MoveRecord, got {K!r} and {record!r}")
-    move = MOVES.get(record.kind)
-    keys = tuple(k for k, _ in record.params)
-    if move is None or keys != tuple(p.key for p in move.params):
-        raise MoveError(f"not a {record.kind!r} record: {record}")
-    K2, rec = move.construct(K, record.param_dict())
+    if not _fits(record):
+        raise MoveError(f"not a {record.kind!r} record: {record!r}")
+    K2, rec = MOVES[record.kind].construct(K, record.param_dict())
     if rec != record:
         raise MoveError(
             f"record {record} disagrees with the replayed move {rec}",

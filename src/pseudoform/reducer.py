@@ -4,9 +4,9 @@
 union of spheres with g2 at most 9 or has exactly two projective-plane
 vertices and g2 in {3, 4}, and dismantles it in one loop over a stack
 of pieces.  A piece splits at the first missing tetrahedron that the
-split's one precondition, ``_split_check``, accepts: every corner
-separates its link, and the cut along its four triangles leaves two
-sides that share only the tetrahedron.  Otherwise the first rule of
+split's one precondition, ``_split_check``, accepts: the cut along its
+four triangles leaves two sides that share only the tetrahedron (then
+every corner separates its link).  Otherwise the first rule of
 its class with a usable site takes one step.  A sphere undoes a
 bistellar 1-move, then an edge expansion, then a two-facets
 contraction; a two-singular piece undoes an edge fold, then an edge
@@ -140,9 +140,37 @@ def _decode_value(line: int, key: str, text: str, shape):
     raise TraceFormatError(f"line {line}: bad {key} value {text!r}")
 
 
+def _bad_member(trace: ConstructionTrace) -> Optional[tuple]:
+    """(index of the forward move or None, what is wrong) for the first
+    member of ``trace`` that is not of its type; None when each is: the
+    seeds a tuple of complexes, the forward moves a tuple of (integer
+    tag, MoveRecord) pairs, four integer face counts and an integer g2.
+    Whether each record follows its kind's schema is ``moves._fits``,
+    which ``apply_record`` asks at each move of a replay."""
+    seeds, forward = trace.seeds, trace.forward_moves
+    if not isinstance(seeds, tuple) or not all(isinstance(s, SimplicialComplex) for s in seeds):
+        return None, f"seeds must be a tuple of complexes, got {seeds!r}"
+    if not isinstance(forward, tuple):
+        return None, f"forward moves must be a tuple, got {forward!r}"
+    for i, move in enumerate(forward):
+        if not (isinstance(move, tuple) and len(move) == 2 and isinstance(move[0], int)
+                and isinstance(move[1], moves.MoveRecord)):
+            return i, f"forward move {i} is not an (integer tag, MoveRecord) pair: {move!r}"
+    counts = trace.claimed_fcounts
+    if not (isinstance(counts, (tuple, list)) and len(counts) == 4
+            and all(isinstance(x, int) for x in counts)):
+        return None, f"claimed face counts must be four integers, got {counts!r}"
+    if not isinstance(trace.claimed_g2, int):
+        return None, f"claimed g2 must be an integer, got {trace.claimed_g2!r}"
+    return None
+
+
 def format_trace(trace: ConstructionTrace) -> str:
     if not isinstance(trace, ConstructionTrace):
         raise TraceFormatError(f"format_trace wants a ConstructionTrace, got {trace!r}")
+    bad = _bad_member(trace)
+    if bad is not None:
+        raise TraceFormatError(bad[1])
     lines = []
     f = ",".join(str(x) for x in trace.claimed_fcounts)
     lines.append(
@@ -153,7 +181,9 @@ def format_trace(trace: ConstructionTrace) -> str:
         for facet in sorted(tuple(sorted(F)) for F in seed.facets):
             lines.append(" ".join(str(x) for x in facet))
         lines.append("end")
-    for tag, rec in trace.forward_moves:
+    for i, (tag, rec) in enumerate(trace.forward_moves):
+        if not moves._fits(rec):
+            raise TraceFormatError(f"forward move {i} does not follow its kind's schema: {rec!r}")
         parts = [f"move component={tag}", f"kind={rec.kind}"]
         parts += [f"{k}={_encode_value(v)}" for k, v in rec.params]
         parts.append(f"g2_delta={rec.g2_delta}")
@@ -303,8 +333,9 @@ def _components_all_normal(K: SimplicialComplex) -> Optional[str]:
 def replay(trace: ConstructionTrace) -> SimplicialComplex:
     """Run a trace forward from its seeds, re-checking everything.
 
-    Raises :class:`ReplayError` (with the failing move index) on any
-    precondition failure, on an intermediate state that is not a
+    Raises :class:`ReplayError` (with the failing move index) on a
+    member of the trace that is not of its type, on any precondition
+    failure, on an intermediate state that is not a
     disjoint union of normal closed complexes, and on a final tally
     that differs from the trace's claim.
 
@@ -320,6 +351,9 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
     """
     if not isinstance(trace, ConstructionTrace):
         raise ReplayError(f"replay wants a ConstructionTrace, got {trace!r}")
+    bad = _bad_member(trace)
+    if bad is not None:
+        raise ReplayError(bad[1], index=bad[0])
     if not trace.seeds:
         raise ReplayError("trace has no seeds")
     seen: set = set()
@@ -365,47 +399,37 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
 # ---------------------------------------------------------------------
 
 
-def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
-    """A missing tetrahedron every corner of which separates its link,
-    and cutting along whose four triangles leaves exactly two sides of
-    facets that share only ``quad``: those two sides.
+def _triangles(F: frozenset) -> list:
+    """The four triangles of a tetrahedron."""
+    return [F - {x} for x in F]
 
-    A corner ``x`` separates when the boundary of ``quad - {x}`` cuts
-    its link in two (``moves._link_sides``).  A sphere corner
-    (``complexes._link_class``) is not cut: ``quad`` is no facet, so
-    that boundary bounds no triangle of the link, and it cuts a sphere
-    into two discs (Jordan-Schoenflies).  The facets are then cut along
-    the four triangles of ``quad``: joined across every other triangle,
-    they must fall into two sides.  A cut that leaves one side means a
-    handle, which needs g2 >= 10.
+
+def _split_check(K: SimplicialComplex, quad: frozenset) -> tuple:
+    """A missing tetrahedron along whose four triangles the facets, joined
+    across every other triangle, fall into exactly two sides that share
+    only ``quad`` (``surfaces._cut_sides``): those two sides.  A cut
+    that leaves one side is no connected sum: a handle (g2 >= 10), or a
+    corner that does not separate its link.
+
+    Two sides mean that every corner ``x`` separates its link along the
+    boundary of ``quad - {x}``.  Let ``K`` be normal and connected and
+    suppose a corner ``x`` does not separate.  Then the facets at ``x``
+    form one group: its link triangles stay joined across every link
+    edge but the cut ones.  Take any other corner ``y``.  Every side of
+    the link of ``y`` cut along the boundary of ``quad - {y}`` borders a
+    cut edge ``xz``, ``z`` a third corner, so it holds a facet through
+    ``x`` and joins that group: the facets at every corner form one
+    group.  A dual path from any other facet reaches a corner's facets
+    before it crosses a cut triangle, whose vertices are all corners.
+    So the cut leaves one side.
     """
     moves._missing_tetrahedron_check(K, quad)
-    nonsep = [x for x in sorted(quad) if _link_class(K, x).kind != surfaces.SPHERE
-              and moves._link_sides(K, x, quad - {x}) is None]
-    if nonsep:
+    sides = surfaces._cut_sides(K.facets, _triangles(quad), _triangles)
+    if sides is None:
         raise MoveError(
-            f"corners {nonsep} of {sorted(quad)} do not separate their "
-            "links; no connected sum was glued along this tetrahedron",
-            details=tuple(nonsep),
+            f"cutting along {sorted(quad)} does not leave two sides; "
+            "no connected sum was glued along this tetrahedron"
         )
-    cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
-
-    def uncut_triangles(F):
-        return [t for t in map(frozenset, itertools.combinations(F, 3)) if t not in cut]
-
-    comp = surfaces._component_ids(sorted(K.facets, key=sorted), uncut_triangles)
-    n_comp = max(comp.values()) + 1
-    if n_comp == 1:
-        raise MoveError(
-            f"cutting along {sorted(quad)} does not disconnect: the gluing "
-            "was a handle (g2 at least 10), not a connected sum"
-        )
-    if n_comp != 2:
-        raise MoveError(
-            f"cutting along {sorted(quad)} leaves {n_comp} pieces; "
-            "the complex is not a normal pseudomanifold there"
-        )
-    sides = tuple(frozenset(F for F, c in comp.items() if c == s) for s in (0, 1))
     shared = frozenset().union(*sides[0]) & frozenset().union(*sides[1])
     if shared != quad:
         raise MoveError(
@@ -428,12 +452,14 @@ def split_at_missing_tetrahedron(
 ) -> "tuple[SimplicialComplex, SimplicialComplex, moves.MoveRecord]":
     """Undo the connected sum glued along a missing tetrahedron.
 
-    The one precondition is ``_split_check``; before it, each corner's
-    link is classified (``moves._corner_links``), which refuses a link
-    that is not a closed surface.  Returns the two summands, the
-    second with the labels ``fresh_base`` to ``fresh_base + 3`` (unused
-    in ``K``) on its copy of the tetrahedron, plus the ConnectedSum
-    record that reassembles them.
+    The one precondition is ``_split_check``, the cut along the four
+    triangles of the tetrahedron.  Before it, each corner's link is
+    classified (``moves._corner_links``), which refuses a link that is
+    not a closed surface: the cut's lemma holds on normal complexes
+    only.  Returns the two summands, the second with the labels
+    ``fresh_base`` to ``fresh_base + 3`` (unused in ``K``) on its copy
+    of the tetrahedron, plus the ConnectedSum record that reassembles
+    them.
     """
     quad = moves._face(tetra)
     if not all(isinstance(x, int) for x in quad):
@@ -480,9 +506,10 @@ def _split_singular(
     read off the map of ``K`` and the record that glues them.
 
     The split check has passed, so both halves are normal: the two sides
-    share only the tetrahedron, and the boundary of the triangle
-    opposite each corner cuts its link in two, one part on each side,
-    which the triangle closes up in its half.  The piece passed
+    share only the tetrahedron, and since the cut left two sides, every
+    corner separates its link (the lemma in ``_split_check``): the
+    boundary of the triangle opposite each corner cuts its link in two,
+    one part on each side, which the triangle closes up in its half.  The piece passed
     ``_classify_component``, so each corner's link is a sphere or RP^2.
     A singular vertex that is not a corner keeps its link in the half
     that holds its star.  A sphere corner is a sphere in both halves
@@ -826,16 +853,7 @@ def _strip_to_reduced_form(K: SimplicialComplex, facts: list) -> SimplicialCompl
             try:
                 sides = _split_check(K, quad)
             except MoveError as e:
-                # the corner check names the non-separating corners;
-                # the cut's errors name none
-                if e.details is None:
-                    _note(facts, f"unsplittable missing tetrahedron: {e}")
-                elif len(e.details) < 4:
-                    _note(
-                        facts,
-                        f"missing tetrahedron {sorted(quad)} mixes separating "
-                        "and non-separating corners",
-                    )
+                _note(facts, f"unsplittable missing tetrahedron: {e}")
                 continue
             K1, K2, _rec = _split(K, quad, *sides, K.fresh_label())
 

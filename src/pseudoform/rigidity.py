@@ -104,6 +104,8 @@ def rigidity_rank(
         raise DimensionError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise DimensionError(f"trials must be at least 1, got {trials}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DimensionError(f"seed must be an integer, got {seed!r}")
     try:
         vs = sorted(set(vertices))
     except TypeError:
@@ -163,7 +165,7 @@ def external_link_edges(K: SimplicialComplex, v: int) -> list:
 
 def check_star_bound(K: SimplicialComplex, v: int) -> bool:
     """g2 of the complex is at least the surface g2 of the vertex link."""
-    return K.f_vector().g2 >= _link_surface_g2(K, v)
+    return _as_complex(K, "check_star_bound").f_vector().g2 >= _link_surface_g2(K, v)
 
 
 def check_cone_augmented_bound(K: SimplicialComplex, v: int) -> "tuple[int, bool]":
@@ -172,6 +174,6 @@ def check_cone_augmented_bound(K: SimplicialComplex, v: int) -> "tuple[int, bool
 
     Returns (n, whether the bound holds).
     """
-    n = len(external_link_edges(K, v))
+    n = len(external_link_edges(_as_complex(K, "check_cone_augmented_bound"), v))
     holds = K.f_vector().g2 >= _link_surface_g2(K, v) + n
     return n, holds

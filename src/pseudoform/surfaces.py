@@ -8,10 +8,13 @@ The moves ask one local question of a link: does a cycle cut it in
 two, and what are the two sides?  ``_cut_sides`` is the one answer:
 the sides are the components of the triangles joined across every edge
 but the cut ones, a component count (``_component_ids``).  Edge
-expansion, two-facets insertion, the unfold and the split read it, and
+expansion, two-facets insertion and the unfold read it, and
 ``_describe_piece`` says what a side is (a disc, a Moebius strip or
 other).  In a projective plane a cycle that leaves one side is
-one-sided: its neighbourhood is a Moebius strip.
+one-sided: its neighbourhood is a Moebius strip.  The connected-sum
+split asks the same question one dimension up: its cells are the
+facets of a 3-complex, joined across their triangles, and the cut is
+the four triangles of a missing tetrahedron.
 """
 
 from __future__ import annotations
@@ -191,12 +194,13 @@ def _component_ids(cells, faces_of=_edges_of, by_face=None) -> dict:
     return ids
 
 
-def _cut_sides(triangles, cut_edges) -> Optional[tuple]:
-    """The two sides into which ``cut_edges`` cut ``triangles``, which
-    are joined across every other edge, the side holding the smallest
-    triangle first; None when the cut leaves not exactly two sides."""
-    cut = set(cut_edges)
-    comp = _component_ids(triangles, lambda t: [e for e in _edges_of(t) if e not in cut])
+def _cut_sides(cells, cut_faces, faces_of=_edges_of) -> Optional[tuple]:
+    """The two sides into which ``cut_faces`` cut ``cells``, which are
+    joined across every other face ``faces_of`` gives (by default the
+    edges of triangles), the side holding the smallest cell by
+    ``sorted`` first; None when the cut leaves not exactly two sides."""
+    cut = set(cut_faces)
+    comp = _component_ids(cells, lambda t: [e for e in faces_of(t) if e not in cut])
     if max(comp.values(), default=0) != 1:
         return None
     i0 = comp[min(comp, key=sorted)]

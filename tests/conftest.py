@@ -1,10 +1,12 @@
 import dataclasses
 import pathlib
+import random
 
 import pytest
 from hypothesis import settings
 
 from pseudoform import generators as gen, io as pio, moves, reducer, surfaces
+from pseudoform.complexes import SimplicialComplex
 
 # Property tests draw the same examples on every run, at a bounded cost
 # and with no per-example deadline.
@@ -46,6 +48,34 @@ def folded_spine(n: int):
     S = gen.spine_path_sphere(n)
     s1, s2, psi = gen.find_admissible_fold(S)
     return moves.edge_fold(S, s1, s2, dict(psi))[0]
+
+
+def fold_rung(n: int):
+    """The fold ladder's rung: ``spine_path_sphere(n)`` folded at the
+    middle of its admissible folds."""
+    S = gen.spine_path_sphere(n)
+    folds = gen.admissible_folds(S)
+    s1, s2, psi = folds[len(folds) // 2]
+    return moves.edge_fold(S, s1, s2, dict(psi))[0]
+
+
+def shuffled(K, seed: int):
+    """``K`` with its labels permuted by a seeded shuffle."""
+    labels = sorted(K.vertices)
+    image = labels[:]
+    random.Random(seed).shuffle(image)
+    return K.relabeled(dict(zip(labels, image)))
+
+
+def walk_states(g):
+    """Every state of a generated walk, from its seeds on."""
+    state = SimplicialComplex(F for s in g.trace.seeds for F in s.facets)
+    states = [state]
+    for _tag, rec in g.trace.forward_moves:
+        state = moves.apply_record(state, rec)
+        states.append(state)
+    assert state == g.complex
+    return states
 
 
 def rp2_second_summand():

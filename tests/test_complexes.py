@@ -181,8 +181,9 @@ def test_an_argument_that_is_no_complex_is_a_package_error(call):
     (lambda K: K.faces("1"), DimensionError),
     (lambda K: K.faces(1.5), DimensionError),
     (lambda K: K.relabeled(5), MalformedFacetError),
+    (lambda K: K.star(5), MalformedFacetError),
 ], ids=["SimplicialComplex", "SimplicialComplex-row", "from_facets", "link",
-        "edge_degree", "contains_face", "faces-text", "faces-float", "relabeled"])
+        "edge_degree", "contains_face", "faces-text", "faces-float", "relabeled", "star"])
 def test_an_argument_of_the_wrong_type_is_a_package_error(call, error):
     with pytest.raises(error):
         call(boundary_simplex())

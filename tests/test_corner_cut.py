@@ -35,10 +35,10 @@ from pseudoform import generators as gen, moves, surfaces
 from pseudoform.complexes import SimplicialComplex, _vertex_link, _vertex_link_class
 from pseudoform.errors import MoveError, NotSurfaceError, PseudoformError
 
-from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS
+from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS, fold_rung,
+                      walk_states)
 from test_component_cut import (ANNULUS, MOEBIUS, cone, link_cycles, not_normal_corpus,
                                 pinched_links, reference_cycle_cut, reference_neighborhood)
-from test_split_check import _folded_spine
 
 
 # ---------------------------------------------------------- the references
@@ -177,17 +177,6 @@ def expansion_mismatches(K) -> list:
     return out
 
 
-def walk_states(g):
-    """Every state of a generated walk, from its seeds on."""
-    state = SimplicialComplex(F for s in g.trace.seeds for F in s.facets)
-    states = [state]
-    for _tag, rec in g.trace.forward_moves:
-        state = moves.apply_record(state, rec)
-        states.append(state)
-    assert state == g.complex
-    return states
-
-
 # Normal, with torus links at 7 and 8.  At the missing tetrahedron
 # (5, 6, 7, 8) the corners 7 and 8 do not separate their links, and the
 # triangle boundaries are two-sided there: no fold witness.
@@ -204,7 +193,7 @@ TORUS_LINKS = SimplicialComplex([
 CORPUS_GROUPS = {
     "fixtures": lambda fx, walk: [fx(name) for name in COMPLEX_FIXTURES],
     "staircase": lambda fx, walk: [gen.staircase_sphere(n) for n in range(1, 17)],
-    "spinefold": lambda fx, walk: [_folded_spine(n) for n in range(6, 33)],
+    "spinefold": lambda fx, walk: [fold_rung(n) for n in range(6, 33)],
     "notnormal": lambda fx, walk: not_normal_corpus(walk),
     "torus": lambda fx, walk: [TORUS_LINKS],
     "foldwalks": lambda fx, walk: [

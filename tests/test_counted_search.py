@@ -14,18 +14,17 @@ sweep when chi = 2.  The references here build the link complex and
 always sweep; both must give the same classes, keys and error texts.
 """
 
-import random
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pseudoform import complexes, generators as gen, moves, surfaces
+from pseudoform import complexes, generators as gen, surfaces
 from pseudoform.complexes import SimplicialComplex, _vertex_keys, _vertex_link_class
 from pseudoform.errors import IsomorphismInconclusive, PseudoformError
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, fold_rung, shuffled, walk_states
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -144,33 +143,12 @@ def assert_same_links(K):
 # ------------------------------------------------------------- corpus
 
 
-def shuffled(K, seed):
-    labels = sorted(K.vertices)
-    image = labels[:]
-    random.Random(seed).shuffle(image)
-    return K.relabeled(dict(zip(labels, image)))
-
-
-def folded_spine(n):
-    S = gen.spine_path_sphere(n)
-    folds = gen.admissible_folds(S)
-    s1, s2, psi = folds[len(folds) // 2]
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
-
-
-def walk_states(seed, fold, budget):
-    """Every state of a random walk, from its seed on."""
-    g = gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, (
+def walk(seed, fold, budget):
+    """A random walk of the corpus spec at another budget."""
+    return gen.generate(gen.GeneratorSpec(gen.RANDOM_MOVES, (
         ("seed", seed), ("budget", budget), ("allow_fold", fold),
         ("g2_cap", 4 if fold else 9),
     )))
-    state = SimplicialComplex(F for s in g.trace.seeds for F in s.facets)
-    states = [state]
-    for _tag, rec in g.trace.forward_moves:
-        state = moves.apply_record(state, rec)
-        states.append(state)
-    assert state == g.complex
-    return states
 
 
 def cone(triangles, apex):
@@ -241,7 +219,7 @@ def test_bench_pairs_match_the_reference_walk(ladder, n):
     """The benchmark's isomorphism pairs of a ladder rung: at 32 the
     search backtracks for 217 to 12,404 nodes, at 64 it is inconclusive
     (the search needs more than 500,000 nodes there)."""
-    K = gen.staircase_sphere(n) if ladder == "staircase" else folded_spine(n)
+    K = gen.staircase_sphere(n) if ladder == "staircase" else fold_rung(n)
     for one, other in workloads.ladder_variants(K.canonical_facets(), n)["iso_pairs"]:
         K1, K2 = SimplicialComplex(one), SimplicialComplex(other)
         for budget in (4_999, 5_000, 49_999, 50_000):
@@ -252,8 +230,8 @@ GENERATED = {
     "staircase12": lambda: gen.staircase_sphere(12),
     "staircase24": lambda: gen.staircase_sphere(24),
     "spine10": lambda: gen.spine_path_sphere(10),
-    "folded_spine8": lambda: folded_spine(8),
-    "folded_spine20": lambda: folded_spine(20),
+    "folded_spine8": lambda: fold_rung(8),
+    "folded_spine20": lambda: fold_rung(20),
 }
 CORPUS = [*COMPLEX_FIXTURES, *GENERATED]
 
@@ -283,13 +261,13 @@ def test_fixture_links_match_the_link_complex(name, fx):
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_ladder_links_match_the_link_complex(n):
     assert_same_links(gen.staircase_sphere(n))
-    assert_same_links(folded_spine(n))
+    assert_same_links(fold_rung(n))
 
 
 @pytest.mark.parametrize("seed,fold", [(s, f) for s in range(6) for f in (False, True)]
                          + [(2, True), (14, True)])
 def test_walk_state_links_match_the_link_complex(seed, fold):
-    for K in walk_states(seed, fold, 12):
+    for K in walk_states(walk(seed, fold, 12)):
         assert_same_links(K)
 
 

@@ -24,7 +24,7 @@ import pytest
 from pseudoform import complexes, generators as gen, moves, surfaces
 from pseudoform.errors import MoveError, PseudoformError
 
-from conftest import FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS
+from conftest import FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS, fold_rung
 from test_component_cut import not_normal_corpus
 
 # sha256 of repr(admissible_folds(spine_path_sphere(n))), taken when
@@ -58,14 +58,6 @@ def passes(fn, K, s1, s2, psi):
     except PseudoformError:
         return False
     return True
-
-
-def _folded_spine(n):
-    """The fold ladder's rung: the middle admissible fold of the spine."""
-    S = gen.spine_path_sphere(n)
-    folds = gen.admissible_folds(S)
-    s1, s2, psi = folds[len(folds) // 2]
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
 
 
 COMPLEXES = {
@@ -173,7 +165,7 @@ def test_check_matches_the_reference(name, fx, walk):
 def test_check_matches_the_reference_on_the_fold_ladder(n):
     reached, passed = assert_checks_agree(gen.spine_path_sphere(n))
     assert reached > passed > 0
-    assert_checks_agree(_folded_spine(n))
+    assert_checks_agree(fold_rung(n))
 
 
 @pytest.mark.parametrize("fold", [False, True])

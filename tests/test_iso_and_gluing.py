@@ -10,7 +10,6 @@ no fresh construction.
 """
 
 import itertools
-import random
 import sys
 
 import pytest
@@ -23,18 +22,13 @@ from pseudoform.errors import (
     MoveError,
 )
 
-
-def _shuffled(K, seed):
-    labels = sorted(K.vertices)
-    image = labels[:]
-    random.Random(seed).shuffle(image)
-    return K.relabeled(dict(zip(labels, image)))
+from conftest import shuffled
 
 
 def test_isomorphism_search_is_not_bounded_by_the_recursion_limit():
     # 204 vertices, so a recursive search would go 204 calls deep
     K = gen.staircase_sphere(200)
-    K2 = _shuffled(K, 3)
+    K2 = shuffled(K, 3)
     limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(150)
@@ -49,7 +43,7 @@ def test_isomorphism_search_is_not_bounded_by_the_recursion_limit():
 
 def test_isomorphism_search_keeps_its_node_budget():
     K = gen.spine_path_sphere(8)
-    K2 = _shuffled(K, 1)
+    K2 = shuffled(K, 1)
     with pytest.raises(IsomorphismInconclusive, match="budget of 5 nodes"):
         complexes.find_isomorphism(K, K2, node_budget=5)  # 11 vertices
     found = complexes.find_isomorphism(K, K2)

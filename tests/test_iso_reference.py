@@ -7,13 +7,13 @@ the same maps, the same ``None`` results and the same node counts, so
 they raise ``IsomorphismInconclusive`` at the same budgets.
 """
 
-import random
-
 import pytest
 
 from pseudoform import complexes, generators as gen, moves
 from pseudoform.complexes import SimplicialComplex, _vertex_keys
 from pseudoform.errors import IsomorphismInconclusive
+
+from conftest import shuffled
 
 
 def reference_search(K1, K2):
@@ -70,13 +70,6 @@ def reference_search(K1, K2):
             return dict(mapping), nodes
         stack.append(iter(sorted(classes2[keys1[order[len(stack)]]])))
     return None, nodes
-
-
-def shuffled(K, seed):
-    labels = sorted(K.vertices)
-    image = labels[:]
-    random.Random(seed).shuffle(image)
-    return K.relabeled(dict(zip(labels, image)))
 
 
 def folded(K):

@@ -23,7 +23,7 @@ from pseudoform import complexes, generators as gen, moves
 from pseudoform.complexes import SimplicialComplex, _link_connected, _vertex_link
 from pseudoform.errors import MissingFaceError, MoveError, PseudoformError
 
-from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS, walk_spec
+from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS, fold_rung, walk_spec
 
 
 # ---------------------------------------------------------- the references
@@ -258,14 +258,6 @@ def test_walks_build_no_link_closure(monkeypatch):
     assert calls == []
 
 
-def _folded_spine(n):
-    """The fold ladder's rung: the middle admissible fold of the spine."""
-    S = gen.spine_path_sphere(n)
-    folds = gen.admissible_folds(S)
-    s1, s2, psi = folds[len(folds) // 2]
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
-
-
 @pytest.mark.parametrize("name", COMPLEX_FIXTURES)
 def test_link_answers_agree_on_fixtures(name, fx):
     assert_link_answers_agree(fx(name))
@@ -278,7 +270,7 @@ def test_link_answers_agree_on_the_staircase_ladder(n):
 
 @pytest.mark.parametrize("n", range(6, 17))
 def test_link_answers_agree_on_the_fold_ladder(n):
-    assert_link_answers_agree(_folded_spine(n))
+    assert_link_answers_agree(fold_rung(n))
 
 
 def test_link_answers_agree_on_two_spheres_glued_at_a_vertex():

@@ -27,8 +27,8 @@ from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
 from pseudoform.errors import DimensionError, MoveError, PseudoformError, TraceFormatError
 
 from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, RULE_MUTANTS,
-                      SPHERE_WALK_SEEDS, folded_spine, long_fold_walk, rp2_second_summand,
-                      walk_spec)
+                      SPHERE_WALK_SEEDS, fold_rung, folded_spine, long_fold_walk,
+                      rp2_second_summand, walk_spec)
 from test_split_check import split_sites
 
 # 48 short walks, half of them allowed to fold, plus the two fold walks
@@ -43,13 +43,6 @@ def walks():
         ("seed", seed), ("budget", budget), ("allow_fold", fold),
         ("g2_cap", 4 if fold else 9),
     ))) for seed, fold, budget in WALKS]
-
-
-def _folded_spine(n):
-    S = gen.spine_path_sphere(n)
-    folds = gen.admissible_folds(S)
-    s1, s2, psi = folds[len(folds) // 2]
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
 
 
 def full_singular_map(K):
@@ -95,8 +88,8 @@ def install_checks(monkeypatch):
         return got
 
     def checked_split(K, K1, K2, rec):
-        # the split check passed every corner, a certified sphere without
-        # a cut; the full cut must separate each
+        # the split check cut no corner link; since its cut left two
+        # sides, each corner must separate its link
         quad = frozenset(rec.get("sigma1"))
         for x in quad:
             assert moves._link_sides(K, x, quad - {x}) is not None
@@ -136,7 +129,7 @@ def test_fixtures_agree_with_full_validation(name, fx, checked_updates):
 def test_ladders_agree_with_full_validation(n, checked_updates):
     _reduce_and_replay(gen.staircase_sphere(n), checked_updates)
     if n >= 6:  # spine spheres below six blocks admit no fold
-        _reduce_and_replay(_folded_spine(n), checked_updates)
+        _reduce_and_replay(fold_rung(n), checked_updates)
 
 
 def test_walks_agree_with_full_validation(walks, checked_updates):
@@ -234,37 +227,40 @@ def singular_map_reads_empty(monkeypatch):
         monkeypatch.setattr(module, "_singular_map", mutant)
 
 
-def split_check_cuts_no_corner(monkeypatch):
-    """``_split_check`` passes every corner without cutting its link."""
+def split_check_cuts_three_triangles(monkeypatch):
+    """``_split_check`` cuts the facets along three of the four triangles
+    of the tetrahedron, so that they stay joined across the fourth."""
     source = textwrap.dedent(inspect.getsource(reducer._split_check))
-    old = "moves._link_sides(K, x, quad - {x}) is None"
+    old = "_triangles(quad), _triangles)"
     assert source.count(old) == 1
     namespace = dict(vars(reducer))
-    exec(compile(source.replace(old, "False"), reducer.__file__, "exec"), namespace)
+    exec(compile(source.replace(old, "_triangles(quad)[1:], _triangles)"),
+                 reducer.__file__, "exec"), namespace)
     monkeypatch.setattr(reducer, "_split_check", namespace["_split_check"])
 
 
 @pytest.mark.parametrize("mutate", [link_class_answers_sphere, singular_map_reads_empty,
-                                    split_check_cuts_no_corner])
+                                    split_check_cuts_three_triangles])
 def test_the_gates_fail_on_a_reader_mutant(mutate, fx, monkeypatch):
     # the class and map mutants fail at replay's fold, whose changed facets hold
-    # both RP^2 vertices; the corner mutant passes every split the
-    # reductions make (the cut along the tetrahedron refuses a fold's
-    # witness anyway), and fails the reference scan, whose refusal names
-    # the corners that do not separate
+    # both RP^2 vertices; the cut mutant passes replay, which makes no
+    # split, and refuses every tetrahedron of folded_g2_3 as the reference
+    # does, but fails the reference scan of a stacked sphere, whose
+    # tetrahedra it no longer splits
     trace = long_fold_walk(2).trace
     mutate(monkeypatch)
     install_checks(monkeypatch)
     with pytest.raises(AssertionError):
         reducer.replay(trace)
         split_sites(fx("folded_g2_3"))
+        split_sites(fx("stacked_sphere_8"))
 
 
 # --------------------------------------------------- the rejecting path
 
 
 CORPUS = [gen.boundary_simplex(), gen.cross_polytope(),
-          gen.staircase_sphere(4), _folded_spine(6)]
+          gen.staircase_sphere(4), fold_rung(6)]
 
 
 @given(st.sampled_from(range(len(CORPUS))), st.sampled_from(["drop", "add", "relabel"]),
@@ -295,7 +291,7 @@ def test_perturbations_reach_both_verdicts():
     assert normal_update(K, broken, {}) is None
     K2, _rec = moves.bistellar_one(K, moves.bistellar_one_sites(K)[0][0])
     assert normal_update(K, K2, {}) == {}
-    F = _folded_spine(6)
+    F = fold_rung(6)
     assert set(normal_update(gen.spine_path_sphere(6), F, {})) == {0, 1}
 
 
@@ -459,7 +455,7 @@ def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):
     # the certified map: reducing builds link Surfaces only in the
     # admission check, one per vertex, and in the recheck after the
     # unfold, and listing the walks' insertion sites builds none
-    K = _folded_spine(32)
+    K = fold_rung(32)
     finals = [walk(seed, False).complex for seed in SPHERE_WALK_SEEDS]
     builds, rechecks = _surface_builds(monkeypatch), []
     update = moves.normal_update

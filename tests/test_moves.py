@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pseudoform import generators, moves, rigidity
+from pseudoform import generators, io, moves, rigidity
 from pseudoform.complexes import (
     SimplicialComplex,
     _vertex_link,
@@ -363,11 +363,27 @@ def test_faces_that_are_not_labels_are_move_errors(call):
         generators.find_admissible_fold, generators.find_admissible_handle)),
     lambda: boundary_simplex(base=None),
     lambda: rigidity.external_link_edges(boundary_simplex(), [1, 2]),
+    lambda: rigidity.check_star_bound(5, 0),
+    lambda: rigidity.check_cone_augmented_bound(5, 0),
+    lambda: rigidity.rigidity_rank(range(5), [(0, 1)], seed=[1]),
+    lambda: rigidity.complex_rigidity(boundary_simplex(), seed=[1]),
+    lambda: moves.fold_sites(5),
+    lambda: moves.handle_sites(5),
+    lambda: moves.connected_sum(boundary_simplex(), (0, 1, 2, 3), 5, (0, 1, 2, 3), {}),
+    lambda: io.parse_facets(5),
+    lambda: io.parse_complex(None),
+    lambda: io.format_facets(5),
+    lambda: io.format_facets([[1, "a"]]),
+    lambda: io.load_complex(5),
+    lambda: io.save_facets(5, boundary_simplex().facets),
 ], ids=["bistellar_one_sites", "bistellar_two_sites", "contractible_edges",
         "contraction_pair_sites", "insertion_sites", "unsubdividable_vertices",
         "detect_unfold", "admissible_folds", "admissible_handles",
         "find_admissible_fold", "find_admissible_handle", "boundary_simplex",
-        "external_link_edges"])
+        "external_link_edges", "check_star_bound", "check_cone_augmented_bound",
+        "rigidity_rank-seed", "complex_rigidity-seed", "fold_sites", "handle_sites",
+        "connected_sum", "parse_facets", "parse_complex", "format_facets",
+        "format_facets-label", "load_complex", "save_facets"])
 def test_arguments_of_the_wrong_type_raise_pseudoform_errors(call):
     with pytest.raises(PseudoformError):
         call()

@@ -14,7 +14,7 @@ import pytest
 from pseudoform import complexes, generators as gen, moves, reducer
 from pseudoform.complexes import SimplicialComplex, total_g2
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, fold_rung
 
 # sha256 of the trace text, the rule log and the reason (see
 # fingerprint), for the fixtures, the cross-polytope, staircase
@@ -103,21 +103,13 @@ def fingerprint(report) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def folded_spine(n):
-    """spine_path_sphere(n) folded at the middle of its admissible folds."""
-    S = gen.spine_path_sphere(n)
-    folds = gen.admissible_folds(S)
-    s1, s2, psi = folds[len(folds) // 2]
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
-
-
 def pinned_inputs(fx, walk):
     inputs = {name: fx(name) for name in COMPLEX_FIXTURES}
     inputs["cross"] = gen.cross_polytope()
     for n in SIZES:
         inputs[f"staircase{n}"] = gen.staircase_sphere(n)
         if n >= 5:  # smaller spine spheres have no admissible fold
-            inputs[f"spinefold{n}"] = folded_spine(n)
+            inputs[f"spinefold{n}"] = fold_rung(n)
     for seed in range(100, 120):
         inputs[f"walk{seed}"] = walk(seed, False).complex
     for seed in range(20):

@@ -63,7 +63,8 @@ def test_split_rejects_moebius_corners(fx):
         with pytest.raises(MoveError) as ei:
             reducer.split_at_missing_tetrahedron(F, q)
         msg = str(ei.value)
-        assert "do not separate their links" in msg
+        assert msg == (f"cutting along {list(q)} does not leave two sides; "
+                       "no connected sum was glued along this tetrahedron")
 
 
 # ----------------------------------------------------------------- traces
@@ -358,6 +359,31 @@ def test_audit_summary_readable(fx):
     (lambda K: complexes.normal_update(K, 5, {}), PseudoformError),
     (lambda K: complexes.validate_normal(5), PseudoformError),
     (lambda K: generators.generate(5), SpecError),
+    # the cases below name themselves, so the ids above stay as they were
+    pytest.param(lambda K: generators.generate(
+        generators.GeneratorSpec(generators.RANDOM_MOVES, 5)), SpecError, id="spec-params"),
+    pytest.param(lambda K: reducer.replay(reducer.ConstructionTrace(
+        (5,), (), (0, 0, 0, 0), 0)), ReplayError, id="replay-seed"),
+    pytest.param(lambda K: reducer.replay(reducer.ConstructionTrace(
+        (K,), (5,), (5, 10, 10, 5), 0)), ReplayError, id="replay-move"),
+    pytest.param(lambda K: reducer.replay(reducer.ConstructionTrace(
+        (K,), ((0, 5),), (5, 10, 10, 5), 0)), ReplayError, id="replay-record"),
+    pytest.param(lambda K: reducer.replay(reducer.ConstructionTrace(
+        (K,), (), None, 0)), ReplayError, id="replay-counts"),
+    pytest.param(lambda K: reducer.format_trace(reducer.ConstructionTrace(
+        (5,), (), (0, 0, 0, 0), 0)), TraceFormatError, id="format-seed"),
+    pytest.param(lambda K: reducer.format_trace(reducer.ConstructionTrace(
+        (K,), (5,), (5, 10, 10, 5), 0)), TraceFormatError, id="format-move"),
+    pytest.param(lambda K: reducer.format_trace(reducer.ConstructionTrace(
+        (K,), ((0, 5),), (5, 10, 10, 5), 0)), TraceFormatError, id="format-record"),
+    pytest.param(lambda K: reducer.format_trace(reducer.ConstructionTrace(
+        (K,), (), None, 0)), TraceFormatError, id="format-counts"),
+    pytest.param(lambda K: moves.apply_record(K, moves.MoveRecord(moves.HANDLE_ADD, (
+        ("sigma1", (0, 1, 2, 3)), ("sigma2", (0, 1, 2, 4)), ("psi", 5)), 10)),
+        MoveError, id="record-psi"),
+    pytest.param(lambda K: moves.apply_record(K, moves.MoveRecord(moves.TWO_FACETS_CONTRACT, (
+        ("vertices", 5), ("triangle", (0, 1, 2)), ("fresh", 5)), 0)),
+        MoveError, id="record-vertices"),
 ])
 def test_replay_path_refuses_arguments_of_the_wrong_type(call, error):
     with pytest.raises(error):

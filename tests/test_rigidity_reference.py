@@ -13,11 +13,11 @@ from math import comb
 
 from hypothesis import example, given, strategies as st
 
-from pseudoform import generators as gen, moves, rigidity
+from pseudoform import generators as gen, rigidity
 from pseudoform.defaults import DEFAULT_SEED
 from pseudoform.rigidity import DEFAULT_PRIME, DEFAULT_TRIALS, RigidityVerdict
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, fold_rung
 
 
 def dense_rank_mod_p(rows, p):
@@ -88,19 +88,11 @@ def reference_rank(vertices, edges, dim=4, seed=DEFAULT_SEED,
     )
 
 
-def folded_spine(n):
-    """spine_path_sphere(n) folded at the middle of its admissible folds."""
-    S = gen.spine_path_sphere(n)
-    folds = gen.admissible_folds(S)
-    s1, s2, psi = folds[len(folds) // 2]
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
-
-
 def corpus(fx, walk):
     out = {name: fx(name) for name in COMPLEX_FIXTURES}
     for n in (8, 16, 32, 64):
         out[f"staircase{n}"] = gen.staircase_sphere(n)
-        out[f"spinefold{n}"] = folded_spine(n)
+        out[f"spinefold{n}"] = fold_rung(n)
     for seed in range(100, 120):
         out[f"walk{seed}"] = walk(seed, False).complex
     for seed in range(16):

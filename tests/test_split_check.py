@@ -2,9 +2,13 @@
 
 ``reducer._split_check`` decides where a complex splits, for
 ``split_at_missing_tetrahedron``, the reducer's split step and the
-audit's stripping alike.  This module pins the audit's output, and
-compares the split sites and every split or its error with a reference
-that writes the corner scan and the cut out in full.
+audit's stripping alike.  It is one cut of the facets along the four
+triangles of a missing tetrahedron.  This module pins the audit's
+output, and compares the split sites and every split or its error with
+a reference that writes the cut out in full.  The reference also cuts
+each corner's link, and checks the lemma that let the package drop that
+corner cut: on a normal complex the facet cut refuses every tetrahedron
+with a corner that does not separate its link.
 """
 
 import hashlib
@@ -12,11 +16,11 @@ import itertools
 
 import pytest
 
-from pseudoform import generators as gen, moves, reducer, surfaces
-from pseudoform.complexes import SimplicialComplex
+from pseudoform import complexes, generators as gen, moves, reducer, surfaces
+from pseudoform.complexes import SimplicialComplex, validate_normal
 from pseudoform.errors import MoveError
 
-from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS
+from conftest import COMPLEX_FIXTURES, FOLD_WALK_SEEDS, SPHERE_WALK_SEEDS, fold_rung
 from test_component_cut import reference_neighborhood
 
 # sha256 of the audit's (applicable, facts, violations), force off and
@@ -49,15 +53,15 @@ AUDIT_PINNED = {
     ),
     "folded_g2_3": (
         "ad4157b24e74f83cb8b105255cfe5393835304af6652a565f35060f0a8461de2",
-        "d65f0f7855c49aa2ded4306f7cfcec1e4656c61755bac96c3a6a0e29c0f463ee",
+        "34f6c2ed766c7626b0357cebeaedf7b50a88ef888148efed02148f1937926f9c",
     ),
     "folded_g2_4": (
         "92a75d3691de0eeba06627a787ce4339c18c66c1320312e31735017c6df028b1",
-        "9daef7ebc75b5885d843ad6ca310488d239624f5f0e20f2b7d8fce9c331c1e48",
+        "b88210b3fbe3c4b4b4a7171c4f05b268af8eb8797b57e419be2d5c970c191ccc",
     ),
     "double_fold_g2_6": (
         "f894ed28da572f0207cf26419737602559f7c244f3a8138a3992ddeebba791f2",
-        "8445951b66f40c02cc74219f45997df0f994ffe2d706f082421999b51746eda6",
+        "a21c56964bb23e1542cc25ac60237b002da01e36dd65ea2ed8d57605613e4d15",
     ),
     "foldwalk0": (
         "bfd548af722a8cb9b222b4c975930addc8c95d7d4354dda2226937dc92cff8b0",
@@ -69,7 +73,7 @@ AUDIT_PINNED = {
     ),
     "foldwalk2": (
         "92a75d3691de0eeba06627a787ce4339c18c66c1320312e31735017c6df028b1",
-        "6ab754764af3150e997c949ea141c5e9383831c652e88ff76a321724ef1e9b73",
+        "a592e81d82b631d6e88e5c80f2ae08710521fb9990e76da42689031f22404089",
     ),
     "foldwalk3": (
         "67e593ed6db661986a31dad3052288cc8c9d84d7a40960552a9dcbc5418bdcc7",
@@ -117,7 +121,7 @@ AUDIT_PINNED = {
     ),
     "foldwalk14": (
         "92a75d3691de0eeba06627a787ce4339c18c66c1320312e31735017c6df028b1",
-        "3f6d2f5524bf53c4a6964fbbc97ad7f2832c9481b58025b8a1b99509b198e8ae",
+        "3ba98f0b568e1cde5828da5c87c68e0621d5ac227a77509607ec87a5732f53f7",
     ),
     "foldwalk15": (
         "17fa8aadaf94f78f40e16d12617a865c44d3b32276adc013696932d230d73f0d",
@@ -125,32 +129,25 @@ AUDIT_PINNED = {
     ),
     "handle0": (
         "bc89869790e901a53da1f1e5a6dd8731bd62a05650e5ac871cd0c7cb7c08f6c4",
-        "0d8950a3b8ae6c310714b91a222fd07b6911c20dd548fa783887b99c829f8cc9",
+        "d73923234d6a51b502662d4983c6ddcc8a736c9ed5f8e2b72b9ef586c920619c",
     ),
     "handle1": (
         "bc89869790e901a53da1f1e5a6dd8731bd62a05650e5ac871cd0c7cb7c08f6c4",
-        "5df37f5b6fff80a25e81fc7da5ff3b06bd2f07498ae54ca97531c5da69a9a86a",
+        "680d810c70febffcea7114eaa5d7d93d910eb60f2d4ad53e91484f179622c425",
     ),
     "handle2": (
         "bc89869790e901a53da1f1e5a6dd8731bd62a05650e5ac871cd0c7cb7c08f6c4",
-        "7c47922454b1ab036195ac73aba93c7a17120c852cb5664bc9e306cc485a573b",
+        "361da3de7f7b51d3851fe83ec370eb9b31c3170f3629fcbfebb8295c0ee5c283",
     ),
     "handle3": (
         "bc89869790e901a53da1f1e5a6dd8731bd62a05650e5ac871cd0c7cb7c08f6c4",
-        "95094584686a98ddcc2373235ad2a64a260afdd953e7d1788b25f12ac7f907bc",
+        "fb705c9d424e99dce786345eed51b2c3d3f7455a6ae32363a7b894451cef779f",
     ),
     "handle4": (
         "bc89869790e901a53da1f1e5a6dd8731bd62a05650e5ac871cd0c7cb7c08f6c4",
-        "a3de8c99c461ef1079472ef70edd9ffa1ddd1d9fce49fc68c03f8efd5bd31ac3",
+        "4d4804c9b0c8ca7b3cf6a5bfdda34a7b46ca49a26f4807fc23162a7df0944f40",
     ),
 }
-
-
-def _folded_spine(n):
-    S = gen.spine_path_sphere(n)
-    folds = gen.admissible_folds(S)
-    s1, s2, psi = folds[len(folds) // 2]
-    return moves.edge_fold(S, s1, s2, dict(psi))[0]
 
 
 def _handle_bodies():
@@ -180,9 +177,10 @@ def test_audit_output_is_pinned(fx, walk):
         got[name] = tuple(audit_fingerprint(rep) for rep in reports)
         facts.update(reports[1].facts)
     assert got == AUDIT_PINNED
-    # the pin covers both facts the split check's errors give the audit
-    assert any("mixes separating and non-separating corners" in f for f in facts)
-    assert any(f.startswith("unsplittable missing tetrahedron") for f in facts)
+    # the pin covers the split check's refusal, which the audit notes
+    assert any(f.startswith("unsplittable missing tetrahedron: cutting along")
+               and f.endswith("does not leave two sides; no connected sum was glued "
+                              "along this tetrahedron") for f in facts)
 
 
 # ------------------------------------------------ the scan and cut in full
@@ -195,17 +193,13 @@ def corner_reports(K, quad):
 
 
 def reference_split(K, quad, fresh_base=None):
-    """``split_at_missing_tetrahedron`` written out in full: the corner
-    check, then the cut and the build."""
+    """``split_at_missing_tetrahedron`` written out in full: the cut and
+    the build.  The corner reports check the lemma that replaced the
+    corner check: on a normal complex, a tetrahedron with a corner that
+    does not separate its link is refused by the cut."""
     moves._missing_tetrahedron_check(K, quad)
     reports = corner_reports(K, quad)
     nonsep = [x for x in sorted(quad) if not reports[x].separates]
-    if nonsep:
-        raise MoveError(
-            f"corners {nonsep} of {sorted(quad)} do not separate their "
-            "links; no connected sum was glued along this tetrahedron",
-            details=tuple(nonsep),
-        )
     cut = {frozenset(t) for t in itertools.combinations(quad, 3)}
 
     def uncut_triangles(F):
@@ -213,15 +207,12 @@ def reference_split(K, quad, fresh_base=None):
 
     comp = surfaces._component_ids(sorted(K.facets, key=sorted), uncut_triangles)
     n_comp = max(comp.values()) + 1
-    if n_comp == 1:
-        raise MoveError(
-            f"cutting along {sorted(quad)} does not disconnect: the gluing "
-            "was a handle (g2 at least 10), not a connected sum"
-        )
+    if nonsep and validate_normal(K).is_normal_closed:
+        assert n_comp == 1, (sorted(quad), nonsep)
     if n_comp != 2:
         raise MoveError(
-            f"cutting along {sorted(quad)} leaves {n_comp} pieces; "
-            "the complex is not a normal pseudomanifold there"
+            f"cutting along {sorted(quad)} does not leave two sides; "
+            "no connected sum was glued along this tetrahedron"
         )
     side_a = frozenset(F for F, c in comp.items() if c == 0)
     side_b = frozenset(F for F, c in comp.items() if c == 1)
@@ -279,7 +270,7 @@ def split_sites(K):
 CORPUS_GROUPS = {
     "fixtures": lambda fx, walk: [fx(name) for name in COMPLEX_FIXTURES],
     "staircase": lambda fx, walk: [gen.staircase_sphere(n) for n in range(1, 33)],
-    "spinefold": lambda fx, walk: [_folded_spine(n) for n in range(6, 33)],
+    "spinefold": lambda fx, walk: [fold_rung(n) for n in range(6, 33)],
 }
 # the benchmark's walk corpus: sphere walks 100-199, fold walks 0-15
 for _lo in range(100, 200, 25):
@@ -309,3 +300,40 @@ def test_a_handle_tetrahedron_is_no_split_site():
     for H in _handle_bodies():
         assert reference_site(H) is not None
         assert split_sites(H) == []
+
+
+def test_the_split_check_cuts_no_link(fx, walk, monkeypatch):
+    # the split check is one cut of the facets: reducing the fold ladder,
+    # the corpus walks and the fixtures, it cuts no vertex link and reads
+    # no link class, while the reductions around it do both
+    inside, calls = [0], {"split": 0, "_link_sides": [0, 0], "_link_class": [0, 0]}
+    split_check = reducer._split_check
+
+    def counted_check(K, quad):
+        calls["split"] += 1
+        inside[0] += 1
+        try:
+            return split_check(K, quad)
+        finally:
+            inside[0] -= 1
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name][bool(inside[0])] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(reducer, "_split_check", counted_check)
+    monkeypatch.setattr(moves, "_link_sides", counted("_link_sides", moves._link_sides))
+    link_class = counted("_link_class", complexes._link_class)
+    for module in (complexes, moves, reducer):
+        monkeypatch.setattr(module, "_link_class", link_class)
+    corpus = [fold_rung(n) for n in (8, 16, 32, 64)]
+    corpus += [walk(s, False).complex for s in SPHERE_WALK_SEEDS]
+    corpus += [walk(s, True).complex for s in FOLD_WALK_SEEDS]
+    corpus += [fx(name) for name in COMPLEX_FIXTURES]
+    for K in corpus:
+        reducer.reduce_complex(K)
+    assert calls["split"] > 0
+    assert calls["_link_sides"][1] == calls["_link_class"][1] == 0
+    assert calls["_link_sides"][0] > 0 and calls["_link_class"][0] > 0
