@@ -23,6 +23,7 @@ from .errors import (
     CycleError,
     DimensionError,
     FileReadError,
+    FileWriteError,
     IsomorphismInconclusive,
     MalformedFacetError,
     MissingFaceError,
@@ -61,6 +62,7 @@ __all__ = [
     "CycleError",
     "DimensionError",
     "FileReadError",
+    "FileWriteError",
     "IsomorphismInconclusive",
     "MalformedFacetError",
     "MissingFaceError",

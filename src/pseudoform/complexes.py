@@ -727,56 +727,6 @@ def _normality(K: SimplicialComplex) -> NormalityReport:
     )
 
 
-def normal_update(
-    K: SimplicialComplex, K2: SimplicialComplex, singular: dict
-) -> Optional[dict]:
-    """The singular vertices of ``K2``, found by rechecking only what
-    differs from ``K``.
-
-    ``K`` must be a 3-complex whose components are all normal closed,
-    and ``singular`` maps its singular vertices to their link classes.
-    Returns that map for the 3-complex ``K2``, or None when some
-    component of ``K2`` is not normal closed.
-
-    Normality is local: a face that lies in none of the facets of
-    ``K.facets ^ K2.facets`` has the same cofacets in both complexes.
-    So only the faces of those facets that ``K2`` still has are
-    rechecked; they lie on the vertices of ``K2`` whose stars changed.
-    Each such triangle must lie in 0 or 2 facets of ``K2``, each edge
-    must have a connected link, and each vertex a closed connected
-    surface as its link, which is classified anew.  Every other vertex
-    of ``K2`` keeps its entry.  So a split half rechecks the star of the
-    filled-in tetrahedron, not the other half it lost.  A component is
-    connected by definition, so the verdict is that of
-    :func:`validate_normal` on every component of ``K2``, which stays
-    the full check.
-    """
-    if not (isinstance(K, SimplicialComplex) and isinstance(K2, SimplicialComplex)):
-        raise PseudoformError(f"normal_update wants two complexes, got {K!r} and {K2!r}")
-    removed, added = K.facets - K2.facets, K2.facets - K.facets
-    stars = K2.vertices & frozenset().union(*removed, *added)
-    at = K._facets_by_vertex()
-    changed = added | {F for v in stars for F in at.get(v, ()) if F in removed}
-
-    def touched(size):
-        return {frozenset(c) for F in changed for c in itertools.combinations(F & stars, size)}
-
-    if any(len(K2._cofacets(t)) not in (0, 2) for t in touched(3)):
-        return None
-    if not all(_link_connected(K2, e) for e in touched(2)):
-        return None
-    out = {v: cls for v, cls in singular.items() if v in K2.vertices}
-    for v in stars:
-        out.pop(v, None)
-        try:
-            cls = _vertex_link_class(K2, v)
-        except PseudoformError:
-            return None
-        if cls.kind != surfaces.SPHERE:
-            out[v] = cls
-    return out
-
-
 def singular_vertices(K: SimplicialComplex) -> list:
     """Vertices whose link is not a 2-sphere, as a sorted label list."""
     return [v for v, _ in validate_normal(K).singular_vertices]

@@ -7,6 +7,8 @@ input is bad" from a genuine crash.
 
 from __future__ import annotations
 
+import functools
+
 
 class PseudoformError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,6 +42,10 @@ class FileReadError(PseudoformError, OSError):
     """A file could not be read; ``filename`` names it."""
 
 
+class FileWriteError(PseudoformError, OSError):
+    """A file could not be written; ``filename`` names it."""
+
+
 class MoveError(PseudoformError):
     """A move precondition failed.
 
@@ -70,3 +76,18 @@ class ReplayError(PseudoformError):
     def __init__(self, message: str, index=None):
         super().__init__(message)
         self.index = index
+
+
+def _refusing(error: type):
+    """Decorate a method of a value type so that a ``TypeError``,
+    ``ValueError`` or ``AttributeError`` that a hand-built member of the
+    wrong type raises in it is raised as ``error``, a package error."""
+    def decorate(method):
+        @functools.wraps(method)
+        def refusing(self, *args):
+            try:
+                return method(self, *args)
+            except (TypeError, ValueError, AttributeError) as e:
+                raise error(f"{type(self).__name__} has a member of the wrong type: {e}") from None
+        return refusing
+    return decorate

@@ -19,7 +19,7 @@ from typing import Optional
 from . import moves, reducer
 from .complexes import SimplicialComplex, _as_complex, _singular_map, total_g2
 from .defaults import DEFAULT_SEED
-from .errors import MoveError, PseudoformError, SpecError
+from .errors import MoveError, PseudoformError, SpecError, _refusing
 
 MAX_BLOCKS = 2048
 """The most blocks a sphere family may have.  At the limit each family
@@ -128,18 +128,24 @@ _SPEC_RE = re.compile(r"^([A-Za-z]+)(?:\((.*)\))?$")
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """A generator kind and its (key, value) parameters.  The methods
+    raise :class:`SpecError` on a hand-built spec whose members are not
+    of their types."""
+
     kind: str
     params: tuple  # ((key, value), ...)
 
+    @_refusing(SpecError)
     def get(self, key, default=None):
         for k, v in self.params:
             if k == key:
                 return v
         return default
 
+    @_refusing(SpecError)
     def __str__(self) -> str:
         if not self.params:
-            return self.kind
+            return f"{self.kind}"
         inner = ",".join(f"{k}={_fmt(v)}" for k, v in self.params)
         return f"{self.kind}({inner})"
 
@@ -250,10 +256,9 @@ def _scope_update(
     or None when ``K2`` leaves the walk's scope.
 
     ``K`` is in scope and carries its map.  ``moves.singular_after``
-    gives the map of ``K2`` and stores it there: the kind's links rule
-    reads it off the record, and a fold, or an expansion at a singular
-    vertex, rechecks only what the move touched (``normal_update``).  In
-    scope means: total g2 at most the cap, every component normal
+    gives the map of ``K2`` and stores it there: every kind's links rule
+    reads it off ``K`` and the record, and no candidate rechecks a link.
+    In scope means: total g2 at most the cap, every component normal
     closed, and each component with singular vertices in the reducer's
     scope for them (``reducer._singular_out_of_scope``).  Components are
     formed only when there are singular vertices.

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .complexes import SimplicialComplex, clean_face
-from .errors import FileReadError, MalformedFacetError, PseudoformError
+from .errors import FileReadError, FileWriteError, MalformedFacetError, PseudoformError
 from .surfaces import Surface
 
 
@@ -107,4 +107,10 @@ def load_surface(path: Union[str, Path]) -> Surface:
 
 
 def save_facets(path: Union[str, Path], facets: Iterable[Iterable[int]]) -> None:
-    _path(path).write_text(format_facets(facets))
+    """Write ``facets`` in the canonical format; :class:`FileWriteError`
+    (an ``OSError`` too) when the file cannot be written."""
+    text = format_facets(facets)
+    try:
+        _path(path).write_text(text)
+    except OSError as e:
+        raise FileWriteError(e.errno, e.strerror, e.filename) from None

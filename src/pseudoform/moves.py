@@ -28,11 +28,12 @@ so identical inputs give identical outputs; replay passes the recorded
 labels back in explicitly.
 
 Each kind is defined once, in :data:`MOVES`: its record schema, its
-constructor, its lazy site enumerator and, for every kind but the fold,
-the unfold and the handle, the rule that gives the singular vertices of
-the result (:func:`singular_after`).  Replay, the command line, the
-random walk and the reducer all dispatch through that table.  A kind's
-enumerator and its constructor call the same precondition function.
+constructor, its lazy site enumerator and the rule that gives the
+singular vertices of the result (:func:`singular_after`).  Every kind
+reads that map off its rule; no step rechecks a link.  Replay, the
+command line, the random walk and the reducer all dispatch through that
+table.  A kind's enumerator and its constructor call the same
+precondition function.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import (SimplicialComplex, _as_complex, _closure, _edge_circle, _link_class,
-                        _singular_map, _vertex_link, clean_face, normal_update, total_g2)
-from .errors import CycleError, MissingFaceError, MoveError, NotSurfaceError, PseudoformError
+                        _singular_map, _vertex_link, clean_face, total_g2)
+from .errors import (CycleError, MissingFaceError, MoveError, NotSurfaceError, PseudoformError,
+                     _refusing)
 from . import surfaces
 
 BISTELLAR1 = "Bistellar1"
@@ -66,22 +68,27 @@ class MoveRecord:
     """What a move did: its kind, full parameters, and the g2 shift.
 
     ``params`` pins down the move completely, fresh labels included,
-    so that ``apply_record`` reproduces the exact same complex.
+    so that ``apply_record`` reproduces the exact same complex.  The
+    methods raise :class:`MoveError` on a hand-built record whose
+    members are not of their types.
     """
 
     kind: str
     params: tuple  # ordered (key, value) pairs
     g2_delta: int
 
+    @_refusing(MoveError)
     def get(self, key):
         for k, v in self.params:
             if k == key:
                 return v
         raise KeyError(key)
 
+    @_refusing(MoveError)
     def param_dict(self) -> dict:
         return dict(self.params)
 
+    @_refusing(MoveError)
     def __str__(self) -> str:
         ps = " ".join(f"{k}={v}" for k, v in self.params)
         return f"{self.kind} {ps} (g2 {self.g2_delta:+d})"
@@ -785,16 +792,25 @@ def connected_sum_in(
     return _identify_facets(K, s1, p), _gluing_record(CONNECTED_SUM, 0, s1, s2, p)
 
 
-def _sum_links(p: dict, singular: dict) -> dict:
-    """The singular map after a connected sum with parameters ``p``,
-    from the map before it.
+def _sum_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
+    """The singular map after a connected sum or a handle addition with
+    parameters ``p``, from the map before it: each glued vertex x gets
+    lk(x) # lk(psi(x)) (``surfaces._sum_class``), and the targets of psi
+    are gone.
 
-    The two facets lie in different components, so only the faces of
-    sigma1 change, and the components stay normal: each triangle of
-    sigma1 keeps two cofacets, and each edge's link is two arcs joined
-    at their ends, a circle.  The link of a glued vertex x is then
-    lk(x) # lk(psi(x)) (``surfaces._sum_class``).  The targets of psi
-    are gone; every other vertex keeps its link up to relabelling.
+    Only the facets at the targets change.  The link of a glued vertex x
+    is lk(x) and lk(psi(x)), each less the open triangle of its removed
+    facet, glued along the boundaries of those triangles: their
+    connected sum, as long as the two links meet nowhere else.  For a
+    sum the two facets lie in different components, so they share
+    nothing.  For a handle the check has proved that psi moves every
+    vertex of sigma1 to distance at least 3 (Walkup, "The lower bound
+    conjecture for 3- and 4-manifolds", 1970).  A vertex the two links
+    share off the glued triangle would be a common neighbour of x and
+    psi(x), or a vertex y of sigma1 next to psi(x), or psi(y) next to
+    x: each a path of length 2 from a vertex to its image.  For the same
+    reason every other vertex sees at most one of x and psi(x), and
+    keeps its link up to relabelling.
     """
     out = singular
     for x, w in p["psi"]:
@@ -805,10 +821,15 @@ def _sum_links(p: dict, singular: dict) -> dict:
 def _merged(singular: dict, pair: tuple, w: int) -> dict:
     """``singular`` with the two vertices of ``pair`` merged into ``w``,
     whose link is the connected sum of theirs."""
-    out = {v: cls for v, cls in singular.items() if v not in pair}
     cls = surfaces._sum_class(*(singular.get(x, surfaces.SPHERE_CLASS) for x in pair))
-    if cls.kind != surfaces.SPHERE:
-        out[w] = cls
+    return _classed(singular, pair, [(w, cls)])
+
+
+def _classed(singular: dict, gone, new) -> dict:
+    """``singular`` less the vertices ``gone``, with each (vertex, class)
+    of ``new`` whose class is not the sphere."""
+    out = {v: cls for v, cls in singular.items() if v not in gone}
+    out.update((v, cls) for v, cls in new if cls.kind != surfaces.SPHERE)
     return out
 
 
@@ -1185,16 +1206,18 @@ def unsubdividable_vertices(K: SimplicialComplex) -> list:
 # links rules: the singular map after a move, read off its record
 # ---------------------------------------------------------------------
 #
-# Each rule is called on a complex whose components are all normal
-# closed, once the move's own check has passed.  A 3-complex is normal
-# closed component by component exactly when every vertex link is a
-# closed connected surface: an edge's link is then the link of a vertex
-# in a surface, a circle, and a triangle lies in two facets.  So a rule
-# proves that K2 is normal by showing that every vertex of a changed
-# facet gets a closed connected surface as its link.
+# Each rule is called as ``links(K, values, singular)``: the complex the
+# move starts from, whose components are all normal closed, the values
+# of the record, and the map that ``K`` carries, once the move's own
+# check has passed.  A rule builds no link ``Surface``.  A 3-complex is
+# normal closed component by component exactly when every vertex link
+# is a closed connected surface: an edge's link is then the link of a
+# vertex in a surface, a circle, and a triangle lies in two facets.  So
+# a rule proves that K2 is normal by showing that every vertex of a
+# changed facet gets a closed connected surface as its link.
 
 
-def _pachner_links(p: dict, singular: dict) -> dict:
+def _pachner_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
     """The singular map after a bistellar move or a facet subdivision or
     unsubdivision: the map before it (Pachner, "PL homeomorphic
     manifolds are equivalent by elementary shellings", 1991).
@@ -1216,7 +1239,7 @@ def _pachner_links(p: dict, singular: dict) -> dict:
     return dict(singular)
 
 
-def _contract_links(p: dict, singular: dict) -> dict:
+def _contract_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
     """The singular map after an edge contraction: the endpoints u and v
     leave it, and the fresh vertex w gets lk(u) # lk(v)
     (``surfaces._sum_class``; Dey, Edelsbrunner, Guha and Nekhayev,
@@ -1238,7 +1261,7 @@ def _contract_links(p: dict, singular: dict) -> dict:
     return _merged(singular, p["edge"], p["fresh"])
 
 
-def _two_facets_contract_links(p: dict, singular: dict) -> dict:
+def _two_facets_contract_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
     """The singular map after a two-facets contraction of u and v: both
     leave it, and the fresh vertex gets lk(u) # lk(v).
 
@@ -1253,27 +1276,111 @@ def _two_facets_contract_links(p: dict, singular: dict) -> dict:
     return _merged(singular, p["vertices"], p["fresh"])
 
 
-def _split_vertex_links(p: dict, singular: dict) -> Optional[dict]:
-    """The singular map after an edge expansion or a two-facets insertion
-    at a vertex x with a sphere link: the map before it.  At a singular
-    x the rule declines (None), and ``singular_after`` rechecks.
+def _insert_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
+    """The singular map after a two-facets insertion at x: the map
+    before it, since x has a sphere link.
 
-    Both moves take x out and cone the two sides of a cut of lk(x) over
-    two fresh apexes.  The check has proved that the cut, along the
-    cycle or along the boundary of the missing triangle t, leaves two
-    sides, and on a sphere both are discs (Jordan-Schoenflies).  An
-    expansion closes each disc with the cone from the other apex over
-    the cycle, an insertion with the triangle t, so each apex gets a
-    sphere link.  At a vertex c of the cycle or of t, lk(c) loses the
-    star of x, a disc bounded by the circle lk(cx), and gains a disc
-    with the same boundary whose inner vertices are the fresh apexes:
-    their fans over the two arcs into which the cut splits that circle,
-    joined by the two triangles at the new edge (an expansion) or at the
-    edge of t opposite c (an insertion; that edge is absent from lk(c)
-    because t is no face).  So lk(c) keeps its class.  Every other
-    vertex of lk(x) sees only x renamed to an apex.
+    The check has proved that the boundary of the missing triangle t cuts
+    lk(x) into two discs, and two discs glued along their boundary circle
+    make a sphere.  The move takes x out and closes each disc with t,
+    coned over a fresh apex, so each apex gets a sphere link.  At a
+    vertex c of t, lk(c) loses the star of x, a disc bounded by the
+    circle lk(cx), and gains a disc with the same boundary whose inner
+    vertices are the two apexes: their fans over the two arcs into which
+    the cut splits that circle, joined by the two triangles at the edge
+    of t opposite c (absent from lk(c), because t is no face).  So lk(c)
+    keeps its class.  Every other vertex of lk(x) sees only x renamed to
+    an apex.
     """
-    return None if p["vertex"] in singular else dict(singular)
+    return dict(singular)
+
+
+def _expand_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
+    """The singular map after an edge expansion at x: x leaves it, and
+    each apex gets the capped class of the side of lk(x) it cones
+    (``surfaces._capped_class``); at a sphere x, the map before it.
+
+    The check has proved that the cycle, at none of whose vertices lk(x)
+    is pinched, cuts lk(x) into two sides, and ``u_side`` picks the side
+    that the first apex cones.  That apex's link is its side closed off
+    by the cone from the other apex over the cycle, a disc: a capped
+    side.  On a sphere both sides are discs (Jordan-Schoenflies), so
+    both apexes get sphere links and nothing needs cutting.  At a vertex
+    c of the cycle, lk(c) loses the star of x, a disc bounded by the
+    circle lk(cx), and gains a disc with the same boundary: the apexes'
+    fans over the two arcs into which the cut splits that circle, joined
+    by the two triangles at the new edge.  So lk(c) keeps its class.
+    Every other vertex of lk(x) sees only x renamed to an apex.
+    """
+    x, u = p["vertex"], p["u_side"]
+    if x not in singular:
+        return dict(singular)
+    sides = _link_sides(K, x, p["cycle"])
+    return _classed(singular, (x,), [(p["apex_u"], surfaces._capped_class(sides[u])),
+                                     (p["apex_v"], surfaces._capped_class(sides[1 - u]))])
+
+
+def _fold_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
+    """The singular map after an edge fold of sigma1 onto sigma2 along
+    their common edge uv: each free corner y of sigma1 is merged with
+    psi(y) (``_merged``), and u and v each get their class # RP^2, with
+    one less Euler characteristic and no orientation.
+
+    The 2-path test has proved that every path of length at most 2 from
+    y to psi(y) passes through u or v, so lk(y) and lk(psi(y)) meet only
+    in u, v and the edge uv, on the boundary of the glued triangle: the
+    merged link is their connected sum, as for a handle
+    (``_sum_links``).  A vertex off the two facets sees at most one of y
+    and psi(y), and keeps its link up to relabelling.  In lk(u) the fold
+    glues the triangles v a b and v psi(a) psi(b), which meet only at
+    v, onto each other with v fixed, and removes them.  Their union has
+    a disc D around it, which the gluing turns into a surface with one
+    boundary circle and Euler characteristic one less, 0: the two merged
+    corners are no pinch by the 2-path test, and v is none because the
+    circle test has proved lk(uv), the circle around v, still one
+    circle.  A surface with Euler characteristic 0 and one boundary
+    circle is a Moebius strip, so lk(u) becomes lk(u) # RP^2, and so
+    does lk(v).
+    """
+    out = singular
+    for y, w in p["psi"]:
+        if y != w:
+            out = _merged(out, (y, w), y)
+    rp2 = [(x, surfaces._sum_class(out.get(x, surfaces.SPHERE_CLASS), surfaces.RP2_CLASS))
+           for x in p["edge"]]
+    return _classed(out, (), rp2)
+
+
+def _unfold_links(K: SimplicialComplex, p: dict, singular: dict) -> dict:
+    """The singular map after an edge unfold: the two Moebius corners
+    leave it, and each split corner and its fresh twin get the capped
+    class of their side of its cut link (``surfaces._capped_class``).
+
+    The check has proved that the Moebius corners u and v have RP^2
+    links, and that the triangle opposite each split corner, a or b,
+    cuts its link into two sides, paired across a and b through the
+    facets at both.  The move gives the facets on one side of a to its
+    fresh twin a2, those on one side of b to b2, and adds the facets
+    u v a b and u v a2 b2, whose triangles at a and a2 close off the two
+    sides of lk(a) along their common boundary circle u v b: each gets a
+    capped side, and so do b and b2.  A split corner with a sphere link
+    has two discs as its sides, which cap to spheres, so only a singular
+    split corner needs the cut.  K is the fold of the result at the two
+    new facets along uv, so by ``_fold_links`` the new link of u, summed
+    with RP^2, is the RP^2 that lk(u) was in K: it has Euler
+    characteristic 2 and is a sphere, and so is the new link of v.
+    Every other vertex lies on one side of each cut, and sees a split
+    corner renamed to its twin or not at all.
+    """
+    gone = (*p["moebius_edge"], *p["split_pair"])
+    if not singular.keys() & set(p["split_pair"]):
+        return _classed(singular, gone, ())
+    _moeb, (a, b), side_a, side_b, b_side = _unfold_check(K, frozenset(p["tetra"]))
+    (a2, b2), caps = p["fresh"], []
+    for x, twin, side, moved in ((a, a2, side_a, 1), (b, b2, side_b, b_side)):
+        for y, s in ((x, 1 - moved), (twin, moved)):
+            caps.append((y, surfaces._capped_class(F - {x} for F, i in side.items() if i == s)))
+    return _classed(singular, gone, caps)
 
 
 # ---------------------------------------------------------------------
@@ -1316,18 +1423,18 @@ class Move:
     ``construct`` looks the public constructor up when called, so
     wrappers put on this module (a profiler, a tracer) see every move
     made through the table.
-    ``links(values, singular)``, when set, is the singular map of the
-    result, read off the record's values and the map that the complex
-    the move starts from carries, or None where the rule declines (see
-    :func:`singular_after`, which stores the map on the result).  Every
-    kind has one but EdgeFold, EdgeUnfold and HandleAdd; EdgeExpand's
-    and TwoFacetsInsert's decline at a singular vertex.
+    ``links(K, values, singular)`` is the singular map of the result,
+    read off the complex the move starts from, the record's values and
+    the map that complex carries (see :func:`singular_after`, which
+    stores the map on the result).  Every kind has one, and each rule's
+    docstring argues from the move's check what class every vertex of
+    the result keeps or gets.
     """
 
     params: tuple
     construct: Callable
-    sites: Optional[Callable] = None
-    links: Optional[Callable] = None
+    sites: Optional[Callable]
+    links: Callable
 
     @property
     def inputs(self) -> tuple:
@@ -1361,12 +1468,12 @@ MOVES = {
          Param("u_side", INPUT, LABEL)),
         lambda K, p: expand_edge(
             K, p["vertex"], p["cycle"], p["u_side"], _apexes(p)),
-        _iter_link_cycle_sites, _split_vertex_links),
+        _iter_link_cycle_sites, _expand_links),
     TWO_FACETS_INSERT: Move(
         (Param("vertex", INPUT, LABEL), Param("triangle", INPUT, TRIANGLE),
          Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL)),
         lambda K, p: insert_two_facets(K, p["vertex"], p["triangle"], _apexes(p)),
-        _iter_insertion_sites, _split_vertex_links),
+        _iter_insertion_sites, _insert_links),
     TWO_FACETS_CONTRACT: Move(
         (Param("vertices", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE),
          Param("fresh", FRESH, LABEL)),
@@ -1378,21 +1485,21 @@ MOVES = {
         _GLUING,
         lambda K, p: connected_sum_in(
             K, p["sigma1"], p["sigma2"], dict(p["psi"])),
-        links=_sum_links),
+        None, _sum_links),
     HANDLE_ADD: Move(
         _GLUING,
         lambda K, p: handle_addition(
             K, p["sigma1"], p["sigma2"], dict(p["psi"])),
-        handle_sites),
+        handle_sites, _sum_links),
     EDGE_FOLD: Move(
         _GLUING + (Param("edge", DERIVED, EDGE),),
         lambda K, p: edge_fold(K, p["sigma1"], p["sigma2"], dict(p["psi"])),
-        lambda K: fold_sites(K)),
+        lambda K: fold_sites(K), _fold_links),
     EDGE_UNFOLD: Move(
         (Param("tetra", INPUT, TETRA), Param("moebius_edge", DERIVED, EDGE),
          Param("split_pair", DERIVED, EDGE), Param("fresh", FRESH, EDGE)),
         lambda K, p: edge_unfold(K, p["tetra"], fresh=p.get("fresh")),
-        _iter_unfold_sites),
+        _iter_unfold_sites, _unfold_links),
     FACET_SUBDIVIDE: Move(
         (Param("facet", INPUT, TETRA), Param("fresh", FRESH, LABEL)),
         lambda K, p: facet_subdivide(K, p["facet"], fresh=p.get("fresh")),
@@ -1467,24 +1574,18 @@ def apply_record(
 
 def singular_after(
     K: SimplicialComplex, K2: SimplicialComplex, record: MoveRecord
-) -> Optional[dict]:
+) -> dict:
     """The singular map of ``K2``, which the move ``record`` made from
-    ``K``; None when some component of ``K2`` is not normal closed.
+    ``K``, stored on ``K2``.
 
     Call it only once the move's own check has passed, on a ``K`` that
-    carries its map (``complexes._link_class``); a map returned is
-    stored on ``K2``.  A kind with a ``links`` rule reads the map off
-    the record and builds no link; each rule's docstring argues why the
-    check makes ``K2`` normal and what class each vertex keeps or gets.
-    EdgeFold, EdgeUnfold and HandleAdd, and a rule that declines,
-    recheck the faces the move touched (``normal_update``).
+    carries its map (``complexes._link_class``).  The kind's ``links``
+    rule reads the map off ``K``, the record and that map; each rule's
+    docstring argues why the check makes every component of ``K2``
+    normal closed and what class each vertex keeps or gets.
     """
     singular = _singular_map(K)
     if singular is None:
         raise PseudoformError(f"singular_after wants a certified complex, got {K!r}")
-    links = MOVES[record.kind].links
-    got = None if links is None else links(record.param_dict(), singular)
-    got = normal_update(K, K2, singular) if got is None else got
-    if got is not None:
-        K2._cache["singular"] = got
+    got = K2._cache["singular"] = MOVES[record.kind].links(K, record.param_dict(), singular)
     return got

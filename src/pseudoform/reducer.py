@@ -55,6 +55,7 @@ from .errors import (
     PseudoformError,
     ReplayError,
     TraceFormatError,
+    _refusing,
 )
 from .surfaces import RP2
 
@@ -70,7 +71,9 @@ class ConstructionTrace:
 
     ``forward_moves`` holds (component tag, record) pairs; the tag
     names the input component the move belongs to and is purely
-    informational, the records themselves pin down where they act.
+    informational, the records themselves pin down where they act.  The
+    methods raise :class:`TraceFormatError` on a hand-built trace whose
+    members are not of their types.
     """
 
     seeds: tuple
@@ -78,6 +81,7 @@ class ConstructionTrace:
     claimed_fcounts: tuple  # (f0, f1, f2, f3) of the replayed result
     claimed_g2: int  # sum of per-component g2
 
+    @_refusing(TraceFormatError)
     def counts(self) -> "tuple[int, int, int]":
         kinds = [rec.kind for _, rec in self.forward_moves]
         return (
@@ -86,6 +90,7 @@ class ConstructionTrace:
             kinds.count(moves.EDGE_FOLD),
         )
 
+    @_refusing(TraceFormatError)
     def summary(self) -> str:
         n_seeds, n_moves, n_folds = self.counts()
         f = ",".join(str(x) for x in self.claimed_fcounts)
@@ -322,32 +327,23 @@ def _is_simplex_boundary(K: SimplicialComplex) -> bool:
     )
 
 
-def _components_all_normal(K: SimplicialComplex) -> Optional[str]:
-    for comp in K.connected_components():
-        rep = validate_normal(comp)
-        if not rep.is_normal_closed:
-            return rep.summary()
-    return None
-
-
 def replay(trace: ConstructionTrace) -> SimplicialComplex:
     """Run a trace forward from its seeds, re-checking everything.
 
     Raises :class:`ReplayError` (with the failing move index) on a
     member of the trace that is not of its type, on any precondition
-    failure, on an intermediate state that is not a
-    disjoint union of normal closed complexes, and on a final tally
-    that differs from the trace's claim.
+    failure, and on a final tally that differs from the trace's claim.
+    Every intermediate state is a disjoint union of normal closed
+    complexes: the seeds' union is, and each move's check, passed on a
+    normal state, keeps it so.
 
     Each state is patched from its parent by the move's constructor
     (``SimplicialComplex._successor``).  The seeds' union carries the
     empty singular map, and ``moves.singular_after`` stores each later
-    state's once the move's checks have passed: the kind's links rule
-    reads it off the record and the parent's map, exact because every
-    earlier state is normal.  EdgeFold, EdgeUnfold and HandleAdd, and an
-    expansion at a singular vertex, whose rule declines, go to
-    ``normal_update``, which rechecks only the faces the move touched.
-    So a step costs what it changes.
+    state's once the move's checks have passed: every kind's links rule
+    reads it off the parent, the record and the parent's map, exact
+    because every earlier state is normal, and rechecks no link.  So a
+    step costs what it changes.
     """
     if not isinstance(trace, ConstructionTrace):
         raise ReplayError(f"replay wants a ConstructionTrace, got {trace!r}")
@@ -374,12 +370,7 @@ def replay(trace: ConstructionTrace) -> SimplicialComplex:
             raise ReplayError(
                 f"forward move {i} ({rec.kind}) failed: {e}", index=i
             ) from e
-        if moves.singular_after(state, after, rec) is None:
-            raise ReplayError(
-                f"state after move {i} ({rec.kind}) is not normal: "
-                f"{_components_all_normal(after)}",
-                index=i,
-            )
+        moves.singular_after(state, after, rec)
         state = after
     if _face_counts(state) != tuple(trace.claimed_fcounts):
         raise ReplayError(
@@ -707,10 +698,10 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
     ``complexes._link_class``), which the checks and rules read.  A
     split stores both halves' maps by ``_split_singular``, which reads
     them off the split check; a rule step's map is stored by
-    ``moves.singular_after``, the kind's links rule or, for an unfold,
-    ``normal_update`` on the faces the step touched.  Fresh labels
-    count up from ``next_label``, and each rule applied is appended to
-    ``rule_log``.  Returns (seeds, forward records in replay order).
+    ``moves.singular_after``, which reads it off the kind's links rule,
+    unfolds included.  Fresh labels count up from ``next_label``, and
+    each rule applied is appended to ``rule_log``.  Returns (seeds,
+    forward records in replay order).
     """
     seeds: list = []
     forward: list = []
@@ -752,11 +743,7 @@ def _reduce(pieces: list, next_label: int, rule_log: list) -> "tuple[list, list]
             raise _Rejection(_STUCK[cls].format(g2=K.f_vector().g2))
         K2, rec, undo_rec, witness, next_label = step
         rule_log.append((tag, rule[0], witness))
-        if moves.singular_after(K, K2, rec) is None:
-            raise _Rejection(
-                "reduction step produced an invalid complex: "
-                f"{_components_all_normal(K2)}"
-            )
+        moves.singular_after(K, K2, rec)
         undo.append((tag, undo_rec))
         stack.append((tag, K2, undo))
     return seeds, forward

@@ -8,10 +8,11 @@ The moves ask one local question of a link: does a cycle cut it in
 two, and what are the two sides?  ``_cut_sides`` is the one answer:
 the sides are the components of the triangles joined across every edge
 but the cut ones, a component count (``_component_ids``).  Edge
-expansion, two-facets insertion and the unfold read it, and
+expansion, two-facets insertion and the unfold read it.
 ``_describe_piece`` says what a side is (a disc, a Moebius strip or
-other).  In a projective plane a cycle that leaves one side is
-one-sided: its neighbourhood is a Moebius strip.  The connected-sum
+other), and ``_capped_class`` what it becomes once a disc closes off
+its boundary circle.  In a projective plane a cycle that leaves one
+side is one-sided: its neighbourhood is a Moebius strip.  The connected-sum
 split asks the same question one dimension up: its cells are the
 facets of a 3-complex, joined across their triangles, and the cut is
 the four triangles of a missing tetrahedron.
@@ -60,6 +61,7 @@ def _classify(chi: int, orientable: bool) -> str:
 
 
 SPHERE_CLASS = SurfaceClass(SPHERE, 2, True)
+RP2_CLASS = SurfaceClass(RP2, 1, False)
 
 
 def _sum_class(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
@@ -67,6 +69,18 @@ def _sum_class(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
     characteristics add less 2, and it is orientable when both are."""
     chi = a.euler_characteristic + b.euler_characteristic - 2
     orient = a.orientable and b.orientable
+    return SurfaceClass(_classify(chi, orient), chi, orient)
+
+
+def _capped_class(triangles) -> SurfaceClass:
+    """The class of a capped side: a side of a cut link, whose boundary
+    is the one cut circle, with that circle closed off by a disc.  Its
+    Euler characteristic is the side's plus one, and it is orientable
+    when the side is (``_orientable``).  No :class:`Surface` is built."""
+    tris = list(triangles)
+    edges = {e for t in tris for e in _edges_of(t)}
+    chi = len({v for t in tris for v in t}) - len(edges) + len(tris) + 1
+    orient = chi == 2 or _orientable(tris)
     return SurfaceClass(_classify(chi, orient), chi, orient)
 
 

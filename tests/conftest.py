@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 import pathlib
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import settings
 
 from pseudoform import generators as gen, io as pio, moves, reducer, surfaces
-from pseudoform.complexes import SimplicialComplex
+from pseudoform.complexes import (SimplicialComplex, _link_connected, _vertex_link_class,
+                                  validate_normal)
+from pseudoform.errors import PseudoformError
 
 # Property tests draw the same examples on every run, at a bounded cost
 # and with no per-example deadline.
@@ -28,6 +32,59 @@ COMPLEX_FIXTURES = (
     "folded_g2_4",
     "double_fold_g2_6",
 )
+
+
+# The full recheck that the links rules replace, kept as the reference
+# that every step gate compares the rules' maps with.
+
+def normal_update(
+    K: SimplicialComplex, K2: SimplicialComplex, singular: dict
+) -> Optional[dict]:
+    """The singular vertices of ``K2``, found by rechecking only what
+    differs from ``K``.
+
+    ``K`` must be a 3-complex whose components are all normal closed,
+    and ``singular`` maps its singular vertices to their link classes.
+    Returns that map for the 3-complex ``K2``, or None when some
+    component of ``K2`` is not normal closed.
+
+    Normality is local: a face that lies in none of the facets of
+    ``K.facets ^ K2.facets`` has the same cofacets in both complexes.
+    So only the faces of those facets that ``K2`` still has are
+    rechecked; they lie on the vertices of ``K2`` whose stars changed.
+    Each such triangle must lie in 0 or 2 facets of ``K2``, each edge
+    must have a connected link, and each vertex a closed connected
+    surface as its link, which is classified anew.  Every other vertex
+    of ``K2`` keeps its entry.  So a split half rechecks the star of the
+    filled-in tetrahedron, not the other half it lost.  A component is
+    connected by definition, so the verdict is that of
+    :func:`validate_normal` on every component of ``K2``, which stays
+    the full check.
+    """
+    if not (isinstance(K, SimplicialComplex) and isinstance(K2, SimplicialComplex)):
+        raise PseudoformError(f"normal_update wants two complexes, got {K!r} and {K2!r}")
+    removed, added = K.facets - K2.facets, K2.facets - K.facets
+    stars = K2.vertices & frozenset().union(*removed, *added)
+    at = K._facets_by_vertex()
+    changed = added | {F for v in stars for F in at.get(v, ()) if F in removed}
+
+    def touched(size):
+        return {frozenset(c) for F in changed for c in itertools.combinations(F & stars, size)}
+
+    if any(len(K2._cofacets(t)) not in (0, 2) for t in touched(3)):
+        return None
+    if not all(_link_connected(K2, e) for e in touched(2)):
+        return None
+    out = {v: cls for v, cls in singular.items() if v in K2.vertices}
+    for v in stars:
+        out.pop(v, None)
+        try:
+            cls = _vertex_link_class(K2, v)
+        except PseudoformError:
+            return None
+        if cls.kind != surfaces.SPHERE:
+            out[v] = cls
+    return out
 
 
 # The benchmark's walk corpus: RandomMoves at budget 20, sphere walks by
@@ -95,6 +152,42 @@ def rp2_second_summand():
     return K, reducer._trace(K, seeds, trace.forward_moves + ((1, rec),))
 
 
+def rp2_sum(S, at: int):
+    """``fold_rung(8)``, its labels shifted past those of ``S``, glued by
+    a connected sum, at a facet of its first projective-plane vertex,
+    onto the facet ``at`` of ``S``'s canonical facets.  Its two RP^2
+    vertices keep labels above all of ``S``'s, so the handles of the sum
+    whose sigma2 holds one of them have an RP^2 target; glued onto the
+    middle facet of a spine sphere, the sum has folds whose free corner
+    is an RP^2 vertex."""
+    F = fold_rung(8)
+    shift = S.fresh_label()
+    F = F.relabeled({v: v + shift for v in F.vertices})
+    sigma1 = next(G for G in F.canonical_facets() if shift in G)
+    sigma2 = S.canonical_facets()[at]
+    return moves.connected_sum(F, sigma1, S, sigma2, dict(zip(sigma1, sigma2)))[0]
+
+
+def rp2_handle():
+    """``rp2_sum(staircase_sphere(8), 0)`` with a handle added at its
+    first site with an RP^2 target, and a trace that builds it: the
+    sum's reduction trace with the handle as the last move."""
+    K = rp2_sum(gen.staircase_sphere(8), 0)
+    trace = reducer.reduce_complex(K).trace
+    singular = {v for v, _ in validate_normal(K).singular_vertices}
+    s1, s2, psi = next(h for h in moves.handle_sites(K) if singular & set(h[1]))
+    H, handle = moves.handle_addition(K, s1, s2, dict(psi))
+    return H, reducer._trace(H, trace.seeds, trace.forward_moves + ((0, handle),))
+
+
+def rp2_handle_and_unfold():
+    """``rp2_handle``'s complex unfolded at its first unfold site, and
+    its trace with the unfold as one more move."""
+    H, trace = rp2_handle()
+    U, unfold = moves.edge_unfold(H, moves.detect_unfold(H).tetra)
+    return U, reducer._trace(U, trace.seeds, trace.forward_moves + ((0, unfold),))
+
+
 # Mutants of the rules that carry singular maps through a connected sum
 # and a split; each patches one rule in with ``monkeypatch``.  On the
 # complex and trace of ``rp2_second_summand`` the gates must fail them.
@@ -107,7 +200,7 @@ def _rules(monkeypatch, kinds, links):
 
 def sum_keeps_only_the_first_class(monkeypatch):
     """Each glued vertex keeps its own class, not the sum of both."""
-    def links(p, singular):
+    def links(K, p, singular):
         targets = dict(p["psi"]).values()
         return {v: cls for v, cls in singular.items() if v not in targets}
     _rules(monkeypatch, (moves.CONNECTED_SUM,), links)
@@ -117,8 +210,8 @@ def sum_keeps_the_targets(monkeypatch):
     """The glued-away targets of psi stay in the map."""
     rule = moves.MOVES[moves.CONNECTED_SUM].links
 
-    def links(p, singular):
-        out = rule(p, singular)
+    def links(K, p, singular):
+        out = rule(K, p, singular)
         out.update((w, singular[w]) for w in dict(p["psi"]).values() if w in singular)
         return out
     _rules(monkeypatch, (moves.CONNECTED_SUM,), links)
@@ -149,7 +242,7 @@ LINKS_MUTANTS = (sum_keeps_only_the_first_class, sum_keeps_the_targets,
 def pachner_drops_an_rp2_class(monkeypatch):
     """A bistellar move or a facet (un)subdivision drops one RP^2 vertex
     from the map."""
-    def links(p, singular):
+    def links(K, p, singular):
         rp2 = [v for v, cls in singular.items() if cls.kind == surfaces.RP2]
         return {v: cls for v, cls in singular.items() if v not in rp2[:1]}
     _rules(monkeypatch, (moves.BISTELLAR1, moves.BISTELLAR2, moves.FACET_SUBDIVIDE,
@@ -159,7 +252,7 @@ def pachner_drops_an_rp2_class(monkeypatch):
 def contraction_keeps_one_class(monkeypatch):
     """The merged vertex of an edge contraction gets the class of the
     second endpoint, not the sum of both."""
-    def links(p, singular):
+    def links(K, p, singular):
         u, v = p["edge"]
         out = {x: cls for x, cls in singular.items() if x not in (u, v)}
         if v in singular:
@@ -168,13 +261,63 @@ def contraction_keeps_one_class(monkeypatch):
     _rules(monkeypatch, (moves.EDGE_CONTRACT,), links)
 
 
-def expansion_never_declines(monkeypatch):
-    """An edge expansion keeps the map at a singular vertex too."""
-    _rules(monkeypatch, (moves.EDGE_EXPAND,), lambda p, singular: dict(singular))
+def fold_keeps_endpoint_spheres(monkeypatch):
+    """An edge fold merges its free corners but keeps the classes of the
+    endpoints of its edge, spheres included."""
+    def links(K, p, singular):
+        out = dict(singular)
+        for y, w in p["psi"]:
+            if y != w:
+                out = moves._merged(out, (y, w), y)
+        return out
+    _rules(monkeypatch, (moves.EDGE_FOLD,), links)
+
+
+def handle_keeps_the_targets(monkeypatch):
+    """A handle addition leaves the glued-away targets of psi in the map."""
+    rule = moves.MOVES[moves.HANDLE_ADD].links
+
+    def links(K, p, singular):
+        out = rule(K, p, singular)
+        out.update((w, singular[w]) for _, w in p["psi"] if w in singular)
+        return out
+    _rules(monkeypatch, (moves.HANDLE_ADD,), links)
+
+
+def unfold_keeps_a_moebius_corner(monkeypatch):
+    """An edge unfold leaves its first Moebius corner as RP^2."""
+    rule = moves.MOVES[moves.EDGE_UNFOLD].links
+
+    def links(K, p, singular):
+        u = p["moebius_edge"][0]
+        return {**rule(K, p, singular), u: singular[u]}
+    _rules(monkeypatch, (moves.EDGE_UNFOLD,), links)
+
+
+def expansion_swaps_the_apex_sides(monkeypatch):
+    """An edge expansion at a singular vertex gives each apex the class
+    of the other apex's side."""
+    rule = moves.MOVES[moves.EDGE_EXPAND].links
+
+    def links(K, p, singular):
+        return rule(K, {**p, "u_side": 1 - p["u_side"]}, singular)
+    _rules(monkeypatch, (moves.EDGE_EXPAND,), links)
 
 
 RULE_MUTANTS = (pachner_drops_an_rp2_class, contraction_keeps_one_class,
-                expansion_never_declines)
+                fold_keeps_endpoint_spheres, handle_keeps_the_targets,
+                unfold_keeps_a_moebius_corner, expansion_swaps_the_apex_sides)
+
+
+def rule_runs():
+    """Runs that reach every kind's links rule with a non-sphere class at
+    stake, to be made under a gate: the replays of ``long_fold_walk(2)``
+    (Pachner moves, contractions, a fold and expansions at RP^2
+    vertices) and of the trace of ``rp2_handle_and_unfold`` (a handle
+    with an RP^2 target and an unfold).  The inputs are built at once,
+    before any mutant is patched in."""
+    traces = [long_fold_walk(2).trace, rp2_handle_and_unfold()[1]]
+    return [lambda: reducer.replay(traces[0]), lambda: reducer.replay(traces[1])]
 
 
 def long_fold_walk(seed: int):

@@ -3,7 +3,7 @@
 import pytest
 
 from pseudoform import io
-from pseudoform.errors import FileReadError, MalformedFacetError, PseudoformError
+from pseudoform.errors import FileReadError, FileWriteError, MalformedFacetError, PseudoformError
 from pseudoform.generators import boundary_simplex
 from pseudoform.surfaces import RP2, classify_surface
 
@@ -87,6 +87,17 @@ def test_unreadable_paths_are_package_errors(load, tmp_path):
             load(path)
         assert isinstance(ei.value, (PseudoformError, OSError))
         assert ei.value.filename == str(path)
+
+
+def test_unwritable_paths_are_package_errors(tmp_path):
+    # a directory and a file in a missing directory; the error is an
+    # OSError too, so the command line still says "cannot write <path>"
+    for path in (tmp_path, tmp_path / "missing" / "x.txt"):
+        with pytest.raises(FileWriteError) as ei:
+            io.save_facets(path, [(0, 1, 2, 3)])
+        assert isinstance(ei.value, PseudoformError) and isinstance(ei.value, OSError)
+        assert ei.value.filename == str(path)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_a_file_that_is_not_text_is_malformed(tmp_path):

@@ -3,9 +3,10 @@
 At each step the walk takes only the first site of every kind it may
 draw, and lists a kind in full only when it tries that kind; it gets
 each candidate's singular map from ``moves.singular_after``, the kind's
-links rule or ``normal_update``, from the map it carries.  The tests
-here compare both with the full computation (and each map with
-``normal_update``) at every step of a set of walks, and pin the traces
+links rule, from the map it carries.  The tests here compare both with
+the full computation (and each map with the reference recheck
+``normal_update`` kept in ``conftest``) at every step of a set of
+walks, and pin the traces
 of the benchmark's walks, so that a change in the walk's random draws
 shows.
 """
@@ -19,6 +20,7 @@ import pytest
 from pseudoform import complexes, generators as gen, moves, reducer
 from pseudoform.surfaces import RP2
 
+from conftest import normal_update
 from test_local_revalidation import full_singular_map
 
 # sha256 of ``format_trace`` of the walk-corpus walks at budget 20:
@@ -182,7 +184,7 @@ def watched(monkeypatch):
     def checked_map(K, K2, rec):
         before = K._cache["singular"]
         got = singular_after(K, K2, rec)
-        assert got == complexes.normal_update(K, K2, before)
+        assert got == normal_update(K, K2, before)
         assert got == full_singular_map(K2)
         counts["maps"] += 1
         return got

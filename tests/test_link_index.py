@@ -113,7 +113,8 @@ def ref_contraction_pair_candidates(K):
 
 
 def ref_link_connected(K, f):
-    """``normal_update``'s edge test: no cofacet, or a connected link."""
+    """The edge test of ``validate_normal`` and of the reference
+    ``normal_update``: no cofacet, or a connected link."""
     return not K._cofacets(f) or K.link(f).is_connected()
 
 
@@ -159,8 +160,9 @@ def assert_link_answers_agree(K):
 
 
 def assert_edge_tests_agree(K, K2):
-    """``normal_update``'s edge test on the edges of the facets that
-    differ between ``K`` and ``K2``, present in ``K2`` or not."""
+    """The reference ``normal_update``'s edge test on the edges of the
+    facets that differ between ``K`` and ``K2``, present in ``K2`` or
+    not."""
     for F in K.facets ^ K2.facets:
         for e in map(frozenset, itertools.combinations(F, 2)):
             assert _link_connected(K2, e) == ref_link_connected(K2, e), sorted(e)

@@ -2,16 +2,16 @@
 
 Replay, the reducer and the random walk read each step's map off its
 record by the kind's links rule (``moves.singular_after``), and a split
-reads both halves' maps off the split check (``reducer._split_singular``);
-a fold, an unfold, a handle and an expansion at a singular vertex
-recheck only the faces the move touched (``normal_update``).  Each map
-is stored on the complex it describes, and the move checks read it
-through ``complexes._link_class``.  The tests here compare those maps
-with ``normal_update`` and with ``validate_normal`` on every component,
-and ``_link_class`` with the full classification, at every replay step
-and every reducer step and split half of the corpus, and
-``normal_update`` on perturbed complexes where it must reject.  Mutants
-of the rules and of the readers must fail the gates.
+reads both halves' maps off the split check (``reducer._split_singular``).
+Each map is stored on the complex it describes, and the move checks
+read it through ``complexes._link_class``.  The tests here compare
+those maps with the reference recheck ``normal_update`` (kept in
+``conftest``) and with ``validate_normal`` on every component, and
+``_link_class`` with the full classification, at every replay step and
+every reducer step and split half of the corpus, and ``normal_update``
+on perturbed complexes where it must reject.  Mutants of the rules and
+of the readers must fail the gates, and no step may build a link
+surface.
 """
 
 import inspect
@@ -23,12 +23,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pseudoform import complexes, generators as gen, moves, reducer, surfaces
-from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
+from pseudoform.complexes import SimplicialComplex, total_g2
 from pseudoform.errors import DimensionError, MoveError, PseudoformError, TraceFormatError
 
 from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, RULE_MUTANTS,
                       SPHERE_WALK_SEEDS, fold_rung, folded_spine, long_fold_walk,
-                      rp2_second_summand, walk_spec)
+                      normal_update, rp2_handle_and_unfold, rp2_second_summand, rule_runs,
+                      walk_spec)
 from test_split_check import split_sites
 
 # 48 short walks, half of them allowed to fold, plus the two fold walks
@@ -66,8 +67,8 @@ def install_checks(monkeypatch):
     changed, and each split's four corners must separate their links
     (``moves._link_sides``).  Returns the list of checks, one per step
     and split half, each as (the record's kind, or "split", whether the
-    map gives a vertex of a facet the step changed a class other than
-    the sphere)."""
+    map before or after the step gives a vertex of a facet the step
+    changed a class other than the sphere)."""
     calls = []
     singular_after, split_singular = moves.singular_after, reducer._split_singular
 
@@ -78,7 +79,9 @@ def install_checks(monkeypatch):
         changed = {v for F in K.facets ^ K2.facets for v in F} & K2.vertices
         for v in sorted(changed):
             assert complexes._link_class(K2, v) == complexes._vertex_link_class(K2, v)
-        calls.append((kind, bool(got) and any(v in got for F in K2.facets - K.facets for v in F)))
+        before = K._cache["singular"]
+        calls.append((kind, any(v in got for F in K2.facets - K.facets for v in F)
+                      or any(v in before for F in K.facets - K2.facets for v in F)))
 
     def checked(K, K2, rec):
         before = K._cache["singular"]
@@ -166,10 +169,10 @@ def test_rp2_second_summand_agrees_with_full_validation(checked_updates):
 
 
 def test_every_links_rule_answers_a_non_sphere_class(fx, walks, checked_updates):
-    """Each kind with a ``links`` rule has a gated replay step at which
-    its map gives a vertex of a changed facet a class other than the
-    sphere, so that no rule lands unexercised."""
-    traces = [rp2_second_summand()[1]]
+    """Each kind's ``links`` rule has a gated replay step at which the map
+    before or after it gives a vertex of a changed facet a class other
+    than the sphere, so that no rule lands unexercised."""
+    traces = [rp2_second_summand()[1], rp2_handle_and_unfold()[1]]
     traces += [reducer.reduce_complex(fx(name)).trace for name in ("folded_g2_3", "folded_g2_4")]
     traces += [g.trace for g in walks]
     for g in map(long_fold_walk, (2, 14)):
@@ -178,18 +181,17 @@ def test_every_links_rule_answers_a_non_sphere_class(fx, walks, checked_updates)
     for trace in traces:
         reducer.replay(trace)
     seen = {kind for kind, non_sphere in checked_updates if non_sphere}
-    ruled = [kind for kind, move in moves.MOVES.items() if move.links is not None]
-    assert ruled
-    assert [kind for kind in ruled if kind not in seen] == []
+    assert [kind for kind in moves.MOVES if kind not in seen] == []
 
 
 @pytest.mark.parametrize("mutate", RULE_MUTANTS)
 def test_the_gate_fails_on_a_move_rule_mutant(mutate, monkeypatch):
-    trace = long_fold_walk(2).trace
+    runs = rule_runs()
     mutate(monkeypatch)
     install_checks(monkeypatch)
     with pytest.raises(AssertionError):
-        reducer.replay(trace)
+        for run in runs:
+            run()
 
 
 @pytest.mark.parametrize("mutate", LINKS_MUTANTS)
@@ -378,7 +380,7 @@ def test_sums_and_splits_build_no_link_surface(monkeypatch):
     assert builds == []  # 426 before
     assert reducer.replay(traces[1]) == folded
     assert traces[1].counts()[2] == 1
-    assert set(builds) == {moves.EDGE_FOLD}  # 7 builds; 293 before
+    assert builds == []  # 293 before, then 7 in the recheck after the fold
     del builds[:]
     assert reducer.reduce_complex(staircase).accepted
     # the admission check classifies each vertex link once: 68 of the
@@ -413,65 +415,57 @@ def test_move_checks_read_the_certified_classes(monkeypatch):
     builds = _surface_builds(monkeypatch)
     for seed, fold in [(s, False) for s in SPHERE_WALK_SEEDS] + [(s, True) for s in FOLD_WALK_SEEDS]:
         gen.generate(walk_spec(seed, fold))
-    assert len(callers) == 20  # normal_update after a fold or a singular expansion
-    # and no other link Surface: the expansions' whole-link cuts and the
-    # insertions' refusals built 672 more before
-    assert len(builds) == 20
+    # the rechecks after the folds and singular expansions classified 20
+    # links, and the expansions' whole-link cuts and the insertions'
+    # refusals built 672 more link Surfaces before
+    assert callers == []
+    assert builds == []
     assert [names for names in callers if names] == []
     del cuts[:]
     assert reducer.reduce_complex(gen.staircase_sphere(64)).accepted
     assert cuts == []
 
 
-def test_walks_recheck_only_folds_and_singular_expansions(monkeypatch):
-    # every other kind's links rule reads the map off the record;
-    # rechecking every step made 2,320 calls and 16,339 Surface builds
-    at, rechecks = [None], []
-    singular_after, update = moves.singular_after, moves.normal_update
+def test_walk_steps_recheck_no_link(monkeypatch):
+    # every kind's links rule reads the map off the record: no step of
+    # the corpus walks builds a link Surface or classifies a link
+    # (rechecking every step made 2,320 calls and 16,339 Surface builds,
+    # and the folds' and singular expansions' rechecks 20 builds since)
+    builds, steps = _surface_builds(monkeypatch), []
+    classified = []
+    singular_after, vertex_link_class = moves.singular_after, complexes._vertex_link_class
 
-    def noting(K, K2, rec):
-        at[0] = rec, K._cache["singular"]
-        return singular_after(K, K2, rec)
+    def counted(K, K2, rec):
+        before = len(builds), len(classified)
+        got = singular_after(K, K2, rec)
+        steps.append((len(builds), len(classified)) != before)
+        return got
 
-    def counted(K, K2, singular):
-        rechecks.append(at[0])
-        return update(K, K2, singular)
+    def classifying(K, v):
+        classified.append(v)
+        return vertex_link_class(K, v)
 
-    monkeypatch.setattr(moves, "singular_after", noting)
-    monkeypatch.setattr(moves, "normal_update", counted)
-    for seed in SPHERE_WALK_SEEDS:
-        gen.generate(walk_spec(seed, False))
-    assert rechecks == []
-    for seed in FOLD_WALK_SEEDS:
-        gen.generate(walk_spec(seed, True))
-    assert rechecks
-    for rec, singular in rechecks:
-        assert rec.kind == moves.EDGE_FOLD or (
-            rec.kind == moves.EDGE_EXPAND and rec.get("vertex") in singular)
+    monkeypatch.setattr(moves, "singular_after", counted)
+    monkeypatch.setattr(complexes, "_vertex_link_class", classifying)
+    for seed, fold in [(s, False) for s in SPHERE_WALK_SEEDS] + [(s, True) for s in FOLD_WALK_SEEDS]:
+        gen.generate(walk_spec(seed, fold))
+    assert len(steps) > 2000
+    assert not any(steps)
 
 
 def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):
     # both decide from the sides of the cut link and its class, read off
-    # the certified map: reducing builds link Surfaces only in the
-    # admission check, one per vertex, and in the recheck after the
-    # unfold, and listing the walks' insertion sites builds none
+    # the certified map, and the unfold's rule reads the map after it off
+    # the record: reducing builds link Surfaces only in the admission
+    # check, one per vertex (the recheck after the unfold built more
+    # before), and listing the walks' insertion sites builds none
     K = fold_rung(32)
     finals = [walk(seed, False).complex for seed in SPHERE_WALK_SEEDS]
-    builds, rechecks = _surface_builds(monkeypatch), []
-    update = moves.normal_update
-
-    def noting(*args):
-        before = len(builds)
-        got = update(*args)
-        rechecks.append(len(builds) - before)
-        return got
-
-    monkeypatch.setattr(moves, "normal_update", noting)
+    builds = _surface_builds(monkeypatch)
     report = reducer.reduce_complex(K)
     assert report.accepted
     assert report.trace.counts()[2] == 1
-    assert len(rechecks) == 1
-    assert len(builds) - rechecks[0] == len(K.vertices)
+    assert len(builds) == len(K.vertices)
     del builds[:]
     assert sum(len(moves.insertion_sites(K)) for K in finals) == 339
     assert builds == []

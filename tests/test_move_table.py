@@ -10,7 +10,7 @@ from pseudoform import generators as gen
 from pseudoform.complexes import SimplicialComplex
 from pseudoform.errors import MoveError, ReplayError, TraceFormatError
 
-from conftest import COMPLEX_FIXTURES
+from conftest import COMPLEX_FIXTURES, normal_update
 
 WALKS = [(seed, fold) for seed in range(4) for fold in (False, True)]
 
@@ -246,20 +246,14 @@ def test_non_canonical_values_are_format_errors(value):
 # ----------------------------------------------------- the walk's fast path
 
 
-# A record of a kind without a links rule, for which
-# ``moves.singular_after`` rechecks with ``normal_update``.
-RECHECK = moves.MoveRecord(moves.HANDLE_ADD, (), 0)
-
-
 def _singular_in_scope(K, g2_cap):
     """Whether K has singular vertices; None when K leaves the walk's
-    scope.  The full check: the walk's scope rule with every face of
-    ``K`` rechecked by ``normal_update``, as a move from the empty
-    complex."""
-    assert moves.MOVES[RECHECK.kind].links is None
-    empty = SimplicialComplex(())
-    empty._cache["singular"] = {}
-    sing = gen._scope_update(empty, K, RECHECK, g2_cap)
+    scope.  The full check: the walk's scope rule with the singular map
+    of every face of ``K`` rechecked by the reference ``normal_update``,
+    as a move from the empty complex."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(moves, "singular_after", lambda _K, K2, _rec: normal_update(_K, K2, {}))
+        sing = gen._scope_update(SimplicialComplex(()), K, None, g2_cap)
     return None if sing is None else bool(sing)
 
 

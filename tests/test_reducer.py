@@ -356,7 +356,6 @@ def test_audit_summary_readable(fx):
     (lambda K: reducer.format_trace(None), TraceFormatError),
     (lambda K: complexes.total_g2(None), PseudoformError),
     (lambda K: moves.apply_record(K, 5), MoveError),
-    (lambda K: complexes.normal_update(K, 5, {}), PseudoformError),
     (lambda K: complexes.validate_normal(5), PseudoformError),
     (lambda K: generators.generate(5), SpecError),
     # the cases below name themselves, so the ids above stay as they were
@@ -384,6 +383,22 @@ def test_audit_summary_readable(fx):
     pytest.param(lambda K: moves.apply_record(K, moves.MoveRecord(moves.TWO_FACETS_CONTRACT, (
         ("vertices", 5), ("triangle", (0, 1, 2)), ("fresh", 5)), 0)),
         MoveError, id="record-vertices"),
+    # the value types' own methods, on hand-built members of the wrong type
+    pytest.param(lambda K: str(moves.MoveRecord("x", 5, "a")), MoveError, id="record-str"),
+    pytest.param(lambda K: moves.MoveRecord("x", 5, "a").param_dict(), MoveError,
+                 id="record-param-dict"),
+    pytest.param(lambda K: moves.MoveRecord("x", 5, "a").get("a"), MoveError, id="record-get"),
+    pytest.param(lambda K: str(moves.MoveRecord("x", (), "a")), MoveError, id="record-delta"),
+    pytest.param(lambda K: reducer.ConstructionTrace((5,), 5, None, 0).summary(),
+                 TraceFormatError, id="trace-summary"),
+    pytest.param(lambda K: reducer.ConstructionTrace((5,), 5, None, 0).counts(),
+                 TraceFormatError, id="trace-counts"),
+    pytest.param(lambda K: reducer.ConstructionTrace((K,), ((0, 5),), None, 0).counts(),
+                 TraceFormatError, id="trace-counts-record"),
+    pytest.param(lambda K: generators.GeneratorSpec(generators.RANDOM_MOVES, 5).get("seed"),
+                 SpecError, id="spec-get"),
+    pytest.param(lambda K: str(generators.GeneratorSpec(generators.RANDOM_MOVES, 5)),
+                 SpecError, id="spec-str"),
 ])
 def test_replay_path_refuses_arguments_of_the_wrong_type(call, error):
     with pytest.raises(error):

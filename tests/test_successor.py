@@ -9,7 +9,8 @@ its facets in every cache it carries, that the change of total g2 read
 off those caches is the fresh one, and that the singular map carried
 from the step (``moves.singular_after``, and ``reducer._split_singular``
 for both halves of a split) agrees with ``validate_normal`` on every
-component, and each step's also with ``normal_update``.  Mutants that
+component, and each step's also with the reference recheck
+``normal_update`` (kept in ``conftest``).  Mutants that
 drop one patched edge or one component merge, or that give a move or a
 split the wrong singular map, must fail the gate.
 
@@ -22,11 +23,12 @@ import hashlib
 import pytest
 
 from pseudoform import complexes, generators as gen, moves, reducer
-from pseudoform.complexes import SimplicialComplex, normal_update, total_g2
+from pseudoform.complexes import SimplicialComplex, total_g2
 from pseudoform.errors import MalformedFacetError
 
 from conftest import (COMPLEX_FIXTURES, FOLD_WALK_SEEDS, LINKS_MUTANTS, RULE_MUTANTS,
-                      SPHERE_WALK_SEEDS, folded_spine, long_fold_walk, rp2_second_summand)
+                      SPHERE_WALK_SEEDS, folded_spine, normal_update,
+                      rp2_second_summand, rule_runs)
 
 
 def _partition(comp):
@@ -363,11 +365,12 @@ def test_the_gate_fails_on_a_links_mutant(mutate, monkeypatch):
 
 @pytest.mark.parametrize("mutate", RULE_MUTANTS)
 def test_the_gate_fails_on_a_move_rule_mutant(mutate, monkeypatch):
-    trace = long_fold_walk(2).trace
+    runs = rule_runs()
     mutate(monkeypatch)
     install_gate(monkeypatch, SimplicialComplex._successor)
     with pytest.raises(AssertionError):
-        reducer.replay(trace)
+        for run in runs:
+            run()
 
 
 # ------------------------------------------------ the operation-count guard

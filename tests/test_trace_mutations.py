@@ -11,9 +11,10 @@ cycle, vertex or ``u_side``).
 
 Each mutant, of the fixture traces and of the folded
 ``spine_path_sphere(8)`` trace, must also end as a reference replay
-ends that rechecks every step with ``normal_update``, instead of
-reading a connected sum's singular map off its record: with the same
-error class and text, or with the same complex.
+ends that rechecks every step with the reference ``normal_update``
+(kept in ``conftest``), instead of reading each step's singular map off
+its kind's links rule: with the same error class and text, or with the
+same complex.
 """
 
 import contextlib
@@ -23,10 +24,9 @@ import re
 import pytest
 
 from pseudoform import cli, moves, reducer
-from pseudoform.complexes import normal_update
 from pseudoform.errors import ReplayError, TraceFormatError
 
-from conftest import COMPLEX_FIXTURES, FIXTURES, folded_spine
+from conftest import COMPLEX_FIXTURES, FIXTURES, folded_spine, normal_update
 
 # the fixtures whose traces have moves (boundary4simplex is a seed)
 TRACED = [n for n in COMPLEX_FIXTURES
@@ -57,11 +57,13 @@ def outcome(text):
 
 
 def reference_outcome(text):
-    """``outcome`` of a replay that calls ``normal_update`` at every step."""
+    """``outcome`` of a replay that calls ``normal_update`` at every step
+    and refuses a state that is not normal."""
     def recheck(K, K2, record):
         got = normal_update(K, K2, K._cache["singular"])
-        if got is not None:
-            K2._cache["singular"] = got
+        if got is None:
+            raise ReplayError(f"state after a {record.kind} move is not normal")
+        K2._cache["singular"] = got
         return got
 
     with pytest.MonkeyPatch.context() as m:
