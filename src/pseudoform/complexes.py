@@ -755,25 +755,107 @@ def total_g2(K: SimplicialComplex) -> int:
 # ---------------------------------------------------------------------
 
 
+def _ridge_index(K: SimplicialComplex) -> dict:
+    """Each triangle of ``K``, a 3-complex, -> the facets containing it,
+    memoised per complex."""
+    got = K._cache.get("ridges")
+    if got is None:
+        got = {}
+        for F in K.facets:
+            for x in F:
+                got.setdefault(F - {x}, []).append(F)
+        K._cache["ridges"] = got
+    return got
+
+
+def _face_counts(K: SimplicialComplex) -> tuple:
+    """The number of faces of each dimension, facets first; for a
+    3-complex read off the ridge and edge indexes."""
+    if K.dimension == 3:
+        return (len(K.facets), len(_ridge_index(K)), len(K._edge_counts()), len(K.vertices))
+    return tuple(len(K.faces(d)) for d in range(K.dimension, -1, -1))
+
+
+def _floodable(K: SimplicialComplex) -> bool:
+    """Whether ``K`` is a 3-complex in which every triangle lies in exactly
+    two facets and the facets are connected across triangles.  Then the
+    image of one facet fixes an isomorphism (``_flood``)."""
+    if K.dimension != 3:
+        return False
+    pairs = _ridge_index(K).values()
+    return all(len(p) == 2 for p in pairs) and surfaces._count_components(pairs) == 1
+
+
 def _vertex_keys(K: SimplicialComplex) -> dict:
-    """Refined per-vertex invariants used to prune the search, with the
-    link read off the facets at the vertex."""
+    """Refined per-vertex invariants used to prune the search: the
+    number of faces of each dimension in the link and the link's class,
+    read off the facet index and, for a 3-complex, the ridge index.
+
+    In a 3-complex whose triangles all lie in two facets, a link whose
+    triangles are connected across its edges is a closed pseudo-surface
+    with a connected normalisation; unpinching raises chi, so chi = 2
+    makes it a 2-sphere without building its ``Surface``."""
+    by_vertex, adj, d = K._facets_by_vertex(), K.adjacency, K.dimension
+    ridges = _ridge_index(K) if d == 3 else {}
+    around: dict = {}  # each vertex -> the facets of each triangle at it
+    for t, pair in ridges.items():
+        for x in t:
+            around.setdefault(x, []).append(pair)
+    regular = all(len(p) == 2 for p in ridges.values())
     base = {}
-    for v in K._facets_by_vertex():
-        sizes = Counter(map(len, _closure(K._link_cells(frozenset((v,))))))
-        counts = tuple(sizes[d + 1] for d in range(max(K.dimension, 1)))
-        kind = ""
-        if K.dimension == 3:
+    for v, at_v in by_vertex.items():
+        n = len(adj[v])
+        if d != 3:  # the link's vertices, and in dimension 2 its edges
+            base[v] = (n, (n, len(at_v))[:max(d, 1)], "")
+            continue
+        counts = (n, len(around[v]), len(at_v))
+        if regular and n - counts[1] + counts[2] == 2 \
+                and surfaces._count_components(around[v]) == 1:
+            kind = surfaces.SPHERE
+        else:
             try:
                 kind = _vertex_link_class(K, v).kind
             except PseudoformError:
                 kind = "?"
-        base[v] = (len(K.neighbors(v)), counts, kind)
+        base[v] = (n, counts, kind)
     # one refinement round: append the multiset of neighbour base keys
-    return {
-        v: (base[v], tuple(sorted(base[u] for u in K.neighbors(v))))
-        for v in K.vertices
-    }
+    return {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in base}
+
+
+def _flood(F: frozenset, mapping: dict, ridges1: dict, ridges2: dict,
+           facets2: frozenset) -> Optional[dict]:
+    """The isomorphism extending ``mapping``, which maps every vertex of
+    the facet ``F``, or None when there is none.
+
+    Both complexes are ``_floodable``, with as many vertices and facets.
+    Once a facet's image is fixed, so is the image of its neighbour
+    across each of its triangles: the other facet at the image triangle,
+    with the opposite vertices matched.  Propagating across triangles
+    reaches every facet, so it gives the one candidate map, which must
+    agree with ``mapping``.  A consistent map sends each facet onto a
+    facet and neighbours onto neighbours, so it reaches every facet of
+    the second complex too: it is onto, hence a bijection, and an
+    isomorphism."""
+    G = frozenset(map(mapping.get, F))
+    if G not in facets2:
+        return None
+    phi = dict(mapping)
+    seen, todo = {F}, [(F, G)]
+    while todo:
+        F, G = todo.pop()
+        for x in F:
+            t, s = F - {x}, G - {phi[x]}
+            a, b = ridges1[t]
+            F2 = b if a == F else a
+            a, b = ridges2[s]
+            G2 = b if a == G else a
+            (y,), (z,) = F2 - t, G2 - s
+            if phi.setdefault(y, z) != z:
+                return None
+            if F2 not in seen:
+                seen.add(F2)
+                todo.append((F2, G2))
+    return phi
 
 
 def find_isomorphism(
@@ -784,20 +866,34 @@ def find_isomorphism(
     """Search for a facet-preserving vertex bijection K1 -> K2.
 
     Returns the bijection as a dict, or None when the complexes are not
-    isomorphic.  The search is refinement-pruned backtracking; if it
-    would try more than ``node_budget`` candidate images it raises
+    isomorphic.  The search is refinement-pruned backtracking over the
+    vertices, rarest invariant class first, each trying the unused
+    vertices of its class in label order; the first complete map it
+    meets is the least one in that order.
+
+    When both complexes are 3-complexes in which every triangle lies in
+    exactly two facets and the facets are connected across triangles
+    (connected closed pseudomanifolds), the image of one facet fixes the
+    whole map.  So a branch that first maps a whole facet onto a facet
+    is resolved at once by propagating across triangles: it gives the
+    branch's only completion, or none.  On such inputs the search is
+    exact; ``node_budget`` bounds the candidate images tried before a
+    branch is resolved, and propagating costs no nodes.  Other inputs
+    are searched to the end, and ``node_budget`` bounds all the
+    candidates tried.  Past the budget the search raises
     :class:`IsomorphismInconclusive` instead of guessing.  A candidate
-    whose adjacency disagrees with the images already chosen is
-    counted as tried without being visited, so the cost follows the
-    consistent candidates.
+    whose adjacency disagrees with the images already chosen is counted
+    as tried without being visited, so the cost follows the consistent
+    candidates.
     """
     if not isinstance(node_budget, int) or isinstance(node_budget, bool):
         raise PseudoformError(f"node_budget must be an integer, got {node_budget!r}")
     _as_complex(K1, "find_isomorphism")
     _as_complex(K2, "find_isomorphism")
-    if K1.dimension != K2.dimension or any(
-        len(K1.faces(d)) != len(K2.faces(d)) for d in range(K1.dimension, -1, -1)
-    ):
+    if K1.dimension != K2.dimension or _face_counts(K1) != _face_counts(K2):
+        return None
+    flood = _floodable(K1)
+    if flood != _floodable(K2):  # ridge degrees and facet connectivity are invariants
         return None
 
     keys1, keys2 = _vertex_keys(K1), _vertex_keys(K2)
@@ -812,6 +908,8 @@ def find_isomorphism(
     order = sorted(K1.vertices, key=lambda v: (len(classes2[keys1[v]]), v))
     by_vertex1 = K1._facets_by_vertex()
     adj1, adj2 = K1.adjacency, K2.adjacency
+    if flood:
+        ridges1, ridges2 = _ridge_index(K1), _ridge_index(K2)
 
     if not order:
         return {}
@@ -852,10 +950,12 @@ def find_isomorphism(
             mapping[v] = w
             used.add(w)
             # the facets at v that are now fully mapped must land on facets
-            if all(
-                frozenset(map(mapping.get, F)) in K2.facets
-                for F in by_vertex1[v] if mapping.keys() >= F
-            ):
+            full = [F for F in by_vertex1[v] if mapping.keys() >= F]
+            if flood and full:  # the first whole facet of this branch
+                done = _flood(full[0], mapping, ridges1, ridges2, K2.facets)
+                if done is not None:
+                    return done
+            elif all(frozenset(map(mapping.get, F)) in K2.facets for F in full):
                 break  # descend to the next vertex
             del mapping[v]
             used.discard(w)
@@ -871,5 +971,6 @@ def find_isomorphism(
 def are_isomorphic(
     K1: SimplicialComplex, K2: SimplicialComplex, node_budget: int = 500_000
 ) -> bool:
-    """True when a facet-preserving vertex bijection exists."""
+    """True when a facet-preserving vertex bijection exists: the answer
+    of :func:`find_isomorphism`, with its exactness and its budget."""
     return find_isomorphism(K1, K2, node_budget=node_budget) is not None

@@ -265,7 +265,10 @@ def bistellar_one(
 
 
 def _iter_bistellar_two_sites(K: SimplicialComplex) -> Iterator:
-    edges = ((e,) for e in sorted(K._edge_counts(), key=sorted))
+    """The sites in edge order; an edge of another degree is refused by
+    the check on its degree alone, so only the degree-3 edges are tried."""
+    degree3 = (e for e, n in K._edge_counts().items() if n == 3)
+    edges = ((e,) for e in sorted(degree3, key=sorted))
     for (e,), (_cof, apex) in _passing(_bistellar_two_check, K, edges):
         yield tuple(sorted(e)), tuple(sorted(apex))
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import pathlib
@@ -122,6 +123,85 @@ def shuffled(K, seed: int):
     image = labels[:]
     random.Random(seed).shuffle(image)
     return K.relabeled(dict(zip(labels, image)))
+
+
+# The reference for the isomorphism search's resolution step: every
+# isomorphism, found by sending one anchor facet everywhere.
+
+def _triangle_facets(K) -> dict:
+    """Each triangle of the 3-complex ``K`` -> the facets containing it."""
+    out: dict = {}
+    for F in K.facets:
+        for t in itertools.combinations(sorted(F), 3):
+            out.setdefault(frozenset(t), []).append(F)
+    return out
+
+
+def flood_ready(K) -> bool:
+    """Whether ``K`` is a 3-complex whose triangles each lie in two facets
+    and whose facets are connected across triangles."""
+    if K.dimension != 3:
+        return False
+    tris = _triangle_facets(K)
+    if any(len(fs) != 2 for fs in tris.values()):
+        return False
+    nbrs: dict = {F: [] for F in K.facets}
+    for a, b in tris.values():
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    start = min(K.facets, key=sorted)
+    seen, todo = {start}, [start]
+    while todo:
+        for G in nbrs[todo.pop()]:
+            if G not in seen:
+                seen.add(G)
+                todo.append(G)
+    return len(seen) == len(K.facets)
+
+
+def all_isomorphisms(K1, K2) -> list:
+    """Every isomorphism ``K1 -> K2`` of two ``flood_ready`` complexes.
+
+    The least facet of ``K1`` goes to each facet of ``K2`` in each of its
+    24 vertex orders; a breadth-first sweep across triangles extends
+    that to a map, which is kept when it sends the facets of ``K1``
+    bijectively onto those of ``K2``."""
+    tris1, tris2 = _triangle_facets(K1), _triangle_facets(K2)
+    anchor = min(K1.facets, key=sorted)
+    found = []
+    for G in sorted(K2.facets, key=sorted):
+        for image in itertools.permutations(sorted(G)):
+            phi = dict(zip(sorted(anchor), image))
+            queue, done = collections.deque([anchor]), {anchor}
+            while queue and phi is not None:
+                F = queue.popleft()
+                image_F = frozenset(phi[x] for x in F)
+                for t in map(frozenset, itertools.combinations(sorted(F), 3)):
+                    t2 = frozenset(phi[x] for x in t)
+                    other1 = [H for H in tris1[t] if H != F]
+                    other2 = [H for H in tris2.get(t2, ()) if H != image_F]
+                    if len(other2) != 1:
+                        phi = None
+                        break
+                    (y,), (z,) = other1[0] - t, other2[0] - t2
+                    if phi.setdefault(y, z) != z:
+                        phi = None
+                        break
+                    if other1[0] not in done:
+                        done.add(other1[0])
+                        queue.append(other1[0])
+            if (phi is not None and len(set(phi.values())) == len(phi) == len(K2.vertices)
+                    and {frozenset(phi[x] for x in F) for F in K1.facets} == K2.facets):
+                found.append(phi)
+    return found
+
+
+def extension(isos, mapping: dict) -> Optional[dict]:
+    """The member of ``isos`` that agrees with ``mapping``, or None."""
+    for phi in isos:
+        if all(phi[x] == y for x, y in mapping.items()):
+            return phi
+    return None
 
 
 def walk_states(g):

@@ -348,6 +348,25 @@ def test_iso_finds_relabeling(capsys, tmp_path):
     assert "0:20" in out
 
 
+def test_iso_answers_on_large_spheres(capsys, tmp_path):
+    """Two relabelings of a 68-vertex sphere: the search resolves at the
+    first whole facet (it gave up as inconclusive before it did)."""
+    K = staircase_sphere(64)
+    files = []
+    for seed in (1, 2):
+        labels = sorted(K.vertices)
+        image = labels[:]
+        random.Random(seed).shuffle(image)
+        files.append(K.relabeled(dict(zip(labels, image))))
+        io.save_facets(tmp_path / f"s{seed}.txt", files[-1].facets)
+    code, out, _err = run(capsys, "iso", str(tmp_path / "s1.txt"),
+                          str(tmp_path / "s2.txt"), "--json")
+    assert code == 0
+    mapping = dict(map(tuple, json.loads(out)["mapping"]))
+    K1, K2 = files
+    assert {frozenset(mapping[x] for x in F) for F in K1.facets} == K2.facets
+
+
 def test_iso_negative(capsys):
     code, out, _err = run(
         capsys, "iso", path("boundary4simplex"), path("cross_polytope")

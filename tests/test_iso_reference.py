@@ -5,6 +5,10 @@ that vertex.  The reference below is the search as it was before, which
 scanned every facet of the first complex at each node; both must give
 the same maps, the same ``None`` results and the same node counts, so
 they raise ``IsomorphismInconclusive`` at the same budgets.
+
+On two connected closed pseudomanifolds the search resolves a branch
+once it maps a whole facet; the reference resolves it by looking the
+partial map up among every isomorphism (``all_isomorphisms``).
 """
 
 import pytest
@@ -13,7 +17,7 @@ from pseudoform import complexes, generators as gen, moves
 from pseudoform.complexes import SimplicialComplex, _vertex_keys
 from pseudoform.errors import IsomorphismInconclusive
 
-from conftest import shuffled
+from conftest import all_isomorphisms, extension, flood_ready, shuffled
 
 
 def reference_search(K1, K2):
@@ -25,9 +29,13 @@ def reference_search(K1, K2):
     for d in range(K1.dimension + 1):
         if len(K1.faces(d)) != len(K2.faces(d)):
             return None, 0
+    ready = flood_ready(K1)
+    if ready != flood_ready(K2):
+        return None, 0
     keys1, keys2 = _vertex_keys(K1), _vertex_keys(K2)
     if sorted(keys1.values()) != sorted(keys2.values()):
         return None, 0
+    isos = all_isomorphisms(K1, K2) if ready else []
     classes2: dict = {}
     for v, k in keys2.items():
         classes2.setdefault(k, []).append(v)
@@ -53,13 +61,18 @@ def reference_search(K1, K2):
                 continue
             mapping[v] = w
             used.add(w)
-            facet_ok = True
+            facet_ok, full = True, False
             for F in facets1:
                 if v in F and all(x in mapping for x in F):
+                    full = True
                     if frozenset(mapping[x] for x in F) not in K2.facets:
                         facet_ok = False
                         break
-            if facet_ok:
+            if facet_ok and ready and full:  # resolved: one completion at most
+                resolved = extension(isos, mapping)
+                if resolved is not None:
+                    return dict(resolved), nodes
+            elif facet_ok:
                 break
             del mapping[v]
             used.discard(w)
