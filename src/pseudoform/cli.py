@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import generators, io, moves, reducer, rigidity
-from .complexes import _vertex_link_class, find_isomorphism, total_g2, validate_normal
+from .complexes import _link_shapes, find_isomorphism, total_g2, validate_normal
 from .defaults import DEFAULT_SEED
 from .errors import (
     IsomorphismInconclusive,
@@ -99,15 +99,13 @@ def _cmd_fvector(args) -> int:
 
 def _cmd_links(args) -> int:
     K = io.load_complex(args.file)
-    rows = []
+    rows, shapes = [], _link_shapes(K)
     for v in sorted(K.vertices):
-        try:
-            cls = _vertex_link_class(K, v)
-            kind = cls.kind
-            chi = cls.euler_characteristic
-        except PseudoformError:
-            kind, chi = "not-a-surface", None
-        rows.append((v, kind, chi))
+        cls = shapes[v][3]
+        if cls is None:
+            rows.append((v, "not-a-surface", None))
+        else:
+            rows.append((v, cls.kind, cls.euler_characteristic))
     payload = {
         "links": [
             {"vertex": v, "kind": k, "euler_characteristic": c}

@@ -13,6 +13,10 @@ pseudomanifolds).  Lower-dimensional complexes appear as links: the
 link of a vertex is a 2-complex, the link of an edge a graph, and so
 on.  ``validate_normal`` classifies every vertex link as a surface and
 reports the vertices whose link is not a 2-sphere (singular vertices).
+One classifier, ``_link_shapes``, reads a vertex link's counts, whether
+it is a closed connected surface, and its class off the facet and
+triangle indexes, without building the link; a ``Surface`` is built
+only to word why a link is not a closed connected surface.
 """
 
 from __future__ import annotations
@@ -637,17 +641,64 @@ def _edge_circle(K: SimplicialComplex, e: frozenset) -> Optional[dict]:
     return memo[e]
 
 
-def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
-    """Classification of the link of ``v``, read off the facets at ``v``
-    and memoised per complex; raises :class:`PseudoformError` when it is
-    not a closed connected surface (that refusal is not memoised)."""
-    memo = K._cache.setdefault("link_classes", {})
-    got = memo.get(v)
+def _ridge_index(K: SimplicialComplex) -> dict:
+    """Each triangle of ``K``, a 3-complex, -> the facets containing it,
+    memoised per complex."""
+    got = K._cache.get("ridges")
     if got is None:
-        at_v = K._facets_by_vertex().get(v, ())
-        surface = surfaces.Surface(frozenset(F - {v} for F in at_v if len(F) > 1))
-        got = memo[v] = surface.classify()
+        got = {}
+        for F in K.facets:
+            for x in F:
+                got.setdefault(F - {x}, []).append(F)
+        K._cache["ridges"] = got
     return got
+
+
+def _link_shapes(K: SimplicialComplex) -> dict:
+    """Each vertex of ``K``, a 3-complex, -> ``(V, E, T, cls)``: the
+    numbers of vertices, edges and triangles of its link, and the link's
+    class, or None when the link is not a closed connected surface.  Read off
+    the facet and triangle indexes and memoised per complex; no link is
+    built.
+
+    The link's vertices are the neighbours of ``v``, its edges the
+    triangles at ``v`` and its triangles the facets at ``v``.  A link
+    edge lies in as many link triangles as its triangle lies in facets,
+    and two link triangles meet at a link edge when their facets meet at
+    its triangle.  So the link is a closed connected surface when every
+    triangle at ``v`` lies in two facets and the facets at ``v`` are
+    connected across them; ``surfaces._closed_class`` then classes it
+    from chi = V - E + T, sweeping its triangles for orientability only
+    when chi is not 2."""
+    got = K._cache.get("link_shapes")
+    if got is None:
+        around: dict = {}  # each vertex -> the facets of each triangle at it
+        irregular = set()  # the vertices of triangles in other than two facets
+        for t, pair in _ridge_index(K).items():
+            if len(pair) != 2:
+                irregular.update(t)
+            for x in t:
+                around.setdefault(x, []).append(pair)
+        by_vertex, adj, got = K._facets_by_vertex(), K.adjacency, {}
+        for v, pairs in around.items():
+            at_v, n = by_vertex[v], len(adj[v])
+            cls = None
+            if v not in irregular and surfaces._count_components(pairs) == 1:
+                cls = surfaces._closed_class(n - len(pairs) + len(at_v), (F - {v} for F in at_v))
+            got[v] = (n, len(pairs), len(at_v), cls)
+        K._cache["link_shapes"] = got
+    return got
+
+
+def _vertex_link_class(K: SimplicialComplex, v: int) -> surfaces.SurfaceClass:
+    """Classification of the link of ``v`` (``_link_shapes``); raises
+    :class:`PseudoformError` when it is not a closed connected surface,
+    worded by the link's :class:`Surface`, which is built only then."""
+    shape = _link_shapes(K).get(v) if K.dimension == 3 else None
+    if shape is not None and shape[3] is not None:
+        return shape[3]
+    at_v = K._facets_by_vertex().get(v, ())
+    return surfaces.Surface(frozenset(F - {v} for F in at_v if len(F) > 1)).classify()
 
 
 def _singular_map(K: SimplicialComplex) -> Optional[dict]:
@@ -687,18 +738,9 @@ def _normality(K: SimplicialComplex) -> NormalityReport:
             f"validate_normal expects a 3-complex, got dimension {K.dimension}"
         )
 
-    ridge_failures = []
-    for t in sorted(K.faces(2), key=sorted):
-        n = len(K._cofacets(t))
-        if n != 2:
-            ridge_failures.append((tuple(sorted(t)), n))
-
+    ridge_failures = sorted((tuple(sorted(t)), len(pair))
+                            for t, pair in _ridge_index(K).items() if len(pair) != 2)
     is_connected = K.is_connected()
-
-    disconnected_links = []
-    for f in sorted(K.faces(0), key=sorted) + sorted(K.faces(1), key=sorted):
-        if not _link_connected(K, f):
-            disconnected_links.append(tuple(sorted(f)))
 
     bad_links = []
     singular = []
@@ -710,6 +752,20 @@ def _normality(K: SimplicialComplex) -> NormalityReport:
             continue
         if cls.kind != surfaces.SPHERE:
             singular.append((v, cls))
+
+    # A vertex whose link is a closed connected surface has a connected
+    # link.  When that surface is a sphere or a projective plane it has
+    # no pinch: unpinching raises chi, and chi is at most 2 on a closed
+    # connected surface, 1 when it is non-orientable.  So the link of
+    # every edge at such a vertex is a circle.  Only the other faces are
+    # tested.
+    loose = {v for v, _ in bad_links}
+    loose.update(v for v, cls in singular if cls.kind != surfaces.RP2)
+    edges = sorted((v, w) for v in loose for w in K.adjacency[v] & loose if v < w)
+    disconnected_links = [
+        f for f in [(v,) for v, _ in bad_links] + edges
+        if not _link_connected(K, frozenset(f))
+    ]
 
     ok = (
         is_connected
@@ -755,19 +811,6 @@ def total_g2(K: SimplicialComplex) -> int:
 # ---------------------------------------------------------------------
 
 
-def _ridge_index(K: SimplicialComplex) -> dict:
-    """Each triangle of ``K``, a 3-complex, -> the facets containing it,
-    memoised per complex."""
-    got = K._cache.get("ridges")
-    if got is None:
-        got = {}
-        for F in K.facets:
-            for x in F:
-                got.setdefault(F - {x}, []).append(F)
-        K._cache["ridges"] = got
-    return got
-
-
 def _face_counts(K: SimplicialComplex) -> tuple:
     """The number of faces of each dimension, facets first; for a
     3-complex read off the ridge and edge indexes."""
@@ -788,36 +831,19 @@ def _floodable(K: SimplicialComplex) -> bool:
 
 def _vertex_keys(K: SimplicialComplex) -> dict:
     """Refined per-vertex invariants used to prune the search: the
-    number of faces of each dimension in the link and the link's class,
-    read off the facet index and, for a 3-complex, the ridge index.
-
-    In a 3-complex whose triangles all lie in two facets, a link whose
-    triangles are connected across its edges is a closed pseudo-surface
-    with a connected normalisation; unpinching raises chi, so chi = 2
-    makes it a 2-sphere without building its ``Surface``."""
+    number of faces of each dimension in the link and, for a 3-complex,
+    the link's class, or "?" when it is no closed connected surface,
+    all read off the indexes (``_link_shapes``)."""
     by_vertex, adj, d = K._facets_by_vertex(), K.adjacency, K.dimension
-    ridges = _ridge_index(K) if d == 3 else {}
-    around: dict = {}  # each vertex -> the facets of each triangle at it
-    for t, pair in ridges.items():
-        for x in t:
-            around.setdefault(x, []).append(pair)
-    regular = all(len(p) == 2 for p in ridges.values())
+    shapes = _link_shapes(K) if d == 3 else {}
     base = {}
     for v, at_v in by_vertex.items():
         n = len(adj[v])
         if d != 3:  # the link's vertices, and in dimension 2 its edges
             base[v] = (n, (n, len(at_v))[:max(d, 1)], "")
             continue
-        counts = (n, len(around[v]), len(at_v))
-        if regular and n - counts[1] + counts[2] == 2 \
-                and surfaces._count_components(around[v]) == 1:
-            kind = surfaces.SPHERE
-        else:
-            try:
-                kind = _vertex_link_class(K, v).kind
-            except PseudoformError:
-                kind = "?"
-        base[v] = (n, counts, kind)
+        _, e, t, cls = shapes[v]
+        base[v] = (n, (n, e, t), "?" if cls is None else cls.kind)
     # one refinement round: append the multiset of neighbour base keys
     return {v: (base[v], tuple(sorted(base[u] for u in adj[v]))) for v in base}
 

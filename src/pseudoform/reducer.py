@@ -506,7 +506,9 @@ def _split_singular(
     that holds its star.  A sphere corner is a sphere in both halves
     (Jordan-Schoenflies: both parts are discs).  An RP^2 corner is cut
     into a disc and a Moebius strip: the half whose link has Euler
-    characteristic 2 gets the sphere, the other keeps RP^2.
+    characteristic 2 gets the sphere, the other keeps RP^2.  Both halves
+    are normal, so a corner's link with V vertices and T triangles has
+    3T/2 edges and chi = V - T/2, read off its link cells in K1.
     """
     fresh = dict(rec.get("psi"))
     maps: tuple = ({}, {})
@@ -515,7 +517,7 @@ def _split_singular(
             maps[v not in K1.vertices][v] = cls
             continue
         link = K1._link_cells(frozenset((v,)))  # its triangles
-        if len(frozenset().union(*link)) - len(_vertex_link(K1, v).edges) + len(link) == 2:
+        if 2 * len(frozenset().union(*link)) - len(link) == 4:
             maps[1][fresh[v]] = cls
         else:
             maps[0][v] = cls

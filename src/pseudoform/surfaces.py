@@ -72,16 +72,31 @@ def _sum_class(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
     return SurfaceClass(_classify(chi, orient), chi, orient)
 
 
+def _closed_class(chi: int, triangles) -> SurfaceClass:
+    """The class of a closed surface with Euler characteristic ``chi``
+    whose triangles are connected across its edges; ``triangles`` are
+    its triangles, or those of the surface less a disc, which has the
+    same orientability.
+
+    Unpinching a vertex raises chi and a connected closed surface has
+    chi at most 2, so chi = 2 is the 2-sphere and ``triangles`` is not
+    read.  Otherwise orientability is swept (``_orientable``), never
+    guessed from chi: a sphere with two points identified has chi = 1
+    and is orientable."""
+    if chi == 2:
+        return SPHERE_CLASS
+    orient = _orientable(list(triangles))
+    return SurfaceClass(_classify(chi, orient), chi, orient)
+
+
 def _capped_class(triangles) -> SurfaceClass:
     """The class of a capped side: a side of a cut link, whose boundary
     is the one cut circle, with that circle closed off by a disc.  Its
     Euler characteristic is the side's plus one, and it is orientable
-    when the side is (``_orientable``).  No :class:`Surface` is built."""
+    when the side is.  No :class:`Surface` is built."""
     tris = list(triangles)
     edges = {e for t in tris for e in _edges_of(t)}
-    chi = len({v for t in tris for v in t}) - len(edges) + len(tris) + 1
-    orient = chi == 2 or _orientable(tris)
-    return SurfaceClass(_classify(chi, orient), chi, orient)
+    return _closed_class(len({v for t in tris for v in t}) - len(edges) + len(tris) + 1, tris)
 
 
 class Surface:
@@ -138,10 +153,7 @@ class Surface:
         return got
 
     def classify(self) -> SurfaceClass:
-        chi = self.euler_characteristic
-        # unpinching a vertex raises chi, so chi = 2 is the sphere: no sweep
-        orient = chi == 2 or self.is_orientable
-        return SurfaceClass(_classify(chi, orient), chi, orient)
+        return _closed_class(self.euler_characteristic, self.triangles)
 
     @property
     def g2(self) -> int:

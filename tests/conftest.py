@@ -9,8 +9,8 @@ import pytest
 from hypothesis import settings
 
 from pseudoform import generators as gen, io as pio, moves, reducer, surfaces
-from pseudoform.complexes import (SimplicialComplex, _link_connected, _vertex_link_class,
-                                  validate_normal)
+from pseudoform.complexes import (NormalityReport, SimplicialComplex, _link_connected,
+                                  _vertex_link_class, validate_normal)
 from pseudoform.errors import PseudoformError
 
 # Property tests draw the same examples on every run, at a bounded cost
@@ -86,6 +86,91 @@ def normal_update(
         if cls.kind != surfaces.SPHERE:
             out[v] = cls
     return out
+
+
+# The full check that ``validate_normal`` replaced, kept as the reference
+# that the link classifier's gate compares its reports with.  It shares
+# no code with the classifier: it builds each vertex link and its
+# Surface and always sweeps it for orientation, and it searches every
+# vertex and edge link for connectivity.
+
+def reference_link_class(K: SimplicialComplex, v) -> surfaces.SurfaceClass:
+    """The link complex as a surface, always swept for orientation."""
+    S = surfaces.Surface(K.link((v,)).facets)
+    orient = surfaces._orientable(S.triangles)
+    chi = S.euler_characteristic
+    return surfaces.SurfaceClass(surfaces._classify(chi, orient), chi, orient)
+
+
+def reference_link_connected(K: SimplicialComplex, f: frozenset) -> bool:
+    """Whether the link of ``f`` is connected: its cells, grown from the
+    first one by every cell that meets what is reached."""
+    cells = [F - f for F in K._cofacets(f)]
+    reached, grown = set(cells[0]) if cells else set(), True
+    while grown:
+        grown = False
+        for c in cells:
+            if c & reached and not c <= reached:
+                reached |= c
+                grown = True
+    return all(c <= reached for c in cells)
+
+
+def reference_normality(K: SimplicialComplex) -> NormalityReport:
+    """``validate_normal`` of the 3-complex ``K``, checking every face."""
+    ridge_failures = []
+    for t in sorted(K.faces(2), key=sorted):
+        n = len(K._cofacets(t))
+        if n != 2:
+            ridge_failures.append((tuple(sorted(t)), n))
+
+    is_connected = K.is_connected()
+
+    disconnected_links = []
+    for f in sorted(K.faces(0), key=sorted) + sorted(K.faces(1), key=sorted):
+        if not reference_link_connected(K, f):
+            disconnected_links.append(tuple(sorted(f)))
+
+    bad_links = []
+    singular = []
+    for v in sorted(K.vertices):
+        try:
+            cls = reference_link_class(K, v)
+        except PseudoformError as exc:  # report, do not raise
+            bad_links.append((v, str(exc)))
+            continue
+        if cls.kind != surfaces.SPHERE:
+            singular.append((v, cls))
+
+    ok = (
+        is_connected
+        and not ridge_failures
+        and not disconnected_links
+        and not bad_links
+    )
+    return NormalityReport(
+        verdict="NormalClosed" if ok else "NotNormal",
+        is_connected=is_connected,
+        ridge_failures=tuple(ridge_failures),
+        disconnected_links=tuple(disconnected_links),
+        bad_links=tuple(bad_links),
+        singular_vertices=tuple(singular),
+    )
+
+
+# Mutants of the link classifier; each patches one collaborator in with
+# ``monkeypatch``, so the gate must run on complexes with cold caches.
+
+def classifier_skips_the_sweep(monkeypatch):
+    """Every link with chi other than 2 is called non-orientable."""
+    def closed_class(chi, triangles):
+        return surfaces.SurfaceClass(surfaces._classify(chi, chi == 2), chi, chi == 2)
+    monkeypatch.setattr(surfaces, "_closed_class", closed_class)
+
+
+def classifier_drops_the_connectivity_test(monkeypatch):
+    """The facets at a vertex count as connected across its triangles."""
+    monkeypatch.setattr(surfaces, "_count_components", lambda edges: 1)
 
 
 # The benchmark's walk corpus: RandomMoves at budget 20, sphere walks by

@@ -32,7 +32,7 @@ from pseudoform.complexes import SimplicialComplex, _vertex_keys, _vertex_link_c
 from pseudoform.errors import IsomorphismInconclusive, PseudoformError
 
 from conftest import (COMPLEX_FIXTURES, all_isomorphisms, extension, flood_ready, fold_rung,
-                      shuffled, walk_states)
+                      reference_link_class, shuffled, walk_states)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -126,14 +126,6 @@ def assert_same_search(K1, K2, budget):
             complexes.find_isomorphism(K1, K2, node_budget=nodes - 1)
     if flood_ready(K1) and flood_ready(K2):
         assert want == least_isomorphism(K1, K2)
-
-
-def reference_link_class(K, v):
-    """The link complex as a surface, always swept for orientation."""
-    S = surfaces.Surface(K.link((v,)).facets)
-    orient = surfaces._orientable(S.triangles)
-    chi = S.euler_characteristic
-    return surfaces.SurfaceClass(surfaces._classify(chi, orient), chi, orient)
 
 
 def reference_keys(K):

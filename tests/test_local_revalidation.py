@@ -359,14 +359,15 @@ def _surface_builds(monkeypatch):
 
 def test_split_cuts_no_vertex_link(monkeypatch):
     # the reducer decides every split by the star cut along the missing
-    # tetrahedron's triangles, corners included: the only link Surfaces
-    # are the admission check's, one per vertex
+    # tetrahedron's triangles, corners included, and the admission check
+    # reads each vertex link off the indexes: no link Surface is built
+    # (the admission check built one per vertex before)
     K = gen.staircase_sphere(12)
     builds = _surface_builds(monkeypatch)
     report = reducer.reduce_complex(K)
     assert report.accepted
     assert report.trace.counts()[0] == 12
-    assert len(builds) == len(K.vertices)
+    assert builds == []
 
 
 def test_sums_and_splits_build_no_link_surface(monkeypatch):
@@ -383,9 +384,9 @@ def test_sums_and_splits_build_no_link_surface(monkeypatch):
     assert builds == []  # 293 before, then 7 in the recheck after the fold
     del builds[:]
     assert reducer.reduce_complex(staircase).accepted
-    # the admission check classifies each vertex link once: 68 of the
-    # 746 builds before
-    assert len(builds) == len(staircase.vertices)
+    # the admission check reads each vertex link off the indexes: it
+    # built 68 of the 746 Surfaces before, one per vertex, and then none
+    assert builds == []
 
 
 def test_move_checks_read_the_certified_classes(monkeypatch):
@@ -456,8 +457,8 @@ def test_walk_steps_recheck_no_link(monkeypatch):
 def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):
     # both decide from the sides of the cut link and its class, read off
     # the certified map, and the unfold's rule reads the map after it off
-    # the record: reducing builds link Surfaces only in the admission
-    # check, one per vertex (the recheck after the unfold built more
+    # the record: reducing builds no link Surface (the admission check
+    # built one per vertex, and the recheck after the unfold more,
     # before), and listing the walks' insertion sites builds none
     K = fold_rung(32)
     finals = [walk(seed, False).complex for seed in SPHERE_WALK_SEEDS]
@@ -465,23 +466,33 @@ def test_insertion_and_unfold_cut_no_vertex_link(monkeypatch, walk):
     report = reducer.reduce_complex(K)
     assert report.accepted
     assert report.trace.counts()[2] == 1
-    assert len(builds) == len(K.vertices)
+    assert builds == []
     del builds[:]
     assert sum(len(moves.insertion_sites(K)) for K in finals) == 339
     assert builds == []
 
 
 def test_expansions_at_one_vertex_classify_its_link_once(monkeypatch):
-    # a complex that carries no certified map memoises each link class,
-    # so a second expansion at the same vertex builds no link Surface
-    # (each call built one before)
+    # a complex that carries no certified map memoises its link classes,
+    # so a second expansion at the same vertex classifies nothing (each
+    # call built a link Surface before); the classes are read off the
+    # indexes, so no Surface is built at all
     K = SimplicialComplex(gen.staircase_sphere(4).facets)
     assert complexes._singular_map(K) is None
     (v, c1), (_, c2) = itertools.islice(moves._iter_link_cycle_sites(K), 2)
-    builds = _surface_builds(monkeypatch)
-    for cycle in (c1, c2):
-        moves.expand_edge(K, v, cycle)
-    assert len(builds) == 1
+    builds, classed = _surface_builds(monkeypatch), []
+    closed_class = surfaces._closed_class
+
+    def counted(chi, triangles):
+        classed.append(chi)
+        return closed_class(chi, triangles)
+
+    monkeypatch.setattr(surfaces, "_closed_class", counted)
+    moves.expand_edge(K, v, c1)
+    assert classed == [2] * len(K.vertices)
+    moves.expand_edge(K, v, c2)
+    assert classed == [2] * len(K.vertices)
+    assert builds == []
 
 
 # ------------------------------------------------ two-facets contraction

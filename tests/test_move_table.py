@@ -11,6 +11,7 @@ from pseudoform.complexes import SimplicialComplex
 from pseudoform.errors import MoveError, ReplayError, TraceFormatError
 
 from conftest import COMPLEX_FIXTURES, normal_update
+from test_counted_search import ODD_LINKS, pinched_torus_and_sphere
 
 WALKS = [(seed, fold) for seed in range(4) for fold in (False, True)]
 
@@ -270,24 +271,21 @@ def test_walk_singular_flag_matches_full_validation(seed, fold):
 # --------------------------------------------- only package errors are caught
 
 
-def test_non_package_error_in_surface_propagates(fx, monkeypatch):
+def test_non_package_error_in_surface_propagates(monkeypatch):
     def boom(self, triangles):
         raise RuntimeError("boom")
 
-    CP = fx("cross_polytope")
-    host, _ = moves.bistellar_one(CP, moves.bistellar_one_sites(CP)[0][0])
-    assert moves.insertion_sites(host)
-    # each complex memoises its link classes: the calls get cold copies
-    CP, host = (SimplicialComplex(K.facets) for K in (CP, host))
-    # the search's keys call a link a sphere off its face counts and
-    # build a Surface only for the others, such as these RP2 links
-    folded = SimplicialComplex(fx("folded_g2_3").facets)
+    # a Surface is built only to word why a link is no closed connected
+    # surface: the link of 0 has the edge 12 in three triangles, 0 joins
+    # two tetrahedron boundaries, and 100 has a torus and a sphere apart;
+    # each call gets a cold copy, since each complex memoises its links
+    three, two, pinched = (SimplicialComplex(K.facets) for K in (
+        ODD_LINKS["edge_in_three"], ODD_LINKS["disconnected"], pinched_torus_and_sphere()))
     monkeypatch.setattr(surfaces.Surface, "__init__", boom)
     for call in (
-        lambda: complexes.validate_normal(CP),
-        lambda: complexes.find_isomorphism(folded, folded),
-        lambda: moves.contract_edge(CP, (0, 2)),
-        lambda: moves.insertion_sites(host),
+        lambda: complexes.validate_normal(three),
+        lambda: moves.contract_edge(two, (0, 5)),
+        lambda: moves.insertion_sites(pinched),
     ):
         with pytest.raises(RuntimeError):
             call()
