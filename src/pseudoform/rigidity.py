@@ -22,7 +22,7 @@ from math import comb
 from random import Random
 from typing import Iterable
 
-from .complexes import SimplicialComplex, _as_complex, _link_shapes, _vertex_link
+from .complexes import SimplicialComplex, _as_complex, _vertex_link
 from .defaults import DEFAULT_SEED
 from .errors import DimensionError
 from .surfaces import surface_g2
@@ -152,14 +152,7 @@ def complex_rigidity(
 
 
 def _link_surface_g2(K: SimplicialComplex, v: int) -> int:
-    """The surface g2 of the link of ``v``, E - 3V + 6, read off its
-    counts (``_link_shapes``).  When that link is not a closed connected
-    surface, or ``v`` is no vertex of ``K``, the link words the refusal."""
-    shape = _link_shapes(K).get(v) if K.dimension == 3 and isinstance(v, int) else None
-    if shape is None or shape[3] is None:
-        return surface_g2(K.link((v,)).facets)
-    n, e, _, _ = shape
-    return e - 3 * n + 6
+    return surface_g2(K.link((v,)).facets)
 
 
 def external_link_edges(K: SimplicialComplex, v: int) -> list:

@@ -8,7 +8,7 @@ from typing import Optional
 import pytest
 from hypothesis import settings
 
-from pseudoform import generators as gen, io as pio, moves, reducer, surfaces
+from pseudoform import complexes, generators as gen, io as pio, moves, reducer, surfaces
 from pseudoform.complexes import (NormalityReport, SimplicialComplex, _link_connected,
                                   _vertex_link_class, validate_normal)
 from pseudoform.errors import PseudoformError
@@ -169,8 +169,21 @@ def classifier_skips_the_sweep(monkeypatch):
 
 
 def classifier_drops_the_connectivity_test(monkeypatch):
-    """The facets at a vertex count as connected across its triangles."""
-    monkeypatch.setattr(surfaces, "_count_components", lambda edges: 1)
+    """A vertex whose triangles each lie in two facets gets the class of
+    its chi, whether or not its facets are connected across them;
+    ``_link_connected`` is left as it is."""
+    link_shapes = complexes._link_shapes
+
+    def shapes(K):
+        got = dict(link_shapes(K))
+        ridges = complexes._ridge_index(K)
+        for v, (n, e, t, cls) in got.items():
+            if cls is None and all(len(fs) == 2 for r, fs in ridges.items() if v in r):
+                at_v = K._facets_by_vertex()[v]
+                cls = surfaces._closed_class(n - e + t, [F - {v} for F in at_v])
+                got[v] = (n, e, t, cls)
+        return got
+    monkeypatch.setattr(complexes, "_link_shapes", shapes)
 
 
 # The benchmark's walk corpus: RandomMoves at budget 20, sphere walks by
