@@ -141,6 +141,13 @@ def _ints(text: str) -> tuple:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _two_labels(flag: str, text: str) -> tuple:
+    pair = _ints(text)
+    if len(pair) != 2:
+        raise ValueError(f"--{flag} wants two labels u,v, got {text!r}")
+    return pair
+
+
 def _psi(text: str) -> dict:
     out = {}
     try:
@@ -170,10 +177,9 @@ def _move_values(args, move: moves.Move) -> dict:
             if p.role == moves.INPUT:
                 raise ValueError(f"move {args.kind} requires --{flag}")
         elif flag == "apexes":
-            values["apex_u"], values["apex_v"] = _ints(text)
+            values["apex_u"], values["apex_v"] = _two_labels(flag, text)
         elif flag == "pair":
-            u, v = _ints(text)
-            values[p.key] = (u, v)
+            values[p.key] = _two_labels(flag, text)
         elif p.shape == moves.PSI:
             values[p.key] = _psi(text)
         elif p.shape is not int:

@@ -28,12 +28,12 @@ so identical inputs give identical outputs; replay passes the recorded
 labels back in explicitly.
 
 Each kind is defined once, in :data:`MOVES`: its record schema, its
-constructor, its lazy site enumerator and the rule that gives the
-singular vertices of the result (:func:`singular_after`).  Every kind
-reads that map off its rule; no step rechecks a link.  Replay, the
-command line, the random walk and the reducer all dispatch through that
-table.  A kind's enumerator and its constructor call the same
-precondition function.
+constructor, its lazy site enumerator, the rule that gives the
+singular vertices of the result (:func:`singular_after`; no step
+rechecks a link) and, for the kinds the reducer shrinks by, the record
+that undoes it.  Replay, the command line, the random walk and the
+reducer all dispatch through that table.  A kind's enumerator and its
+constructor call the same precondition function.
 """
 
 from __future__ import annotations
@@ -419,6 +419,28 @@ def contractible_edges(K: SimplicialComplex) -> list:
     return list(_iter_contractible_edges(_as_complex(K, "contractible_edges")))
 
 
+def _contract_undo(K: SimplicialComplex, p: dict) -> MoveRecord:
+    """The edge expansion that undoes the contraction of the edge uv of
+    ``K`` into w: it expands w along the link circle of uv, least vertex
+    first, then its smaller neighbour, with u and v as the apexes.
+
+    The circle cuts lk(w) into the triangles F - {u} of the facets F at
+    u without v, and those of v, which by the link condition are none
+    of u's.  The expansion's side 0 holds the least triangle
+    (``surfaces._cut_sides``), so ``u_side`` is 0 exactly when that
+    triangle is one of u's.
+    """
+    (u, v), e, at = p["edge"], frozenset(p["edge"]), K._facets_by_vertex()
+    pos = _edge_circle(K, e)
+    ring = sorted(pos, key=pos.get)
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    cycle = tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
+    least = min((F - e for x in e for F in at[x] if not e <= F), key=sorted)
+    return _record(EDGE_EXPAND, len(cycle) - 3, vertex=p["fresh"], cycle=cycle,
+                   apex_u=u, apex_v=v, u_side=int(least | {u} not in K.facets))
+
+
 def expand_edge(
     K: SimplicialComplex,
     vertex: int,
@@ -439,7 +461,9 @@ def expand_edge(
     apex over it inherits the non-sphere link; the apex over the disc
     side is always non-singular.  g2 grows by ``n - 3``.
 
-    This is the exact inverse of ``contract_edge``.
+    It undoes ``contract_edge`` exactly: the contraction's ``undo``
+    (``_contract_undo``) names the cycle and the ``u_side`` that rebuild
+    the complex before it.
     """
     if u_side not in (0, 1):
         raise MoveError(f"u_side must be 0 or 1, got {u_side}")
@@ -1135,6 +1159,15 @@ def edge_unfold(
     return K2, rec
 
 
+def _unfold_undo(K: SimplicialComplex, p: dict) -> MoveRecord:
+    """The edge fold that undoes the unfold: it glues u v a2 b2 back onto
+    u v a b, the two facets the unfold added, along the Moebius edge uv,
+    a onto a2 and b onto b2."""
+    edge = p["moebius_edge"]
+    s1, s2 = edge + p["split_pair"], edge + p["fresh"]
+    return _gluing_record(EDGE_FOLD, +3, s1, s2, dict(zip(s1, s2)), edge=edge)
+
+
 # ---------------------------------------------------------------------
 # facet subdivision
 # ---------------------------------------------------------------------
@@ -1432,12 +1465,17 @@ class Move:
     stores the map on the result).  Every kind has one, and each rule's
     docstring argues from the move's check what class every vertex of
     the result keeps or gets.
+    ``undo(K, values)`` is the exact forward record that rebuilds ``K``
+    from the result of the move made on ``K`` with the record's values.
+    It constructs nothing.  Only the kinds the reducer shrinks by have
+    one: Bistellar2, EdgeContract, TwoFacetsInsert and EdgeUnfold.
     """
 
     params: tuple
     construct: Callable
     sites: Optional[Callable]
     links: Callable
+    undo: Optional[Callable] = None
 
     @property
     def inputs(self) -> tuple:
@@ -1459,12 +1497,13 @@ MOVES = {
     BISTELLAR2: Move(
         (Param("edge", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE)),
         lambda K, p: bistellar_two(K, p["edge"]),
-        _iter_bistellar_two_sites, _pachner_links),
+        _iter_bistellar_two_sites, _pachner_links,
+        lambda K, p: _record(BISTELLAR1, +1, triangle=p["triangle"], edge=p["edge"])),
     EDGE_CONTRACT: Move(
         (Param("edge", INPUT, EDGE), Param("fresh", FRESH, LABEL),
          Param("degree", DERIVED, LABEL), Param("homeomorphic", DERIVED, FLAG)),
         lambda K, p: contract_edge(K, p["edge"], fresh=p.get("fresh")),
-        _iter_contractible_edges, _contract_links),
+        _iter_contractible_edges, _contract_links, _contract_undo),
     EDGE_EXPAND: Move(
         (Param("vertex", INPUT, LABEL), Param("cycle", INPUT, CYCLE),
          Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL),
@@ -1476,7 +1515,9 @@ MOVES = {
         (Param("vertex", INPUT, LABEL), Param("triangle", INPUT, TRIANGLE),
          Param("apex_u", FRESH, LABEL), Param("apex_v", FRESH, LABEL)),
         lambda K, p: insert_two_facets(K, p["vertex"], p["triangle"], _apexes(p)),
-        _iter_insertion_sites, _insert_links),
+        _iter_insertion_sites, _insert_links,
+        lambda K, p: _record(TWO_FACETS_CONTRACT, +1, vertices=tuple(sorted(_apexes(p))),
+                             triangle=p["triangle"], fresh=p["vertex"])),
     TWO_FACETS_CONTRACT: Move(
         (Param("vertices", INPUT, EDGE), Param("triangle", DERIVED, TRIANGLE),
          Param("fresh", FRESH, LABEL)),
@@ -1502,7 +1543,7 @@ MOVES = {
         (Param("tetra", INPUT, TETRA), Param("moebius_edge", DERIVED, EDGE),
          Param("split_pair", DERIVED, EDGE), Param("fresh", FRESH, EDGE)),
         lambda K, p: edge_unfold(K, p["tetra"], fresh=p.get("fresh")),
-        _iter_unfold_sites, _unfold_links),
+        _iter_unfold_sites, _unfold_links, _unfold_undo),
     FACET_SUBDIVIDE: Move(
         (Param("facet", INPUT, TETRA), Param("fresh", FRESH, LABEL)),
         lambda K, p: facet_subdivide(K, p["facet"], fresh=p.get("fresh")),

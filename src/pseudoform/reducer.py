@@ -11,9 +11,10 @@ its class with a usable site takes one step.  A sphere undoes a
 bistellar 1-move, then an edge expansion, then a two-facets
 contraction; a two-singular piece undoes an edge fold, then an edge
 expansion at a singular vertex; a stacked piece always splits.  Each
-step re-applies a forward move that may undo it and checks that it
-reproduces the previous state bit for bit, so the emitted
-:class:`ConstructionTrace` replays to the exact input, labels and all.
+step records the forward move that undoes it, which the shrinking
+kind's ``undo`` in the move table names from the state before the step
+and the step's record, so the emitted :class:`ConstructionTrace`
+replays to the exact input, labels and all.
 
 Trace file format (bit-exact round trip):
 
@@ -42,7 +43,6 @@ from . import surfaces
 from .complexes import (
     SimplicialComplex,
     _as_complex,
-    _edge_circle,
     _link_class,
     _normality,
     _singular_map,
@@ -620,54 +620,6 @@ _STUCK = {
 }
 
 
-def _expansions(K: SimplicialComplex, p: dict) -> Iterator:
-    """The expansions that may undo the contraction ``p`` of ``K``, one per
-    side (it records no side), round the edge's link circle as its check
-    memoised it (``_edge_circle``): least vertex first, then the smaller
-    of that vertex's two neighbours."""
-    pos = _edge_circle(K, frozenset(p["edge"]))
-    ring = sorted(pos, key=pos.get)
-    i = ring.index(min(ring))
-    ring = ring[i:] + ring[:i]
-    cycle = tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
-    (u, v), w = p["edge"], p["fresh"]
-    return ((moves.EDGE_EXPAND, {"vertex": w, "cycle": cycle, "apex_u": u, "apex_v": v,
-                                 "u_side": side}) for side in (0, 1))
-
-
-# The forward moves that may undo each shrinking kind, as (kind, values)
-# made from the state before the step and the step's record.
-_UNDO = {
-    moves.BISTELLAR2: lambda K, p: [
-        (moves.BISTELLAR1, {"triangle": p["triangle"]})],
-    moves.EDGE_CONTRACT: _expansions,
-    moves.TWO_FACETS_INSERT: lambda K, p: [
-        (moves.TWO_FACETS_CONTRACT, {
-            "vertices": (p["apex_u"], p["apex_v"]), "fresh": p["vertex"]})],
-    moves.EDGE_UNFOLD: lambda K, p: [
-        (moves.EDGE_FOLD, {
-            "sigma1": p["moebius_edge"] + p["split_pair"],
-            "sigma2": p["moebius_edge"] + p["fresh"],
-            "psi": tuple(zip(p["moebius_edge"] + p["split_pair"],
-                             p["moebius_edge"] + p["fresh"]))})],
-}
-
-
-def _rebuild(
-    before: SimplicialComplex, after: SimplicialComplex, rec: moves.MoveRecord
-) -> moves.MoveRecord:
-    """The forward record that turns ``after`` back into ``before``."""
-    try:
-        for kind, values in _UNDO[rec.kind](before, rec.param_dict()):
-            rebuilt, forward = moves.MOVES[kind].construct(after, values)
-            if rebuilt == before:
-                return forward
-    except PseudoformError:
-        pass
-    raise _Rejection(f"internal check failed: no forward move rebuilds "
-                     f"the state before {rec.kind}")
-
-
 def _apply_rule(rule: tuple, K: SimplicialComplex, first_label: int) -> Optional[tuple]:
     """Apply ``rule`` at its first usable site, with fresh labels from
     ``first_label`` on.  Returns the smaller complex, the step's own
@@ -689,7 +641,7 @@ def _apply_rule(rule: tuple, K: SimplicialComplex, first_label: int) -> Optional
         }
         after, rec = move.construct(K, {**values, **fresh})
         witness = site[0] if len(move.inputs) == 1 else tuple(values.values())
-        return after, rec, _rebuild(K, after, rec), witness, next(labels)
+        return after, rec, move.undo(K, rec.param_dict()), witness, next(labels)
     return None
 
 

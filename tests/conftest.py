@@ -487,6 +487,36 @@ RULE_MUTANTS = (pachner_drops_an_rp2_class, contraction_keeps_one_class,
                 unfold_keeps_a_moebius_corner, expansion_swaps_the_apex_sides)
 
 
+# Mutants of the undo column of the shrinking kinds; each must fail the
+# undo gate in ``test_move_undo``.
+
+def contraction_undo_flips_the_side(monkeypatch):
+    """A contraction's expansion cones each endpoint over the other's
+    side of the cut link."""
+    undo = moves.MOVES[moves.EDGE_CONTRACT].undo
+
+    def flipped(K, p):
+        rec = undo(K, p)
+        return moves._record(rec.kind, rec.g2_delta,
+                             **{**rec.param_dict(), "u_side": 1 - rec.get("u_side")})
+    monkeypatch.setitem(moves.MOVES, moves.EDGE_CONTRACT,
+                        dataclasses.replace(moves.MOVES[moves.EDGE_CONTRACT], undo=flipped))
+
+
+def unfold_undo_crosses_the_split_pair(monkeypatch):
+    """An unfold's fold glues the split corner a onto b's twin b2, and b
+    onto a2."""
+    def crossed(K, p):
+        edge = p["moebius_edge"]
+        s1, s2 = edge + p["split_pair"], edge + p["fresh"][::-1]
+        return moves._gluing_record(moves.EDGE_FOLD, +3, s1, s2, dict(zip(s1, s2)), edge=edge)
+    monkeypatch.setitem(moves.MOVES, moves.EDGE_UNFOLD,
+                        dataclasses.replace(moves.MOVES[moves.EDGE_UNFOLD], undo=crossed))
+
+
+UNDO_MUTANTS = (contraction_undo_flips_the_side, unfold_undo_crosses_the_split_pair)
+
+
 def rule_runs():
     """Runs that reach every kind's links rule with a non-sphere class at
     stake, to be made under a gate: the replays of ``long_fold_walk(2)``

@@ -122,6 +122,17 @@ def test_move_missing_flag_is_malformed(capsys):
     assert "requires --triangle" in err
 
 
+@pytest.mark.parametrize("labels", ["1", "1,2,3"])
+@pytest.mark.parametrize("kind, flags", [
+    ("TwoFacetsContract", ["--pair"]),
+    ("EdgeExpand", ["--vertex", "0", "--cycle", "2,4,3,5", "--apexes"]),
+])
+def test_move_pair_flag_wants_two_labels(capsys, kind, flags, labels):
+    code, out, err = run(capsys, "move", kind, path("cross_polytope"), *flags, labels)
+    assert (code, out) == (2, "")
+    assert err == f"malformed input: {flags[-1]} wants two labels u,v, got '{labels}'\n"
+
+
 def test_move_unknown_kind_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["move", "Teleport", path("cross_polytope")])
